@@ -29,6 +29,7 @@ from .config import (
     apply_overrides,
     build_manifest,
     dump_json,
+    durations_from_config,
     lattice_from_config,
     load_config,
     manifest_core,
@@ -36,9 +37,9 @@ from .config import (
     params_from_config,
 )
 from .errors import InvalidConfig, QuenchBenchError
-from .model import interactions
+from .model import interactions, write_trajectory_csv
 from .mps import run_quench, write_timing_csv
-from .units import format_duration, parse_duration, parse_duration_ns
+from .units import format_duration, parse_duration
 
 
 def handles_errors(fn):
@@ -68,10 +69,6 @@ def _parse_size(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _duration_or_none(value: str | None) -> float | None:
-    return parse_duration(value) if value is not None else None
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="quench-bench")
 def main() -> None:
@@ -87,17 +84,22 @@ def simulate() -> None:
     """Run exact or MPS-TDVP quench simulations."""
 
 
+def _config_with_flags(config_path, t_pulse=None, dt=None, size=None, mps=None) -> dict:
+    """Config file overlaid with the command-line flags that were given."""
+    lx, ly = _parse_size(size) if size is not None else (None, None)
+    overrides = {
+        "quench": {
+            "t_pulse_ns": None if t_pulse is None else parse_duration(t_pulse),
+            "dt_ns": None if dt is None else parse_duration(dt),
+        },
+        "lattice": {"Lx": lx, "Ly": ly},
+        "mps": mps or {},
+    }
+    return apply_overrides(load_config(config_path), overrides)
+
+
 def _prepare_run(config_path, t_pulse, dt, size, mps_overrides=None):
-    config = load_config(config_path)
-    overrides: dict = {"quench": {}, "lattice": {}, "mps": mps_overrides or {}}
-    if t_pulse is not None:
-        overrides["quench"]["t_pulse_ns"] = parse_duration_ns(t_pulse)
-    if dt is not None:
-        overrides["quench"]["dt_ns"] = parse_duration_ns(dt)
-    if size is not None:
-        lx, ly = _parse_size(size)
-        overrides["lattice"] = {"Lx": lx, "Ly": ly}
-    config = apply_overrides(config, overrides)
+    config = _config_with_flags(config_path, t_pulse, dt, size, mps_overrides)
     lattice = lattice_from_config(config)
     params = params_from_config(config, lattice)
     inputs = [config_path] if config_path else []
@@ -110,7 +112,13 @@ def _prepend_manifest_comment(path: Path, manifest: dict) -> None:
     Path(path).write_text(f"# manifest_sha256={manifest_digest(manifest)}\n{body}")
 
 
-def _emit_verdict(out: Path, manifest: dict, verdict, as_json: bool, extra=None) -> None:
+def _emit_verdict(out_dir, manifest: dict, traj, verdict, as_json: bool, extra=None) -> None:
+    """Write trajectory.csv, manifest.json and verdict.json of a finished run
+    of either backend, and echo the verdict."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(traj, out / "trajectory.csv")
+    _prepend_manifest_comment(out / "trajectory.csv", manifest)
     dump_json(manifest, out / "manifest.json")
     payload = {"verdict": verdict.as_dict(), "manifest": manifest_core(manifest)}
     if extra:
@@ -137,24 +145,10 @@ def _emit_verdict(out: Path, manifest: dict, verdict, as_json: bool, extra=None)
 def simulate_exact(config_path, out_dir, t_pulse, dt, size, as_json) -> None:
     """Dense-statevector evolution (ground truth for small lattices)."""
     config, lattice, params, manifest = _prepare_run(config_path, t_pulse, dt, size)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cutoff = config["physics"]["cutoff_factor"] * params.spacing
     v = interactions(lattice, params, cutoff)
     traj = oracle.evolve_exact(lattice, params, v, params.t_pulse, params.dt)
-    path = out / "trajectory.csv"
-    oracle.export_trajectory_csv(traj, lattice, path)
-    _prepend_manifest_comment(path, manifest)
-    e_scale = convergence.energy_scale(lattice, params)
-    drift = convergence.energy_drift(traj.energies, e_scale)
-    sym = convergence.d8_error(traj.maps[-1])
-    verdict = convergence.ConvergenceVerdict(
-        energy_drift_rel=drift,
-        d8_error_rel=sym,
-        passed=drift < convergence.ENERGY_DRIFT_GATE and sym < convergence.D8_ERROR_GATE,
-        e_scale=e_scale,
-    )
-    _emit_verdict(out, manifest, verdict, as_json)
+    _emit_verdict(out_dir, manifest, traj, convergence.evaluate_run(traj, params), as_json)
 
 
 @simulate.command("tdvp")
@@ -171,22 +165,16 @@ def simulate_tdvp(
     config_path, out_dir, t_pulse, dt, size, max_chi, memory_budget_gb, as_json
 ) -> None:
     """Two-site TDVP evolution with timing instrumentation."""
-    mps_overrides = {}
-    if max_chi is not None:
-        mps_overrides["max_chi"] = max_chi
-    if memory_budget_gb is not None:
-        mps_overrides["memory_budget_gb"] = memory_budget_gb
+    mps_overrides = {"max_chi": max_chi, "memory_budget_gb": memory_budget_gb}
     config, lattice, params, manifest = _prepare_run(
         config_path, t_pulse, dt, size, mps_overrides
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mps_cfg = config["mps"]
     budget_bytes = (
         mps_cfg["memory_budget_gb"] * 1e9 if mps_cfg["memory_budget_gb"] is not None else None
     )
     cutoff = config["physics"]["cutoff_factor"] * params.spacing
-    result = run_quench(
+    traj = run_quench(
         lattice,
         params,
         params.t_pulse,
@@ -196,41 +184,22 @@ def simulate_tdvp(
         cutoff=cutoff,
         memory_budget_bytes=budget_bytes,
     )
-    traj_path = out / "trajectory.csv"
-    _write_mps_trajectory_csv(result, params.dt, traj_path)
-    _prepend_manifest_comment(traj_path, manifest)
-    if result.records:
+    # wall timings live only in timing.csv (measurements are exempt from the
+    # byte-reproducibility contract); everything in verdict.json is deterministic
+    extra = {"run": {"max_chi_used": max((r.max_chi_used for r in traj.records), default=1)}}
+    verdict = convergence.evaluate_run(traj, params)
+    _emit_verdict(out_dir, manifest, traj, verdict, as_json, extra)
+    if traj.records:
         write_timing_csv(
-            out / "timing.csv",
+            Path(out_dir) / "timing.csv",
             lattice.n_sites,
             mps_cfg["max_chi"],
             params.dt,
-            result.records,
+            traj.records,
             _hardware_tag(),
             append=False,
             header_comment=f"manifest_sha256={manifest_digest(manifest)}",
         )
-    verdict = convergence.evaluate_run(result, params)
-    # wall timings live only in timing.csv (measurements are exempt from the
-    # byte-reproducibility contract); everything in verdict.json is deterministic
-    extra = {"run": {"max_chi_used": max((r.max_chi_used for r in result.records), default=1)}}
-    _emit_verdict(out, manifest, verdict, as_json, extra=extra)
-
-
-def _write_mps_trajectory_csv(result, dt: float, path) -> None:
-    lattice = result.lattice
-    energies = result.energies
-    with open(path, "w") as fh:
-        fh.write("time_ns,site_row,site_col,n_expect,energy\n")
-        for omap in result.maps:
-            step = int(round(omap.time / dt)) if dt > 0 else 0
-            energy = energies[min(step, len(energies) - 1)]
-            for row in range(lattice.ly):
-                for col in range(lattice.lx):
-                    fh.write(
-                        f"{omap.time * 1e9!r},{row},{col},"
-                        f"{float(omap.values[row, col])!r},{energy!r}\n"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +299,9 @@ def estimate_classical(
     samples_path, config_path, size, chi, t_pulse, dt, gpu_power_kw, power_log, as_json
 ) -> None:
     """Fit the timing samples and extrapolate one classical simulation."""
-    config = load_config(config_path)
-    lx, ly = _parse_size(size) if size else (config["lattice"]["Lx"], config["lattice"]["Ly"])
-    n = lx * ly
-    t_pulse_s = _duration_or_none(t_pulse) or config["quench"]["t_pulse_ns"] * 1e-9
-    dt_s = _duration_or_none(dt) or config["quench"]["dt_ns"] * 1e-9
+    config = _config_with_flags(config_path, t_pulse, dt, size)
+    n = config["lattice"]["Lx"] * config["lattice"]["Ly"]
+    t_pulse_s, dt_s = durations_from_config(config)
     if power_log is not None:
         power_watts = costfit.mean_power_from_log(power_log)
     elif gpu_power_kw is not None:
@@ -378,10 +345,11 @@ def estimate_crossover(
     samples_path, config_path, chi, n_min, n_max, n_step, t_pulse, dt, gpu_power_kw, as_json
 ) -> None:
     """Locate the system size where the QPU beats the classical projection."""
-    config = load_config(config_path)
-    t_pulse_s = _duration_or_none(t_pulse) or config["quench"]["t_pulse_ns"] * 1e-9
-    dt_s = _duration_or_none(dt) or config["quench"]["dt_ns"] * 1e-9
-    power_watts = (gpu_power_kw * 1e3) if gpu_power_kw else costfit.DEFAULT_GPU_POWER_WATTS
+    config = _config_with_flags(config_path, t_pulse, dt)
+    t_pulse_s, dt_s = durations_from_config(config)
+    power_watts = (
+        gpu_power_kw * 1e3 if gpu_power_kw is not None else costfit.DEFAULT_GPU_POWER_WATTS
+    )
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
     model = costfit.fit_mps(samples)
     probs = _probs_from_config(config)
@@ -436,12 +404,20 @@ def estimate_crossover(
 def rearrange(config_path, trials, seed, register_size, n_traps, fill_p, as_json) -> None:
     """Monte Carlo defect-free estimate, side by side with the analytic model."""
     config = load_config(config_path)
-    n_register = register_size or config["lattice"]["Lx"] * config["lattice"]["Ly"]
-    n_traps = n_traps or config["register"]["n_traps"] or 2 * n_register
+    n_register = register_size
+    if n_register is None:
+        n_register = config["lattice"]["Lx"] * config["lattice"]["Ly"]
+    if n_traps is None:
+        n_traps = config["register"]["n_traps"]
+    if n_traps is None:
+        n_traps = 2 * n_register
     fill = fill_p if fill_p is not None else config["register"]["fill_p"]
     seed = seed if seed is not None else config["run"]["seed"]
     probs = _probs_from_config(config)
-    layout = register.make_layout(n_register, n_traps)
+    try:
+        layout = register.make_layout(n_register, n_traps)
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from exc
     est = register.simulate_defect_free(layout, probs, trials, rng_seed=seed, fill_p=fill)
     all_infeasible = est.counts_mean["infeasible_trials"] >= trials
     analytic_mc = (

@@ -106,28 +106,32 @@ def apply_overrides(config: dict, overrides: dict) -> dict:
     return out
 
 
-def lattice_from_config(config: dict) -> LatticeSpec:
+def _physics(config: dict) -> tuple[float, float, float]:
+    """(omega, h_x, c6) in internal units; each must be positive."""
     phys = config["physics"]
-    return lattice_for_quench(
-        config["lattice"]["Lx"],
-        config["lattice"]["Ly"],
-        mhz_to_angular(phys["omega_mhz"]),
-        phys["h_x"],
-        ghz_um6_to_angular(phys["c6_ghz_um6"]),
-    )
+    for key in ("omega_mhz", "h_x", "c6_ghz_um6"):
+        if not phys[key] > 0:
+            raise InvalidConfig(f"physics.{key} must be positive, got {phys[key]}")
+    return mhz_to_angular(phys["omega_mhz"]), phys["h_x"], ghz_um6_to_angular(phys["c6_ghz_um6"])
+
+
+def durations_from_config(config: dict) -> tuple[float, float]:
+    """(t_pulse, dt) in seconds; t_pulse must be non-negative, dt positive."""
+    quench = config["quench"]
+    if not quench["t_pulse_ns"] >= 0:
+        raise InvalidConfig(f"quench.t_pulse_ns must be non-negative, got {quench['t_pulse_ns']}")
+    if not quench["dt_ns"] > 0:
+        raise InvalidConfig(f"quench.dt_ns must be positive, got {quench['dt_ns']}")
+    return quench["t_pulse_ns"] * 1e-9, quench["dt_ns"] * 1e-9
+
+
+def lattice_from_config(config: dict) -> LatticeSpec:
+    return lattice_for_quench(config["lattice"]["Lx"], config["lattice"]["Ly"], *_physics(config))
 
 
 def params_from_config(config: dict, lattice: LatticeSpec) -> QuenchParams:
-    phys = config["physics"]
-    quench = config["quench"]
-    return derive_quench(
-        mhz_to_angular(phys["omega_mhz"]),
-        phys["h_x"],
-        ghz_um6_to_angular(phys["c6_ghz_um6"]),
-        lattice,
-        t_pulse=quench["t_pulse_ns"] * 1e-9,
-        dt=quench["dt_ns"] * 1e-9,
-    )
+    t_pulse, dt = durations_from_config(config)
+    return derive_quench(*_physics(config), lattice, t_pulse=t_pulse, dt=dt)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ range (max - min), which makes the 40% threshold scale-free.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScale, MemoryBudgetExceeded
-from .model import LatticeSpec, ObservableMap, QuenchParams
-from .mps import QuenchRunResult, run_quench
+from .model import LatticeSpec, ObservableMap, QuenchParams, Trajectory
+from .mps import run_quench
 
 ENERGY_DRIFT_GATE = 0.05
 D8_ERROR_GATE = 0.40
@@ -114,7 +115,7 @@ def d8_error(obs: ObservableMap) -> float:
 
 
 def evaluate_run(
-    result: QuenchRunResult,
+    result: Trajectory,
     params: QuenchParams,
     r2_integrated: float | None = None,
 ) -> ConvergenceVerdict:
@@ -183,22 +184,10 @@ def min_converged_chi(
 
     if workers is None:
         workers = int(os.environ.get("QUENCH_BENCH_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(attempt, chi_grid))
+    # the lazy built-in map keeps the serial search's early stop
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        outcomes = pool.map(attempt, chi_grid) if pool else map(attempt, chi_grid)
         for chi, outcome in zip(chi_grid, outcomes):
-            if outcome is None:
-                budget_blocked += 1
-                continue
-            result, verdict = outcome
-            verdicts[chi] = verdict
-            if verdict.passed:
-                return ChiSearchResult(
-                    chi_min=chi, run_seconds=result.wall_seconds_total, verdicts=verdicts
-                )
-    else:
-        for chi in chi_grid:
-            outcome = attempt(chi)
             if outcome is None:
                 budget_blocked += 1
                 continue

@@ -14,12 +14,17 @@ All frequencies are angular (rad/s), lengths are micrometers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CutoffTooSmall, InvalidLattice
 from .units import TWO_PI
+
+if TYPE_CHECKING:
+    from .mps.evolve import TdvpStepRecord
+    from .oracle import StateVector
 
 #: Default interaction coefficient, 2*pi * 138 GHz um^6 (a standard 60S
 #: Rydberg value).  All observables produced by this package depend only on
@@ -119,6 +124,41 @@ class ObservableMap:
         return cls(values=grid, label=label, time=time)
 
 
+@dataclass
+class Trajectory:
+    """Time series of one quench run, from either backend.
+
+    ``maps[i]`` (taken at ``maps[i].time``) and ``energies[i]`` belong
+    together; index 0 is the initial state.  ``records`` holds the per-step
+    TDVP records (empty for the exact backend); ``final_state`` holds the
+    exact backend's final statevector (None for TDVP).
+    """
+
+    lattice: LatticeSpec
+    maps: list[ObservableMap] = field(default_factory=list)
+    energies: list[float] = field(default_factory=list)
+    records: list[TdvpStepRecord] = field(default_factory=list)
+    final_state: StateVector | None = None
+
+    @property
+    def wall_seconds_total(self) -> float:
+        return sum(r.wall_seconds for r in self.records)
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Tidy CSV with columns time_ns, site_row, site_col, n_expect, energy."""
+    with open(path, "w") as fh:
+        fh.write("time_ns,site_row,site_col,n_expect,energy\n")
+        for omap, energy in zip(traj.maps, traj.energies):
+            n_rows, n_cols = omap.values.shape
+            for row in range(n_rows):
+                for col in range(n_cols):
+                    fh.write(
+                        f"{omap.time * 1e9!r},{row},{col},"
+                        f"{float(omap.values[row, col])!r},{energy!r}\n"
+                    )
+
+
 def build_lattice(lx: int, ly: int, spacing: float) -> LatticeSpec:
     """Build a snake-ordered square lattice.
 
@@ -153,11 +193,9 @@ def derive_quench(
     The detuning delta is half the total interaction energy of the central
     site with every other site of the full lattice (no cutoff).
     """
-    if omega <= 0 or h_x <= 0 or c6 <= 0:
-        raise ValueError("omega, h_x and c6 must all be positive")
     if lattice.n_sites < 1:
         raise InvalidLattice("lattice is empty")
-    spacing = (c6 * h_x / (2.0 * omega)) ** (1.0 / 6.0)
+    spacing = quench_spacing(omega, h_x, c6)
     if not math.isclose(spacing, lattice.spacing, rel_tol=1e-9):
         raise InvalidLattice(
             f"lattice spacing {lattice.spacing} um does not match the quench "
@@ -180,12 +218,18 @@ def derive_quench(
     )
 
 
+def quench_spacing(omega: float, h_x: float, c6: float) -> float:
+    """The lattice spacing R = (c6 h_x / 2 omega)^(1/6) of the quench condition."""
+    if not (omega > 0 and h_x > 0 and c6 > 0):
+        raise ValueError(f"omega, h_x and c6 must all be positive, got {omega}, {h_x}, {c6}")
+    return (c6 * h_x / (2.0 * omega)) ** (1.0 / 6.0)
+
+
 def lattice_for_quench(
     lx: int, ly: int, omega: float, h_x: float, c6: float = DEFAULT_C6
 ) -> LatticeSpec:
     """Convenience: build the lattice at the spacing the quench condition fixes."""
-    spacing = (c6 * h_x / (2.0 * omega)) ** (1.0 / 6.0)
-    return build_lattice(lx, ly, spacing)
+    return build_lattice(lx, ly, quench_spacing(omega, h_x, c6))
 
 
 def interactions(

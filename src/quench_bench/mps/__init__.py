@@ -1,15 +1,13 @@
 """Matrix-product-state machinery: long-range MPO, two-site TDVP, memory model."""
 
 from .memory import MemoryBreakdown, memory_estimate
-from .mpo import MpoHamiltonian, build_mpo, mpo_dense_matrix
+from .mpo import MpoHamiltonian, build_mpo
 from .state import MpsState, mpo_expectation, site_expectations
 from .evolve import (
-    QuenchRunResult,
     TdvpEngine,
     TdvpStepRecord,
     benchmark_steps,
     run_quench,
-    tdvp_step,
     write_timing_csv,
 )
 
@@ -17,16 +15,13 @@ __all__ = [
     "MemoryBreakdown",
     "MpoHamiltonian",
     "MpsState",
-    "QuenchRunResult",
     "TdvpEngine",
     "TdvpStepRecord",
     "benchmark_steps",
     "build_mpo",
     "memory_estimate",
-    "mpo_dense_matrix",
     "mpo_expectation",
     "run_quench",
     "site_expectations",
-    "tdvp_step",
     "write_timing_csv",
 ]

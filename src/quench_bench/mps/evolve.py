@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import MemoryBudgetExceeded
 from ..lanczos import expm_lanczos
-from ..model import LatticeSpec, ObservableMap, QuenchParams, interactions
+from ..model import LatticeSpec, ObservableMap, QuenchParams, Trajectory, interactions
 from .memory import memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
 from .state import (
@@ -50,24 +50,6 @@ class TdvpStepRecord:
     energy: float
     lanczos_iters_max: int
     lanczos_converged: bool = True
-
-
-@dataclass
-class QuenchRunResult:
-    """Trajectory of observable maps plus per-step timing records."""
-
-    lattice: LatticeSpec
-    maps: list[ObservableMap]
-    records: list[TdvpStepRecord]
-    initial_energy: float
-
-    @property
-    def energies(self) -> list[float]:
-        return [self.initial_energy] + [r.energy for r in self.records]
-
-    @property
-    def wall_seconds_total(self) -> float:
-        return sum(r.wall_seconds for r in self.records)
 
 
 def _merge_mpo_pair(w1, w2):
@@ -276,23 +258,6 @@ class TdvpEngine:
         )
 
 
-def tdvp_step(
-    state: MpsState,
-    mpo: MpoHamiltonian,
-    dt: float,
-    max_chi: int | None = None,
-    k_max: int = 50,
-) -> tuple[MpsState, TdvpStepRecord]:
-    """One-shot sweep on a canonical state (environments built afresh).
-
-    For repeated stepping use TdvpEngine directly, which caches environments.
-    The state is evolved in place and also returned.
-    """
-    engine = TdvpEngine(state, mpo, max_chi=max_chi, k_max=k_max)
-    record = engine.step(dt)
-    return state, record
-
-
 def run_quench(
     lattice: LatticeSpec,
     params: QuenchParams,
@@ -303,8 +268,7 @@ def run_quench(
     *,
     cutoff: float | None = None,
     memory_budget_bytes: float | None = None,
-    measure_every: int = 1,
-) -> QuenchRunResult:
+) -> Trajectory:
     """Evolve |00...0> for t_pulse, recording observables and step timings.
 
     Refuses to start when the Appendix-style memory estimate for (N, max_chi)
@@ -328,17 +292,14 @@ def run_quench(
             lattice, site_expectations(state, _NUMBER_OP), label="n", time=t
         )
 
-    maps = [measure(0.0)]
-    initial_energy = engine.energy()
-    records: list[TdvpStepRecord] = []
+    traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
     n_steps = int(round(t_pulse / dt)) if t_pulse > 0 else 0
     for step in range(1, n_steps + 1):
-        records.append(engine.step(dt))
-        if step % measure_every == 0 or step == n_steps:
-            maps.append(measure(step * dt))
-    return QuenchRunResult(
-        lattice=lattice, maps=maps, records=records, initial_energy=initial_energy
-    )
+        record = engine.step(dt)
+        traj.records.append(record)
+        traj.maps.append(measure(step * dt))
+        traj.energies.append(record.energy)
+    return traj
 
 
 def benchmark_steps(

@@ -97,40 +97,3 @@ def build_mpo(
         prev = cur
     return MpoHamiltonian(tensors=tensors, bond_profile=bond_profile)
 
-
-def mpo_dense_matrix(mpo: MpoHamiltonian) -> np.ndarray:
-    """Contract the MPO to a full 2^N x 2^N matrix (test-scale N only)."""
-    acc = mpo.tensors[0][0]  # (d, d, h)
-    for w in mpo.tensors[1:]:
-        acc = np.einsum("abh,hcdk->acbdk", acc, w)
-        d_out = acc.shape[0] * acc.shape[1]
-        d_in = acc.shape[2] * acc.shape[3]
-        acc = acc.reshape(d_out, d_in, acc.shape[4])
-    return acc[:, :, 0]
-
-
-def dense_hamiltonian_matrix(
-    lattice: LatticeSpec, params: QuenchParams, v: InteractionMatrix
-) -> np.ndarray:
-    """Kronecker-product H for cross-checking the MPO (test-scale N only).
-
-    Uses the same bit convention as the oracle: site k is bit k of the basis
-    index, but the matrix here is ordered so that site 0 is the slowest index
-    to match the MPO contraction order.
-    """
-    n = lattice.n_sites
-    dim = 1 << n
-    h = np.zeros((dim, dim), dtype=complex)
-    eye_cache = {k: np.eye(1 << k) for k in range(n + 1)}
-
-    def embed(op: np.ndarray, site: int) -> np.ndarray:
-        return np.kron(np.kron(eye_cache[site], op), eye_cache[n - site - 1])
-
-    for i in range(n):
-        h += 0.5 * params.omega * embed(_SIGMA_X, i)
-        h -= params.delta * embed(_NUMBER_OP, i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if v.v[i, j] != 0.0:
-                h += v.v[i, j] * (embed(_NUMBER_OP, i) @ embed(_NUMBER_OP, j))
-    return h

@@ -12,13 +12,13 @@ index 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSite, TooLargeForOracle
 from .lanczos import expm_lanczos
-from .model import InteractionMatrix, LatticeSpec, ObservableMap, QuenchParams
+from .model import InteractionMatrix, LatticeSpec, ObservableMap, QuenchParams, Trajectory
 
 #: Hard cap with the dense 2^N diagonal precomputed in one shot.
 N_MAX_DENSE = 16
@@ -35,22 +35,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
-class ExactTrajectory:
-    """Time series produced by ``evolve_exact``.
-
-    ``maps[i]`` and ``energies[i]`` belong to ``times[i]``; index 0 is the
-    initial state.  Full statevectors are kept only when requested, but the
-    final state is always available.
-    """
-
-    times: list[float] = field(default_factory=list)
-    maps: list[ObservableMap] = field(default_factory=list)
-    energies: list[float] = field(default_factory=list)
-    final_state: StateVector | None = None
-    states: list[StateVector] = field(default_factory=list)
 
 
 class DenseHamiltonian:
@@ -119,10 +103,9 @@ def evolve_exact(
     dt: float,
     *,
     allow_large: bool = False,
-    keep_states: bool = False,
     krylov_tol: float = 1e-12,
     k_max: int = 40,
-) -> ExactTrajectory:
+) -> Trajectory:
     """Evolve |00...0> under the quench Hamiltonian for time t in steps of dt.
 
     Each step applies exp(-i H dt) through an adaptive Lanczos expansion; the
@@ -139,39 +122,18 @@ def evolve_exact(
         raise ValueError("evolution time must be non-negative")
 
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
-    state = initial_state(n)
     n_steps = int(round(t / dt)) if t > 0 else 0
-
-    traj = ExactTrajectory()
-
-    def record(time: float, psi: np.ndarray) -> None:
-        sv = StateVector(amplitudes=psi, n_sites=n)
-        traj.times.append(time)
+    traj = Trajectory(lattice)
+    state = initial_state(n)
+    for step in range(n_steps + 1):
+        if step > 0:
+            result = expm_lanczos(
+                ham.apply, state.amplitudes, -1j * dt, k_max=k_max, tol=krylov_tol
+            )
+            state = StateVector(amplitudes=result.vector, n_sites=n)
         traj.maps.append(
-            ObservableMap.from_site_values(lattice, occupations(sv), label="n", time=time)
+            ObservableMap.from_site_values(lattice, occupations(state), label="n", time=step * dt)
         )
-        traj.energies.append(ham.expectation(psi))
-        if keep_states:
-            traj.states.append(StateVector(amplitudes=psi.copy(), n_sites=n))
-
-    record(0.0, state.amplitudes)
-    psi = state.amplitudes
-    for step in range(1, n_steps + 1):
-        result = expm_lanczos(ham.apply, psi, -1j * dt, k_max=k_max, tol=krylov_tol)
-        psi = result.vector
-        record(step * dt, psi)
-    traj.final_state = StateVector(amplitudes=psi, n_sites=n)
+        traj.energies.append(ham.expectation(state.amplitudes))
+    traj.final_state = state
     return traj
-
-
-def export_trajectory_csv(traj: ExactTrajectory, lattice: LatticeSpec, path) -> None:
-    """Tidy CSV with columns time_ns, site_row, site_col, n_expect, energy."""
-    with open(path, "w") as fh:
-        fh.write("time_ns,site_row,site_col,n_expect,energy\n")
-        for time, omap, energy in zip(traj.times, traj.maps, traj.energies):
-            for row in range(lattice.ly):
-                for col in range(lattice.lx):
-                    fh.write(
-                        f"{time * 1e9!r},{row},{col},"
-                        f"{float(omap.values[row, col])!r},{energy!r}\n"
-                    )

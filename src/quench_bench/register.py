@@ -90,6 +90,8 @@ def make_layout(
     first, deterministic order) until ``n_traps`` total traps exist.
     ``n_traps`` defaults to 2 * n_register.
     """
+    if n_register < 1:
+        raise ValueError(f"register needs at least one site, got {n_register}")
     if n_traps is None:
         n_traps = 2 * n_register
     if n_traps < 2 * n_register:

@@ -39,25 +39,12 @@ _DURATION_SCALE = {"ns": 1e-9, "us": 1e-6, "µs": 1e-6, "s": 1.0}
 
 
 def parse_duration(text: str | float) -> float:
-    """Parse a duration with explicit suffix ('400ns', '4us', '0.1s') to seconds.
+    """Parse a duration with explicit suffix ('400ns', '4us', '0.1s') to
+    nanoseconds, the unit of the config's duration keys.
 
     Bare numbers are rejected: the suffix is mandatory so that ns/s mixups
     cannot slip through the CLI silently.
     """
-    if isinstance(text, (int, float)):
-        raise InvalidConfig(f"duration needs an explicit ns/us/s suffix, got bare number {text!r}")
-    m = _DURATION_RE.match(text)
-    if m is None:
-        raise InvalidConfig(f"cannot parse duration {text!r} (expected e.g. '400ns', '4us', '1s')")
-    value = float(m.group(1))
-    if value < 0:
-        raise InvalidConfig(f"duration must be non-negative, got {text!r}")
-    return value * _DURATION_SCALE[m.group(2)]
-
-
-def parse_duration_ns(text: str | float) -> float:
-    """Like parse_duration but in nanoseconds, exact for ns/us inputs
-    (multiplying by 1.0 or 1000.0 instead of round-tripping through seconds)."""
     if isinstance(text, (int, float)):
         raise InvalidConfig(f"duration needs an explicit ns/us/s suffix, got bare number {text!r}")
     m = _DURATION_RE.match(text)

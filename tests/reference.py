@@ -39,6 +39,17 @@ def dense_hamiltonian(params, v: np.ndarray) -> np.ndarray:
     return h
 
 
+def mpo_dense_matrix(mpo) -> np.ndarray:
+    """Contract an MPO to its full 2^N x 2^N matrix, site 0 the slowest index."""
+    acc = mpo.tensors[0][0]  # (d, d, h)
+    for w in mpo.tensors[1:]:
+        acc = np.einsum("abh,hcdk->acbdk", acc, w)
+        d_out = acc.shape[0] * acc.shape[1]
+        d_in = acc.shape[2] * acc.shape[3]
+        acc = acc.reshape(d_out, d_in, acc.shape[4])
+    return acc[:, :, 0]
+
+
 def rk4_evolve(h: np.ndarray, psi: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Classic fixed-step 4th-order integration of d psi/dt = -i H psi."""
     dt = t / steps

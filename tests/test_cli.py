@@ -148,6 +148,17 @@ class TestConfigHandling:
         assert manifest["config"]["lattice"]["Lx"] == 2
         assert str(config) in manifest["inputs"]
 
+    @pytest.mark.parametrize("key", ["omega_mhz = 0.0", "h_x = -2.5", "c6_ghz_um6 = 0"])
+    def test_nonpositive_physics_rejected(self, runner, tmp_path, key):
+        config = write_config(tmp_path / "bad.ini", f"[physics]\n{key}\n")
+        result = runner.invoke(
+            main, ["simulate", "exact", "--config", config, "--out", str(tmp_path / "x"), "--json"]
+        )
+        assert result.exit_code == 1
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "InvalidConfig"
+        assert key.split(" = ")[0] in err["message"]
+
     def test_unknown_key_rejected(self, runner, tmp_path):
         config = write_config(tmp_path / "bad.ini", "[lattice]\nnonsense = 3\n")
         result = runner.invoke(
@@ -190,6 +201,12 @@ class TestRearrange:
             )
             p_hats.append(json.loads(result.output)["p_hat"])
         assert p_hats == sorted(p_hats, reverse=True)
+
+    @pytest.mark.parametrize("flag", ["--register-size", "--n-traps"])
+    def test_zero_size_rejected(self, runner, flag):
+        result = runner.invoke(main, ["rearrange", flag, "0", "--trials", "5", "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_determinism(self, runner):
         args = ["rearrange", "--register-size", "12", "--trials", "400", "--seed", "9", "--json"]
@@ -246,6 +263,39 @@ class TestFitAndClassical:
         payload = json.loads(result.output)
         assert payload["N_time"] is not None
         assert payload["N_energy"] is not None
+
+    def test_zero_pulse_is_used(self, runner, tmp_path):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        result = invoke(
+            runner,
+            ["estimate", "classical", "--samples", samples, "--size", "15x15",
+             "--chi", "1000", "--t-pulse", "0ns", "--json"],
+        )
+        report = json.loads(result.output)["report"]
+        assert report["n_steps"] == 0
+        assert report["total_seconds"] == 0.0
+
+    @pytest.mark.parametrize("command", [["classical", "--size", "15x15"], ["crossover"]])
+    def test_zero_step_rejected(self, runner, tmp_path, command):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        result = runner.invoke(
+            main,
+            ["estimate", *command, "--samples", samples, "--chi", "1000", "--dt", "0ns", "--json"],
+        )
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+
+    def test_zero_gpu_power_is_used(self, runner, tmp_path):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        result = invoke(
+            runner,
+            ["estimate", "crossover", "--samples", samples, "--chi", "1000",
+             "--n-min", "25", "--n-max", "625", "--n-step", "50",
+             "--t-pulse", "4us", "--gpu-power-kw", "0", "--json"],
+        )
+        payload = json.loads(result.output)
+        assert payload["N_time"] is not None
+        assert payload["N_energy"] is None  # a classical run at 0 W never costs more energy
 
     def test_crossover_none_when_classical_free(self, runner, tmp_path):
         path = tmp_path / "free.csv"

@@ -5,19 +5,19 @@ from scipy.linalg import expm
 from quench_bench import model
 from quench_bench.errors import MemoryBudgetExceeded
 from quench_bench.mps import (
+    TdvpEngine,
     build_mpo,
     benchmark_steps,
     mpo_expectation,
     run_quench,
     site_expectations,
-    tdvp_step,
     write_timing_csv,
 )
-from quench_bench.mps.mpo import dense_hamiltonian_matrix
 from quench_bench.mps.state import product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv
 
 from conftest import paper_setup
+from reference import dense_hamiltonian
 
 NUMBER_OP = np.diag([0.0, 1.0]).astype(complex)
 
@@ -25,7 +25,7 @@ NUMBER_OP = np.diag([0.0, 1.0]).astype(complex)
 class TestTwoSiteExactness:
     def test_matches_dense_propagator(self):
         lat, params, v = paper_setup(2, 1)
-        h = dense_hamiltonian_matrix(lat, params, v)
+        h = dense_hamiltonian(params, v.v[::-1, ::-1])
         dt = 1e-9
         u = expm(-1j * h * dt)
         psi = np.zeros(4, dtype=complex)
@@ -52,7 +52,7 @@ class TestTwoSiteExactness:
         )
         mpo = build_mpo(lat, frozen, v)
         state = product_all_ground(4, max_chi=8)
-        state, record = tdvp_step(state, mpo, dt=1e-9, max_chi=8)
+        record = TdvpEngine(state, mpo, max_chi=8).step(1e-9)
         assert record.truncation_weight_step == 0.0
         amp = state.tensors[0][0, 0, 0]
         for t in state.tensors[1:]:
@@ -94,7 +94,7 @@ class TestMechanics:
         mpo = build_mpo(lat, params, v)
         state = product_all_ground(9, max_chi=16)
         for _ in range(3):
-            state, record = tdvp_step(state, mpo, dt=1e-9, max_chi=16)
+            TdvpEngine(state, mpo, max_chi=16).step(1e-9)
         assert state.orthogonality_center == 0
         assert state.check_canonical(tol=1e-10)
         assert abs(state.norm() - 1.0) < 1e-9
@@ -135,8 +135,6 @@ class TestMechanics:
         mpo = build_mpo(lat, params, v)
         rng = np.random.default_rng(3)
         state = random_state(9, chi=8, rng=rng)
-        from quench_bench.mps.evolve import TdvpEngine
-
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
 
