@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from scipy.stats import binom, norm
 
-from .errors import InvalidPrecision, Unsatisfiable
+from .errors import InvalidConfig, InvalidPrecision, Unsatisfiable
 from .register import DefectProbabilities, defect_free_analytic, expected_counts
 from .units import watt_seconds_to_kwh
 
@@ -46,8 +46,8 @@ class QpuSchedule:
 def shots_for_precision(p: float, alpha: float) -> int:
     """ceil(16 p (1-p) / alpha^2); zero at p in {0, 1} (no variance)."""
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p = {p} outside [0, 1]")
-    if alpha <= 0.0:
+        raise InvalidConfig(f"p = {p} outside [0, 1]")
+    if not alpha > 0.0:
         raise InvalidPrecision(f"alpha must be positive, got {alpha}")
     return math.ceil(16.0 * p * (1.0 - p) / alpha**2)
 
@@ -76,7 +76,7 @@ def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+        raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
     if p_df <= 0.0:
         raise Unsatisfiable("defect-free probability is zero; no attempt count suffices")
     if p_df > 1.0:
@@ -116,8 +116,10 @@ def qpu_schedule(
     Uses the expected-counts model (``register.expected_counts``) for the
     defect-free probability; ``p_observable`` defaults to the worst case 0.5.
     """
-    if shot_rate <= 0:
-        raise ValueError(f"shot_rate must be positive, got {shot_rate}")
+    if n_register < 1:
+        raise InvalidConfig(f"register needs at least one site, got {n_register}")
+    if not shot_rate > 0:
+        raise InvalidConfig(f"shot_rate must be positive, got {shot_rate}")
     counts = expected_counts(n_register)
     p_df = defect_free_analytic(counts, probs)
     m = shots_for_precision(p_observable, alpha)

@@ -17,6 +17,7 @@ exceptions.
 from __future__ import annotations
 
 import functools
+import math
 import platform
 import sys
 import warnings
@@ -63,10 +64,11 @@ def _hardware_tag() -> str:
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise InvalidConfig(f"size must look like 15x15, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        lx, ly = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise InvalidConfig(f"size must look like 15x15, got {text!r}") from None
+    return lx, ly
 
 
 @click.group()
@@ -84,8 +86,9 @@ def simulate() -> None:
     """Run exact or MPS-TDVP quench simulations."""
 
 
-def _config_with_flags(config_path, t_pulse=None, dt=None, size=None, mps=None) -> dict:
-    """Config file overlaid with the command-line flags that were given."""
+def _config_with_flags(config_path, t_pulse=None, dt=None, size=None, **sections) -> dict:
+    """Config file overlaid with the command-line flags that were given;
+    ``sections`` maps a config section to ``{key: flag value}``."""
     lx, ly = _parse_size(size) if size is not None else (None, None)
     overrides = {
         "quench": {
@@ -93,13 +96,13 @@ def _config_with_flags(config_path, t_pulse=None, dt=None, size=None, mps=None) 
             "dt_ns": None if dt is None else parse_duration(dt),
         },
         "lattice": {"Lx": lx, "Ly": ly},
-        "mps": mps or {},
+        **sections,
     }
     return apply_overrides(load_config(config_path), overrides)
 
 
-def _prepare_run(config_path, t_pulse, dt, size, mps_overrides=None):
-    config = _config_with_flags(config_path, t_pulse, dt, size, mps_overrides)
+def _prepare_run(config_path, t_pulse, dt, size, **sections):
+    config = _config_with_flags(config_path, t_pulse, dt, size, **sections)
     lattice = lattice_from_config(config)
     params = params_from_config(config, lattice)
     inputs = [config_path] if config_path else []
@@ -167,7 +170,7 @@ def simulate_tdvp(
     """Two-site TDVP evolution with timing instrumentation."""
     mps_overrides = {"max_chi": max_chi, "memory_budget_gb": memory_budget_gb}
     config, lattice, params, manifest = _prepare_run(
-        config_path, t_pulse, dt, size, mps_overrides
+        config_path, t_pulse, dt, size, mps=mps_overrides
     )
     mps_cfg = config["mps"]
     budget_bytes = (
@@ -197,7 +200,6 @@ def simulate_tdvp(
             params.dt,
             traj.records,
             _hardware_tag(),
-            append=False,
             header_comment=f"manifest_sha256={manifest_digest(manifest)}",
         )
 
@@ -235,6 +237,28 @@ def _probs_from_config(config) -> register.DefectProbabilities:
     )
 
 
+def _qpu_schedule(config, n_register: int) -> budget_mod.QpuSchedule:
+    b = config["budget"]
+    return budget_mod.qpu_schedule(
+        n_register,
+        _probs_from_config(config),
+        alpha=b["alpha"],
+        confidence=b["confidence"],
+        shot_rate=b["shot_rate_hz"],
+        qpu_power_watts=b["qpu_power_kw"] * 1e3,
+    )
+
+
+def _register_atoms(text: str) -> int:
+    """Atom count of a size like '15x15' or of a bare count like '225'."""
+    if "x" in text.lower():
+        return math.prod(_parse_size(text))
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidConfig(f"register must look like 15x15 or 225, got {text!r}") from None
+
+
 @estimate.command("qpu")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--register", "register_size", default=None, help="e.g. 15x15 or an atom count")
@@ -248,23 +272,20 @@ def estimate_qpu(
     config_path, register_size, alpha, confidence, shot_rate, qpu_power_kw, as_json
 ) -> None:
     """Wall time and energy for one quench task on the QPU."""
-    config = load_config(config_path)
+    config = _config_with_flags(
+        config_path,
+        budget={
+            "alpha": alpha,
+            "confidence": confidence,
+            "shot_rate_hz": shot_rate,
+            "qpu_power_kw": qpu_power_kw,
+        },
+    )
     if register_size is None:
         n_register = config["lattice"]["Lx"] * config["lattice"]["Ly"]
-    elif "x" in register_size.lower():
-        lx, ly = _parse_size(register_size)
-        n_register = lx * ly
     else:
-        n_register = int(register_size)
-    b = config["budget"]
-    schedule = budget_mod.qpu_schedule(
-        n_register,
-        _probs_from_config(config),
-        alpha=alpha if alpha is not None else b["alpha"],
-        confidence=confidence if confidence is not None else b["confidence"],
-        shot_rate=shot_rate if shot_rate is not None else b["shot_rate_hz"],
-        qpu_power_watts=(qpu_power_kw if qpu_power_kw is not None else b["qpu_power_kw"]) * 1e3,
-    )
+        n_register = _register_atoms(register_size)
+    schedule = _qpu_schedule(config, n_register)
     payload = {
         "m_usable": schedule.budget.m_usable,
         "p_defect_free": schedule.budget.p_defect_free,
@@ -352,26 +373,14 @@ def estimate_crossover(
     )
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
     model = costfit.fit_mps(samples)
-    probs = _probs_from_config(config)
-    b = config["budget"]
 
     def classical_fn(n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             return costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
 
-    def qpu_fn(n):
-        return budget_mod.qpu_schedule(
-            n,
-            probs,
-            alpha=b["alpha"],
-            confidence=b["confidence"],
-            shot_rate=b["shot_rate_hz"],
-            qpu_power_watts=b["qpu_power_kw"] * 1e3,
-        )
-
     sweep = list(range(n_min, n_max + 1, n_step))
-    result = costfit.crossover(classical_fn, qpu_fn, sweep)
+    result = costfit.crossover(classical_fn, functools.partial(_qpu_schedule, config), sweep)
     payload = {
         "N_time": result.n_time,
         "N_energy": result.n_energy,
@@ -403,22 +412,18 @@ def estimate_crossover(
 @handles_errors
 def rearrange(config_path, trials, seed, register_size, n_traps, fill_p, as_json) -> None:
     """Monte Carlo defect-free estimate, side by side with the analytic model."""
-    config = load_config(config_path)
+    config = _config_with_flags(
+        config_path, register={"fill_p": fill_p, "n_traps": n_traps}, run={"seed": seed}
+    )
     n_register = register_size
     if n_register is None:
         n_register = config["lattice"]["Lx"] * config["lattice"]["Ly"]
-    if n_traps is None:
-        n_traps = config["register"]["n_traps"]
-    if n_traps is None:
-        n_traps = 2 * n_register
-    fill = fill_p if fill_p is not None else config["register"]["fill_p"]
-    seed = seed if seed is not None else config["run"]["seed"]
     probs = _probs_from_config(config)
-    try:
-        layout = register.make_layout(n_register, n_traps)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
-    est = register.simulate_defect_free(layout, probs, trials, rng_seed=seed, fill_p=fill)
+    reg = config["register"]
+    layout = register.make_layout(n_register, reg["n_traps"])
+    est = register.simulate_defect_free(
+        layout, probs, trials, rng_seed=config["run"]["seed"], fill_p=reg["fill_p"]
+    )
     all_infeasible = est.counts_mean["infeasible_trials"] >= trials
     analytic_mc = (
         None if all_infeasible else register.defect_free_analytic(est.counts_mean, probs)
@@ -440,7 +445,7 @@ def rearrange(config_path, trials, seed, register_size, n_traps, fill_p, as_json
     else:
         ana = "n/a" if analytic_mc is None else f"{analytic_mc:.4f}"
         click.echo(
-            f"N={n_register}, traps={n_traps}: p_hat = {est.p_hat:.4f} +- {est.std_err:.4f} "
+            f"N={n_register}, traps={layout.n_traps}: p_hat = {est.p_hat:.4f} +- {est.std_err:.4f} "
             f"(MC, {trials} trials) vs {ana} (analytic at mean counts)"
         )
 

@@ -3,7 +3,7 @@
 Per-step MPS cost is fitted as t(N, chi) = a + b N^{3/2} chi^3 + c N^2 chi^2
 and the NQS cost as t(N) = a_q N + b_q N^2 + c_q N^3, both by non-negative
 least squares (run times cannot have negative components).  Because samples
-span orders of magnitude, rows are weighted by 1/t by default so the fit
+span orders of magnitude, rows are weighted by 1/t so the fit
 minimizes relative rather than absolute residuals.
 """
 
@@ -103,7 +103,7 @@ class CrossoverResult:
     at_boundary_energy: bool = False
 
 
-def _nnls_fit(samples, basis_fn, n_basis: int, relative: bool):
+def _nnls_fit(samples, basis_fn):
     times = np.array([s.seconds_per_step for s in samples], dtype=float)
     design = np.array([basis_fn(s) for s in samples], dtype=float)
     active = ~np.all(design == 0.0, axis=0)
@@ -111,12 +111,12 @@ def _nnls_fit(samples, basis_fn, n_basis: int, relative: bool):
         raise UnderdeterminedFit(f"need at least 4 samples, got {len(samples)}")
     if len({(s.n, s.chi) for s in samples}) < 2:
         raise UnderdeterminedFit("all samples share one (N, chi) point")
-    weights = 1.0 / times if relative else np.ones_like(times)
+    weights = 1.0 / times
     a_mat = design * weights[:, None]
     b_vec = times * weights
     if np.linalg.matrix_rank(a_mat[:, active]) < int(active.sum()):
         raise UnderdeterminedFit("design matrix is rank-deficient for the sampled (N, chi)")
-    coeffs = np.zeros(n_basis)
+    coeffs = np.zeros(design.shape[1])
     sol, _ = nnls(a_mat[:, active], b_vec)
     coeffs[active] = sol
     pred = design @ coeffs
@@ -124,7 +124,7 @@ def _nnls_fit(samples, basis_fn, n_basis: int, relative: bool):
     return coeffs, residual
 
 
-def fit_mps(samples: list[RuntimeSample], relative_weights: bool = True) -> CostModelMPS:
+def fit_mps(samples: list[RuntimeSample]) -> CostModelMPS:
     """Fit t(N, chi) = a + b N^{3/2} chi^3 + c N^2 chi^2 over MPS samples.
 
     Samples should span at least two distinct N and two distinct chi for the
@@ -132,10 +132,7 @@ def fit_mps(samples: list[RuntimeSample], relative_weights: bool = True) -> Cost
     UnderdeterminedFit.
     """
     coeffs, residual = _nnls_fit(
-        samples,
-        lambda s: (1.0, s.n**1.5 * s.chi**3, s.n**2 * s.chi**2),
-        3,
-        relative_weights,
+        samples, lambda s: (1.0, s.n**1.5 * s.chi**3, s.n**2 * s.chi**2)
     )
     return CostModelMPS(
         a=float(coeffs[0]),
@@ -146,11 +143,7 @@ def fit_mps(samples: list[RuntimeSample], relative_weights: bool = True) -> Cost
     )
 
 
-def fit_nqs(
-    samples: list[RuntimeSample],
-    relative_weights: bool = True,
-    normalize_workers: bool = True,
-) -> CostModelNQS:
+def fit_nqs(samples: list[RuntimeSample], normalize_workers: bool = True) -> CostModelNQS:
     """Fit t(N) = a_q N + b_q N^2 + c_q N^3 over NQS samples.
 
     With ``normalize_workers`` the per-step seconds are divided by the GPU
@@ -168,7 +161,7 @@ def fit_nqs(
             for s in samples
         ]
     coeffs, residual = _nnls_fit(
-        samples, lambda s: (float(s.n), float(s.n) ** 2, float(s.n) ** 3), 3, relative_weights
+        samples, lambda s: (float(s.n), float(s.n) ** 2, float(s.n) ** 3)
     )
     return CostModelNQS(
         a_q=float(coeffs[0]),
@@ -317,7 +310,7 @@ def mean_power_from_log(path) -> float:
     return float(np.mean(watts))
 
 
-def format_resource_table(reports: list[ResourceReport], qpu_rows: dict | None = None) -> str:
+def format_resource_table(reports: list[ResourceReport]) -> str:
     """Aligned text table with Mem / Time / Energy columns per problem size."""
     from .units import format_bytes, format_duration
 
@@ -347,16 +340,4 @@ def format_resource_table(reports: list[ResourceReport], qpu_rows: dict | None =
                 f"{r.energy_kwh:>6.3g} kWh"
             )
         lines.append(f"{key:<24}" + "".join(cells))
-    if qpu_rows:
-        cells = []
-        for n in sizes:
-            sched = qpu_rows.get(n)
-            if sched is None:
-                cells.append(f"| {'-':>9} {'-':>9} {'-':>9} ")
-                continue
-            cells.append(
-                f"| {'-':>9} {format_duration(sched.budget.wall_seconds):>9} "
-                f"{sched.energy_kwh:>6.3g} kWh"
-            )
-        lines.append(f"{'QPU':<24}" + "".join(cells))
     return "\n".join(lines)

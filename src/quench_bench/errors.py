@@ -53,5 +53,5 @@ class InvalidScale(QuenchBenchError):
     """Energy scale for relative drift must be positive."""
 
 
-class InvalidConfig(QuenchBenchError):
-    """Config file or CLI parameter could not be interpreted."""
+class InvalidConfig(QuenchBenchError, ValueError):
+    """A config value, CLI flag or function argument is malformed or out of range."""

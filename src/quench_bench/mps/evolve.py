@@ -13,7 +13,6 @@ observable and energy measurements happen outside the timed section.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -337,16 +336,12 @@ def write_timing_csv(
     dt: float,
     records: list[TdvpStepRecord],
     hardware_tag: str,
-    n_workers: int = 1,
-    append: bool = True,
     header_comment: str | None = None,
 ) -> None:
-    """Append one mean-seconds-per-step row in the costfit input format."""
+    """Write a fresh costfit-format timing CSV: one single-worker mean-seconds-per-step row."""
     mean_wall = float(np.mean([r.wall_seconds for r in records]))
-    write_header = not (append and os.path.exists(path))
-    with open(path, "a" if append else "w") as fh:
-        if write_header:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            fh.write("N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n")
-        fh.write(f"{n_sites},{chi},{dt * 1e9!r},{mean_wall!r},{hardware_tag},{n_workers}\n")
+    with open(path, "w") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write("N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n")
+        fh.write(f"{n_sites},{chi},{dt * 1e9!r},{mean_wall!r},{hardware_tag},1\n")

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..errors import InvalidConfig
+
 
 @dataclass(frozen=True)
 class MemoryBreakdown:
@@ -46,7 +48,7 @@ def memory_estimate(n: int, chi: int, d: int = 2, s: int = 16, k: int = 50) -> M
     picture does not apply; it is clamped at zero there.
     """
     if n < 1 or chi < 1 or d < 1 or s < 1 or k < 1:
-        raise ValueError("all memory-model inputs must be positive")
+        raise InvalidConfig(f"all memory-model inputs must be positive, got N={n}, chi={chi}")
     sqrt_n = math.sqrt(n)
     chi2 = float(chi) ** 2
     mps = s * d * chi2 * n

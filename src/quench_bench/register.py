@@ -11,7 +11,9 @@ unmoved register atoms).  The analytic defect-free probability is
         * (1 - p_loss)^(N_register - N_transf)
 
 and the Monte Carlo applies exactly those four channels per trial, so the
-two agree by construction up to sampling noise and count fluctuations.
+two agree by construction up to sampling noise and count fluctuations.  The
+counts depend only on the load (``event_counts``), so the Monte Carlo never
+solves the assignment; ``plan_rearrangement`` does, for the move list.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidCounts, NotEnoughAtoms
+from .errors import InvalidConfig, InvalidCounts, NotEnoughAtoms
 
 #: Loads that cannot fill the register are redrawn up to this many times per
 #: trial (the hardware reloads until rearrangement is feasible).  Trials still
@@ -59,7 +61,7 @@ class DefectProbabilities:
         for name in ("p_transf", "p_pickup", "p_acci", "p_loss"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} = {value} outside [0, 1]")
+                raise InvalidConfig(f"{name} = {value} outside [0, 1]")
 
 
 @dataclass
@@ -91,33 +93,29 @@ def make_layout(
     ``n_traps`` defaults to 2 * n_register.
     """
     if n_register < 1:
-        raise ValueError(f"register needs at least one site, got {n_register}")
+        raise InvalidConfig(f"register needs at least one site, got {n_register}")
     if n_traps is None:
         n_traps = 2 * n_register
     if n_traps < 2 * n_register:
-        raise ValueError(
+        raise InvalidConfig(
             f"layout must be at least twice the register: {n_traps} < 2*{n_register}"
         )
     cols = math.ceil(math.sqrt(n_register))
-    register = [(col, row) for row in range(math.ceil(n_register / cols)) for col in range(cols)]
-    register = register[:n_register]
-    occupied = set(register)
+    rows = math.ceil(n_register / cols)
+    register = [(col, row) for row in range(rows) for col in range(cols)][:n_register]
     reservoir: list[tuple[int, int]] = []
     ring = 1
     while len(register) + len(reservoir) < n_traps:
+        # the ring's border lies outside the register grid and every inner ring
         lo_c, hi_c = -ring, cols - 1 + ring
-        lo_r, hi_r = -ring, math.ceil(n_register / cols) - 1 + ring
+        lo_r, hi_r = -ring, rows - 1 + ring
         candidates = sorted(
             (c, r)
             for c in range(lo_c, hi_c + 1)
             for r in range(lo_r, hi_r + 1)
-            if (c in (lo_c, hi_c) or r in (lo_r, hi_r)) and (c, r) not in occupied
+            if c in (lo_c, hi_c) or r in (lo_r, hi_r)
         )
-        for pos in candidates:
-            reservoir.append(pos)
-            occupied.add(pos)
-            if len(register) + len(reservoir) == n_traps:
-                break
+        reservoir += candidates[: n_traps - len(register) - len(reservoir)]
         ring += 1
     coords = np.array(register + reservoir, dtype=float) * pitch
     mask = np.zeros(len(coords), dtype=bool)
@@ -130,67 +128,66 @@ def load_stochastic(
 ) -> np.ndarray:
     """Independent Bernoulli(fill_p) occupancy per trap, seed-deterministic."""
     if not 0.0 <= fill_p <= 1.0:
-        raise ValueError(f"fill_p = {fill_p} outside [0, 1]")
+        raise InvalidConfig(f"fill_p = {fill_p} outside [0, 1]")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     return rng.random(layout.n_traps) < fill_p
 
 
 def trap_distances(layout: TrapLayout) -> np.ndarray:
     """Full trap-to-trap Euclidean distance matrix (um)."""
-    return np.linalg.norm(
-        layout.trap_positions[:, None, :] - layout.trap_positions[None, :, :], axis=2
-    )
+    return _distances(layout.trap_positions, layout.trap_positions)
 
 
-def plan_rearrangement(
-    layout: TrapLayout, occupancy: np.ndarray, distances: np.ndarray | None = None
-) -> RearrangementPlan:
-    """Fill empty register sites from surplus atoms at minimal total distance.
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance (um) from each row of ``a`` to each row of ``b``."""
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
-    Atoms already sitting on register sites stay put.  The assignment of
-    surplus atoms to empty register sites minimizes the summed Euclidean move
-    distance (Hungarian / linear sum assignment); leftover surplus atoms are
-    dumped.  Pass a precomputed ``trap_distances`` matrix when planning many
-    occupancies of one layout.
+
+def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, int]:
+    """(N_transf, N_dump, N_idle) of filling the register from one load.
+
+    Each empty register site takes one surplus atom, the surplus left over is
+    dumped and every other trap stays idle, so the counts depend only on the
+    load, not on which atom goes where.
 
     Raises:
         NotEnoughAtoms: fewer surplus atoms than empty register sites.
     """
     occupancy = np.asarray(occupancy, dtype=bool)
+    n_empty = int(np.count_nonzero(layout.register_mask & ~occupancy))
+    n_surplus = int(np.count_nonzero(~layout.register_mask & occupancy))
+    if n_surplus < n_empty:
+        raise NotEnoughAtoms(
+            f"{n_surplus} surplus atoms cannot fill {n_empty} empty register sites"
+        )
+    return n_empty, n_surplus - n_empty, layout.n_traps - n_surplus
+
+
+def plan_rearrangement(layout: TrapLayout, occupancy: np.ndarray) -> RearrangementPlan:
+    """Fill empty register sites from surplus atoms at minimal total distance.
+
+    Atoms already sitting on register sites stay put.  The assignment of
+    surplus atoms to empty register sites minimizes the summed Euclidean move
+    distance (Hungarian / linear sum assignment); leftover surplus atoms are
+    dumped.
+
+    Raises:
+        NotEnoughAtoms: fewer surplus atoms than empty register sites.
+    """
+    occupancy = np.asarray(occupancy, dtype=bool)
+    n_transf, n_dump, n_idle = event_counts(layout, occupancy)
     empty_register = np.flatnonzero(layout.register_mask & ~occupancy)
     outside_atoms = np.flatnonzero(~layout.register_mask & occupancy)
-    if len(outside_atoms) < len(empty_register):
-        raise NotEnoughAtoms(
-            f"{len(outside_atoms)} surplus atoms cannot fill "
-            f"{len(empty_register)} empty register sites"
-        )
-    moves: list[tuple[int, int]] = []
-    distance = 0.0
-    assigned: set[int] = set()
-    if len(empty_register):
-        if distances is None:
-            cost = np.linalg.norm(
-                layout.trap_positions[empty_register, None, :]
-                - layout.trap_positions[None, outside_atoms, :],
-                axis=2,
-            )
-        else:
-            cost = distances[np.ix_(empty_register, outside_atoms)]
-        rows, cols = linear_sum_assignment(cost)
-        distance = float(cost[rows, cols].sum())
-        for r, c in zip(rows, cols):
-            moves.append((int(outside_atoms[c]), int(empty_register[r])))
-            assigned.add(int(outside_atoms[c]))
-    dumps = [int(t) for t in outside_atoms if int(t) not in assigned]
-    n_transf = len(moves)
-    n_dump = len(dumps)
+    positions = layout.trap_positions
+    cost = _distances(positions[empty_register], positions[outside_atoms])
+    rows, cols = linear_sum_assignment(cost)
     return RearrangementPlan(
-        moves=moves,
-        dumps=dumps,
+        moves=list(zip(outside_atoms[cols].tolist(), empty_register[rows].tolist())),
+        dumps=np.delete(outside_atoms, cols).tolist(),
         n_transf=n_transf,
         n_dump=n_dump,
-        n_idle=layout.n_traps - n_transf - n_dump,
-        total_distance=distance,
+        n_idle=n_idle,
+        total_distance=float(cost[rows, cols].sum()),
     )
 
 
@@ -240,66 +237,62 @@ def simulate_defect_free(
     trials: int,
     rng_seed: int = 0,
     fill_p: float = 0.5,
-    max_reloads: int = MAX_RELOADS,
 ) -> DefectFreeEstimate:
-    """Monte Carlo defect-free frequency over full load/plan/failure cycles.
+    """Monte Carlo defect-free frequency over load/failure cycles.
 
-    Each trial draws an occupancy (redrawing up to ``max_reloads`` times when
-    the register cannot be filled, as the hardware would reload), plans the
-    rearrangement, then applies the four failure channels as independent
-    Bernoulli events.  A trial is defect-free iff every transfer and dump
-    succeeded, no idle trap loaded accidentally, and no unmoved register atom
-    was lost.  Trials that stay infeasible after all redraws count as
-    defective.
+    Each trial draws a load (redrawing up to ``MAX_RELOADS`` times when the
+    register cannot be filled, as the hardware would reload), takes the event
+    counts of that load from ``event_counts``, then applies the four failure
+    channels as independent Bernoulli events.  A trial is defect-free iff
+    every transfer and dump succeeded, no idle trap loaded accidentally, and
+    no unmoved register atom was lost.  Trials that stay infeasible after all
+    redraws count as defective.
 
     Per-trial RNG streams are derived from (rng_seed, trial index), so results
     are bit-reproducible regardless of execution order.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n_traps = layout.n_traps
+        raise InvalidConfig(f"trials must be >= 1, got {trials}")
     n_register = layout.n_register
-    distances = trap_distances(layout)
     successes = 0
     infeasible = 0
     sum_transf = sum_dump = sum_idle = 0.0
-    n_counted = 0
     for trial in range(trials):
         rng = np.random.default_rng([rng_seed, trial])
-        plan = None
-        for _ in range(max_reloads + 1):
-            occupancy = rng.random(n_traps) < fill_p
+        for _ in range(MAX_RELOADS + 1):
             try:
-                plan = plan_rearrangement(layout, occupancy, distances)
+                n_transf, n_dump, n_idle = event_counts(
+                    layout, load_stochastic(layout, fill_p, rng)
+                )
                 break
             except NotEnoughAtoms:
-                continue
-        if plan is None:
+                pass
+        else:
             infeasible += 1
             continue  # defective shot
-        n_counted += 1
-        sum_transf += plan.n_transf
-        sum_dump += plan.n_dump
-        sum_idle += plan.n_idle
-        n_unmoved = n_register - plan.n_transf
-        draws = rng.random(plan.n_transf + plan.n_dump + plan.n_idle + n_unmoved)
+        sum_transf += n_transf
+        sum_dump += n_dump
+        sum_idle += n_idle
+        n_unmoved = n_register - n_transf
+        draws = rng.random(n_transf + n_dump + n_idle + n_unmoved)
         k = 0
-        ok = bool(np.all(draws[k : k + plan.n_transf] < probs.p_transf))
-        k += plan.n_transf
-        ok = ok and bool(np.all(draws[k : k + plan.n_dump] < probs.p_pickup))
-        k += plan.n_dump
-        ok = ok and bool(np.all(draws[k : k + plan.n_idle] >= probs.p_acci))
-        k += plan.n_idle
+        ok = bool(np.all(draws[k : k + n_transf] < probs.p_transf))
+        k += n_transf
+        ok = ok and bool(np.all(draws[k : k + n_dump] < probs.p_pickup))
+        k += n_dump
+        ok = ok and bool(np.all(draws[k : k + n_idle] >= probs.p_acci))
+        k += n_idle
         ok = ok and bool(np.all(draws[k : k + n_unmoved] >= probs.p_loss))
         if ok:
             successes += 1
     p_hat = successes / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    n_counted = trials - infeasible
     counts_mean = {
         "N_transf": sum_transf / n_counted if n_counted else float("nan"),
         "N_dump": sum_dump / n_counted if n_counted else float("nan"),
         "N_idle": sum_idle / n_counted if n_counted else float("nan"),
-        "N_traps": n_traps,
+        "N_traps": layout.n_traps,
         "N_register": n_register,
         "infeasible_trials": infeasible,
     }

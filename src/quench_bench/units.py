@@ -33,9 +33,10 @@ def watt_seconds_to_kwh(power_watts: float, seconds: float) -> float:
     return power_watts * seconds / JOULES_PER_KWH
 
 
-_DURATION_RE = re.compile(r"^\s*([0-9.eE+-]+)\s*(ns|us|µs|s)\s*$")
+_DURATION_RE = re.compile(r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*(ns|us|µs|s)\s*$")
 
-_DURATION_SCALE = {"ns": 1e-9, "us": 1e-6, "µs": 1e-6, "s": 1.0}
+#: Nanoseconds per unit; whole numbers, so '4us' converts to exactly 4000 ns.
+_DURATION_SCALE = {"ns": 1.0, "us": 1e3, "µs": 1e3, "s": 1e9}
 
 
 def parse_duration(text: str | float) -> float:
@@ -53,7 +54,7 @@ def parse_duration(text: str | float) -> float:
     value = float(m.group(1))
     if value < 0:
         raise InvalidConfig(f"duration must be non-negative, got {text!r}")
-    return value * (_DURATION_SCALE[m.group(2)] / 1e-9)
+    return value * _DURATION_SCALE[m.group(2)]
 
 
 def format_duration(seconds: float) -> str:

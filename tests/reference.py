@@ -2,16 +2,17 @@
 
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
-fixed-step RK4 integration, exhaustive assignment search, and direct
-binomial tail summation.
+fixed-step RK4 integration, exhaustive assignment search, direct binomial
+tail summation, and a defect-free Monte Carlo that plans every load.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import exp, lgamma, log
+from math import exp, lgamma, log, sqrt
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 NUMBER_OP = np.diag([0.0, 1.0])
@@ -81,6 +82,56 @@ def brute_force_assignment(cost: np.ndarray) -> float:
         total = sum(cost[r, c] for r, c in enumerate(perm))
         best = min(best, total)
     return best
+
+
+def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_reloads=25):
+    """Defect-free Monte Carlo that solves the move assignment of every
+    feasible load and reads the event counts back from it.
+
+    Draws the same per-trial streams as ``register.simulate_defect_free``
+    (seeded by (rng_seed, trial)), so the two agree exactly.  Returns
+    (p_hat, std_err, counts_mean).
+    """
+    pos = layout.trap_positions
+    distances = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+    mask = layout.register_mask
+    n_traps, n_register = len(mask), int(mask.sum())
+    successes = infeasible = n_counted = 0
+    sums = {"N_transf": 0.0, "N_dump": 0.0, "N_idle": 0.0}
+    for trial in range(trials):
+        rng = np.random.default_rng([rng_seed, trial])
+        plan = None
+        for _ in range(max_reloads + 1):
+            occupancy = rng.random(n_traps) < fill_p
+            empty = np.flatnonzero(mask & ~occupancy)
+            outside = np.flatnonzero(~mask & occupancy)
+            if len(outside) >= len(empty):
+                rows, _ = linear_sum_assignment(distances[np.ix_(empty, outside)])
+                plan = (len(rows), len(outside) - len(rows))
+                break
+        if plan is None:
+            infeasible += 1
+            continue
+        n_transf, n_dump = plan
+        n_idle = n_traps - n_transf - n_dump
+        n_unmoved = n_register - n_transf
+        n_counted += 1
+        sums["N_transf"] += n_transf
+        sums["N_dump"] += n_dump
+        sums["N_idle"] += n_idle
+        draws = rng.random(n_transf + n_dump + n_idle + n_unmoved)
+        groups = np.split(draws, np.cumsum([n_transf, n_dump, n_idle]))
+        if (
+            (groups[0] < probs.p_transf).all()
+            and (groups[1] < probs.p_pickup).all()
+            and (groups[2] >= probs.p_acci).all()
+            and (groups[3] >= probs.p_loss).all()
+        ):
+            successes += 1
+    p_hat = successes / trials
+    counts_mean = {k: v / n_counted if n_counted else float("nan") for k, v in sums.items()}
+    counts_mean.update(N_traps=n_traps, N_register=n_register, infeasible_trials=infeasible)
+    return p_hat, sqrt(p_hat * (1.0 - p_hat) / trials), counts_mean
 
 
 def _log_comb(n: int, k: int) -> float:

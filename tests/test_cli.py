@@ -159,6 +159,35 @@ class TestConfigHandling:
         assert err["type"] == "InvalidConfig"
         assert key.split(" = ")[0] in err["message"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["rearrange", "--fill-p", "1.5", "--trials", "5"],
+            ["rearrange", "--fill-p", "-0.1", "--trials", "5"],
+            ["rearrange", "--trials", "0"],
+            ["estimate", "qpu", "--register", "0"],
+            ["estimate", "qpu", "--register", "abc"],
+            ["estimate", "qpu", "--register", "3xa"],
+            ["estimate", "qpu", "--confidence", "1.5"],
+            ["estimate", "qpu", "--shot-rate", "0"],
+            ["estimate", "shots", "--p", "2"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "0"],
+            ["simulate", "exact", "--size", "3xb", "--out", "{out}"],
+            ["simulate", "exact", "--t-pulse", "1.2.3ns", "--out", "{out}"],
+        ],
+    )
+    def test_bad_flag_rejected(self, runner, tmp_path, args):
+        timing = write_synthetic_timing(tmp_path / "timing.csv")
+        args = [a.format(out=tmp_path / "x", timing=timing) for a in args]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+
+    def test_nan_alpha_rejected(self, runner):
+        result = runner.invoke(main, ["estimate", "qpu", "--alpha", "nan", "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+
     def test_unknown_key_rejected(self, runner, tmp_path):
         config = write_config(tmp_path / "bad.ini", "[lattice]\nnonsense = 3\n")
         result = runner.invoke(

@@ -276,6 +276,7 @@ class TestFileInterfaces:
         )
         samples = read_timing_csv(path)
         assert [s.method for s in samples] == ["MPS", "NQS"]
+        assert [s.n_workers for s in samples] == [1, 4]
 
     def test_table_formatting(self):
         model = fit_mps(synthetic_mps(seed=12))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from quench_bench import model
 from quench_bench.errors import CutoffTooSmall, InvalidLattice
-from quench_bench.units import TWO_PI, mhz_to_angular
+from quench_bench.units import TWO_PI, mhz_to_angular, parse_duration
 
 import reference
 from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
@@ -147,3 +147,8 @@ class TestObservableMap:
         # snake site 3 lives at (row 1, col 2)
         assert omap.values[1, 2] == 3.0
         assert omap.values.shape == (2, 3)
+
+
+@pytest.mark.parametrize("text, ns", [("4us", 4000.0), ("1s", 1e9), ("400ns", 400.0)])
+def test_parse_duration_scales_exactly(text, ns):
+    assert parse_duration(text) == ns

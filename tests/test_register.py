@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quench_bench import register
 from quench_bench.errors import InvalidCounts, NotEnoughAtoms
 from quench_bench.register import (
     DefectProbabilities,
     TrapLayout,
     defect_free_analytic,
+    event_counts,
     expected_counts,
     load_stochastic,
     make_layout,
@@ -131,6 +133,34 @@ class TestPlanning:
             pytest.skip("unlucky draw")
         assert plan.n_idle == layout.n_traps - plan.n_transf - plan.n_dump
 
+    @given(data=st.data(), n_traps=st.integers(1, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_plan_agrees_with_event_counts(self, data, n_traps):
+        flags = st.lists(st.booleans(), min_size=n_traps, max_size=n_traps)
+        coord = st.floats(-50.0, 50.0, allow_nan=False)
+        points = st.lists(st.tuples(coord, coord), min_size=n_traps, max_size=n_traps)
+        layout = TrapLayout(
+            trap_positions=np.array(data.draw(points), dtype=float),
+            register_mask=np.array(data.draw(flags), dtype=bool),
+        )
+        occupancy = np.array(data.draw(flags), dtype=bool)
+        empty = set(np.flatnonzero(layout.register_mask & ~occupancy).tolist())
+        surplus = set(np.flatnonzero(~layout.register_mask & occupancy).tolist())
+        if len(surplus) < len(empty):
+            with pytest.raises(NotEnoughAtoms):
+                event_counts(layout, occupancy)
+            with pytest.raises(NotEnoughAtoms):
+                plan_rearrangement(layout, occupancy)
+            return
+        n_transf, n_dump, n_idle = event_counts(layout, occupancy)
+        plan = plan_rearrangement(layout, occupancy)
+        assert (plan.n_transf, plan.n_dump, plan.n_idle) == (n_transf, n_dump, n_idle)
+        sources = [src for src, _ in plan.moves]
+        assert sorted(dst for _, dst in plan.moves) == sorted(empty)
+        assert sorted(sources + plan.dumps) == sorted(surplus)
+        assert (len(plan.moves), len(plan.dumps)) == (n_transf, n_dump)
+        assert n_idle == n_traps - len(surplus)
+
 
 class TestAnalyticModel:
     def test_perfect_probabilities(self):
@@ -215,11 +245,41 @@ class TestMonteCarlo:
 
     def test_infeasible_fill_counts_as_defective(self):
         layout = make_layout(10, 20)
-        est = simulate_defect_free(
-            layout, PERFECT, trials=50, rng_seed=2, fill_p=0.0, max_reloads=3
-        )
+        est = simulate_defect_free(layout, PERFECT, trials=50, rng_seed=2, fill_p=0.0)
         assert est.p_hat == 0.0
         assert est.counts_mean["infeasible_trials"] == 50
+
+    @pytest.mark.parametrize(
+        "n_register, n_traps, trials, seed, fill_p",
+        [
+            (16, 32, 500, 0, 0.5),
+            (100, 200, 400, 0, 0.5),
+            (40, 80, 300, 3, 0.35),
+            (10, 20, 30, 2, 0.0),  # every load infeasible
+        ],
+    )
+    def test_matches_planned_reference(self, n_register, n_traps, trials, seed, fill_p):
+        layout = make_layout(n_register, n_traps)
+        est = simulate_defect_free(layout, PAPER_PROBS, trials, rng_seed=seed, fill_p=fill_p)
+        p_hat, std_err, counts_mean = reference.planned_defect_free_mc(
+            layout, PAPER_PROBS, trials, rng_seed=seed, fill_p=fill_p
+        )
+        assert (est.p_hat, est.std_err) == (p_hat, std_err)
+        np.testing.assert_equal(est.counts_mean, counts_mean)  # exact, NaN == NaN
+
+    def test_never_solves_an_assignment(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the Monte Carlo solved an assignment")
+
+        monkeypatch.setattr(register, "plan_rearrangement", forbidden)
+        monkeypatch.setattr(register, "linear_sum_assignment", forbidden)
+        est = simulate_defect_free(make_layout(20, 40), PAPER_PROBS, trials=50, rng_seed=1)
+        assert est.counts_mean["N_transf"] > 0
+
+    @pytest.mark.parametrize("fill_p", [1.5, -0.1])
+    def test_fill_outside_unit_interval_rejected(self, fill_p):
+        with pytest.raises(ValueError):
+            simulate_defect_free(make_layout(10, 20), PERFECT, trials=5, fill_p=fill_p)
 
     def test_std_err_definition(self):
         layout = make_layout(10, 20)

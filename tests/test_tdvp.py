@@ -182,15 +182,15 @@ class TestBenchmark:
         assert len(records) == 2
         assert all(r.max_chi_used == 8 for r in records)
         path = tmp_path / "timing.csv"
-        write_timing_csv(path, lat.n_sites, 8, 1e-9, records, "cpu-test", n_workers=1)
-        write_timing_csv(path, lat.n_sites, 16, 1e-9, records, "cpu-test", n_workers=2)
+        write_timing_csv(path, lat.n_sites, 16, 1e-9, records, "cpu-test")
+        write_timing_csv(path, lat.n_sites, 8, 1e-9, records, "cpu-test")
         samples = read_timing_csv(path)
-        assert len(samples) == 2
-        assert samples[0].n == 9
+        assert len(samples) == 1  # each write starts a fresh file
+        assert (samples[0].n, samples[0].chi) == (9, 8)
         assert samples[0].seconds_per_step == pytest.approx(
             np.mean([r.wall_seconds for r in records])
         )
-        assert samples[1].n_workers == 2
+        assert samples[0].n_workers == 1
 
     def test_bond_cap_on_small_lattice(self, setup_3x3):
         lat, params, _ = setup_3x3
