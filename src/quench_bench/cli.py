@@ -189,7 +189,13 @@ def simulate_tdvp(
     )
     # wall timings live only in timing.csv (measurements are exempt from the
     # byte-reproducibility contract); everything in verdict.json is deterministic
-    extra = {"run": {"max_chi_used": max((r.max_chi_used for r in traj.records), default=1)}}
+    extra = {
+        "run": {
+            "max_chi_used": max((r.max_chi_used for r in traj.records), default=1),
+            "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
+            "lanczos_converged": all(r.lanczos_converged for r in traj.records),
+        }
+    }
     verdict = convergence.evaluate_run(traj, params)
     _emit_verdict(out_dir, manifest, traj, verdict, as_json, extra)
     if traj.records:
@@ -366,6 +372,11 @@ def estimate_crossover(
     samples_path, config_path, chi, n_min, n_max, n_step, t_pulse, dt, gpu_power_kw, as_json
 ) -> None:
     """Locate the system size where the QPU beats the classical projection."""
+    if n_step < 1 or n_min > n_max:
+        raise InvalidConfig(
+            f"N sweep needs n_step >= 1 and n_min <= n_max, got "
+            f"n_min={n_min}, n_max={n_max}, n_step={n_step}"
+        )
     config = _config_with_flags(config_path, t_pulse, dt)
     t_pulse_s, dt_s = durations_from_config(config)
     power_watts = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
-from .errors import UnderdeterminedFit
+from .errors import InvalidConfig, UnderdeterminedFit
 from .mps import memory_estimate
 from .units import watt_seconds_to_kwh
 
@@ -38,8 +38,10 @@ class RuntimeSample:
         return "NQS" if self.chi == 0 else "MPS"
 
     def __post_init__(self):
-        if self.seconds_per_step <= 0:
-            raise ValueError(f"seconds_per_step must be positive, got {self.seconds_per_step}")
+        if not 0 < self.seconds_per_step < math.inf:
+            raise ValueError(
+                f"seconds_per_step must be positive and finite, got {self.seconds_per_step}"
+            )
 
 
 @dataclass(frozen=True)
@@ -279,20 +281,23 @@ def read_timing_csv(path) -> list[RuntimeSample]:
     n_workers); chi = 0 rows are NQS samples."""
     samples = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("N,"):
                 continue
-            n, chi, _dt_ns, sec, tag, workers = line.split(",")
-            samples.append(
-                RuntimeSample(
-                    n=int(n),
-                    chi=int(chi),
-                    seconds_per_step=float(sec),
-                    hardware_tag=tag,
-                    n_workers=int(workers),
+            try:
+                n, chi, _dt_ns, sec, tag, workers = line.split(",")
+                samples.append(
+                    RuntimeSample(
+                        n=int(n),
+                        chi=int(chi),
+                        seconds_per_step=float(sec),
+                        hardware_tag=tag,
+                        n_workers=int(workers),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise InvalidConfig(f"timing CSV {path}, line {lineno}: {exc}") from None
     return samples
 
 

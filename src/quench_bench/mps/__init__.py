@@ -2,7 +2,7 @@
 
 from .memory import MemoryBreakdown, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
-from .state import MpsState, mpo_expectation, site_expectations
+from .state import MpsState, site_expectations
 from .evolve import (
     TdvpEngine,
     TdvpStepRecord,
@@ -20,7 +20,6 @@ __all__ = [
     "benchmark_steps",
     "build_mpo",
     "memory_estimate",
-    "mpo_expectation",
     "run_quench",
     "site_expectations",
     "write_timing_csv",

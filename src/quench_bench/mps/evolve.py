@@ -157,20 +157,10 @@ class TdvpEngine:
                 self.right_envs[i + 1], state.tensors[i + 1], mpo.tensors[i + 1]
             )
         self._site_wm = [_operator_matrix(w) for w in mpo.tensors]
-        # merged-pair operator matrices are constant across steps; cache them
-        # unless the profile makes the cache unreasonably large
-        pair_bytes = sum(
-            mpo.bond_profile[i] * mpo.bond_profile[i + 2] * 256 * 16 for i in range(n - 1)
-        )
-        self._pair_wm: dict[int, np.ndarray] | None = {} if pair_bytes <= 256e6 else None
-
-    def _pair_matrix(self, i: int) -> np.ndarray:
-        if self._pair_wm is not None and i in self._pair_wm:
-            return self._pair_wm[i]
-        wm = _operator_matrix(_merge_mpo_pair(self.mpo.tensors[i], self.mpo.tensors[i + 1]))
-        if self._pair_wm is not None:
-            self._pair_wm[i] = wm
-        return wm
+        self._pair_wm = [
+            _operator_matrix(_merge_mpo_pair(mpo.tensors[i], mpo.tensors[i + 1]))
+            for i in range(n - 1)
+        ]
 
     def energy(self) -> float:
         """<H> from the cached environments at the center (site 0)."""
@@ -209,7 +199,7 @@ class TdvpEngine:
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
                 shape = (al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
                 apply_h = _LocalApply(
-                    self.left_envs[i], self.right_envs[i + 1], self._pair_matrix(i), 4
+                    self.left_envs[i], self.right_envs[i + 1], self._pair_wm[i], 4
                 )
                 return local_exp(apply_h, theta.ravel(), coeff).reshape(shape)
 
@@ -245,7 +235,6 @@ class TdvpEngine:
 
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0
-        self.state.truncation_weight += trunc
         return TdvpStepRecord(
             step_index=self._step_count,
             wall_seconds=wall,

@@ -1,4 +1,4 @@
-"""MPS container, canonical-form maintenance and observable contractions.
+"""MPS container, initial states, environment contractions and site observables.
 
 MPS tensors are indexed (chi_left, phys, chi_right).  The orthogonality
 center is tracked explicitly: tensors left of it are left-isometries,
@@ -11,15 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpo import MpoHamiltonian
-
 
 @dataclass
 class MpsState:
     tensors: list[np.ndarray]
     orthogonality_center: int = 0
     max_chi: int = 2**30
-    truncation_weight: float = 0.0
 
     @property
     def n_sites(self) -> int:
@@ -33,25 +30,6 @@ class MpsState:
     @property
     def max_bond(self) -> int:
         return max(self.bond_dims)
-
-    def check_canonical(self, tol: float = 1e-10) -> bool:
-        """Isometry check left and right of the center."""
-        for i, a in enumerate(self.tensors):
-            if i < self.orthogonality_center:
-                m = a.reshape(-1, a.shape[2])
-                if not np.allclose(m.conj().T @ m, np.eye(a.shape[2]), atol=tol):
-                    return False
-            elif i > self.orthogonality_center:
-                m = a.reshape(a.shape[0], -1)
-                if not np.allclose(m @ m.conj().T, np.eye(a.shape[0]), atol=tol):
-                    return False
-        return True
-
-    def norm(self) -> float:
-        left = np.ones((1, 1), dtype=complex)
-        for a in self.tensors:
-            left = np.einsum("lm,ldr,mds->rs", left, a, a.conj())
-        return float(np.sqrt(np.real(left[0, 0])))
 
 
 def product_all_ground(n_sites: int, max_chi: int = 2**30) -> MpsState:
@@ -94,7 +72,7 @@ def random_state(n_sites: int, chi: int, rng: np.random.Generator) -> MpsState:
 
 
 # ---------------------------------------------------------------------------
-# environment contractions (shared by observables and the TDVP engine)
+# environment contractions of the TDVP engine and site observables
 # ---------------------------------------------------------------------------
 
 def update_left_env(left: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -115,27 +93,24 @@ def trivial_env() -> np.ndarray:
     return np.ones((1, 1, 1), dtype=complex)
 
 
-def mpo_expectation(state: MpsState, mpo: MpoHamiltonian) -> float:
-    """<psi|H|psi> / <psi|psi> by folding the network left to right."""
-    left = trivial_env()
-    for a, w in zip(state.tensors, mpo.tensors):
-        left = update_left_env(left, a, w)
-    return float(np.real(left[0, 0, 0])) / state.norm() ** 2
-
-
 def site_expectations(state: MpsState, op: np.ndarray) -> np.ndarray:
-    """<op_i> for a single-site operator at every site, normalized."""
-    n = state.n_sites
-    right_envs: list[np.ndarray] = [np.ones((1, 1), dtype=complex)] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        a = state.tensors[i]
-        right_envs[i] = np.einsum("ldr,rs,mds->lm", a, right_envs[i + 1], a.conj())
-    norm_sq = float(np.real(right_envs[0][0, 0]))
-    values = np.empty(n, dtype=float)
-    left = np.ones((1, 1), dtype=complex)
-    for i in range(n):
-        a = state.tensors[i]
-        val = np.einsum("lm,ldr,de,mes,rs->", left, a, op, a.conj(), right_envs[i + 1])
-        values[i] = float(np.real(val)) / norm_sq
-        left = np.einsum("lm,ldr,mds->rs", left, a, a.conj())
+    """<op_i> for a single-site operator at every site, normalized.
+
+    The state must have its orthogonality center at site 0, the form
+    ``TdvpEngine`` keeps: every tensor right of the center is a right-isometry,
+    so every right environment is the identity and one left-to-right pass
+    gives each site's reduced density matrix.  The norm squared is the trace
+    of site 0's.
+    """
+    if state.orthogonality_center != 0:
+        raise ValueError("site_expectations expects the orthogonality center at site 0")
+    values = np.empty(state.n_sites, dtype=float)
+    left = np.ones((1, 1), dtype=complex)  # (ket, bra)
+    for i, a in enumerate(state.tensors):
+        t = np.tensordot(left, a, axes=(0, 0))  # (bra, s, r)
+        rho = np.tensordot(t, a.conj(), axes=([0, 2], [0, 2]))  # (s, s')
+        if i == 0:
+            norm_sq = float(np.real(np.trace(rho)))
+        values[i] = float(np.real(np.sum(rho * op.T))) / norm_sq
+        left = np.tensordot(t, a.conj(), axes=([0, 1], [0, 1]))  # (r, r')
     return values

@@ -51,6 +51,57 @@ def mpo_dense_matrix(mpo) -> np.ndarray:
     return acc[:, :, 0]
 
 
+def mps_norm(state) -> float:
+    """sqrt(<psi|psi>) by folding the MPS left to right."""
+    left = np.ones((1, 1), dtype=complex)
+    for a in state.tensors:
+        left = np.einsum("lm,ldr,mds->rs", left, a, a.conj())
+    return float(np.sqrt(np.real(left[0, 0])))
+
+
+def check_canonical(state, tol: float = 1e-10) -> bool:
+    """Isometry check left and right of the orthogonality center."""
+    for i, a in enumerate(state.tensors):
+        if i < state.orthogonality_center:
+            m = a.reshape(-1, a.shape[2])
+            if not np.allclose(m.conj().T @ m, np.eye(a.shape[2]), atol=tol):
+                return False
+        elif i > state.orthogonality_center:
+            m = a.reshape(a.shape[0], -1)
+            if not np.allclose(m @ m.conj().T, np.eye(a.shape[0]), atol=tol):
+                return False
+    return True
+
+
+def mpo_expectation(state, mpo) -> float:
+    """<psi|H|psi> / <psi|psi> by folding the (ket, mpo, bra) network left to right."""
+    left = np.ones((1, 1, 1), dtype=complex)
+    for a, w in zip(state.tensors, mpo.tensors):
+        left = np.einsum("lwm,lsr,wtsx,mtq->rxq", left, a, w, a.conj(), optimize=True)
+    return float(np.real(left[0, 0, 0])) / mps_norm(state) ** 2
+
+
+def site_expectations_any_gauge(state, op: np.ndarray) -> np.ndarray:
+    """<op_i> at every site in any gauge: a right-environment pass, then a
+    left pass that closes each site against its right environment."""
+    n = state.n_sites
+    right_envs = [np.ones((1, 1), dtype=complex)] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        a = state.tensors[i]
+        right_envs[i] = np.einsum("ldr,rs,mds->lm", a, right_envs[i + 1], a.conj())
+    norm_sq = float(np.real(right_envs[0][0, 0]))
+    values = np.empty(n, dtype=float)
+    left = np.ones((1, 1), dtype=complex)
+    for i in range(n):
+        a = state.tensors[i]
+        val = np.einsum(
+            "lm,ldr,ed,mes,rs->", left, a, op, a.conj(), right_envs[i + 1], optimize=True
+        )
+        values[i] = float(np.real(val)) / norm_sq
+        left = np.einsum("lm,ldr,mds->rs", left, a, a.conj())
+    return values
+
+
 def rk4_evolve(h: np.ndarray, psi: np.ndarray, t: float, steps: int) -> np.ndarray:
     """Classic fixed-step 4th-order integration of d psi/dt = -i H psi."""
     dt = t / steps

@@ -99,6 +99,22 @@ class TestSimulate:
         timing = (out / "timing.csv").read_text().splitlines()
         assert timing[-1].startswith("4,8,1.0,")
 
+    def test_tdvp_reports_truncation(self, runner, tmp_path):
+        out = tmp_path / "run"
+        args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "20ns", "--max-chi", "2"]
+        invoke(runner, args + ["--out", str(out), "--json"])
+        run = json.loads((out / "verdict.json").read_text())["run"]
+        assert run["truncation_weight"] > 0.0
+        assert run["lanczos_converged"] is True
+
+    def test_tdvp_reports_unconverged_lanczos(self, runner, tmp_path):
+        config = write_config(tmp_path / "k2.ini", "[mps]\nk_max = 2\n")
+        out = tmp_path / "run"
+        args = ["simulate", "tdvp", "--config", config, "--size", "3x3", "--t-pulse", "5ns"]
+        invoke(runner, args + ["--out", str(out), "--json"])
+        run = json.loads((out / "verdict.json").read_text())["run"]
+        assert run["lanczos_converged"] is False
+
     def test_memory_budget_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -174,11 +190,18 @@ class TestConfigHandling:
             ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "0"],
             ["simulate", "exact", "--size", "3xb", "--out", "{out}"],
             ["simulate", "exact", "--t-pulse", "1.2.3ns", "--out", "{out}"],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-step", "0"],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "700"],
+            ["fit", "mps", "--samples", "{bad_timing}"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
         timing = write_synthetic_timing(tmp_path / "timing.csv")
-        args = [a.format(out=tmp_path / "x", timing=timing) for a in args]
+        bad_timing = tmp_path / "bad_timing.csv"
+        bad_timing.write_text(
+            "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n36,64,1.0,abc,cpu-x,1\n"
+        )
+        args = [a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing) for a in args]
         result = runner.invoke(main, [*args, "--json"])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from quench_bench.costfit import (
     mean_power_from_log,
     read_timing_csv,
 )
-from quench_bench.errors import UnderdeterminedFit
+from quench_bench.errors import InvalidConfig, UnderdeterminedFit
 
 MPS_TRUTH = (0.01, 1e-12, 1e-9)
 NQS_TRUTH = (1e-3, 2e-5, 2e-7)
@@ -277,6 +278,21 @@ class TestFileInterfaces:
         samples = read_timing_csv(path)
         assert [s.method for s in samples] == ["MPS", "NQS"]
         assert [s.n_workers for s in samples] == [1, 4]
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "36,64,1.0,5.5,cpu-x",
+            "36,64,1.0,abc,cpu-x,1",
+            "36,64,1.0,0.0,cpu-x,1",
+            "36,64,1.0,nan,cpu-x,1",
+        ],
+    )
+    def test_timing_csv_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "timing.csv"
+        path.write_text(f"N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n{row}\n")
+        with pytest.raises(InvalidConfig, match=re.escape(f"{path}, line 2")):
+            read_timing_csv(path)
 
     def test_table_formatting(self):
         model = fit_mps(synthetic_mps(seed=12))

@@ -8,7 +8,6 @@ from quench_bench.mps import (
     TdvpEngine,
     build_mpo,
     benchmark_steps,
-    mpo_expectation,
     run_quench,
     site_expectations,
     write_timing_csv,
@@ -17,9 +16,16 @@ from quench_bench.mps.state import product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv
 
 from conftest import paper_setup
-from reference import dense_hamiltonian
+from reference import (
+    check_canonical,
+    dense_hamiltonian,
+    mpo_expectation,
+    mps_norm,
+    site_expectations_any_gauge,
+)
 
 NUMBER_OP = np.diag([0.0, 1.0]).astype(complex)
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 
 class TestTwoSiteExactness:
@@ -96,8 +102,8 @@ class TestMechanics:
         for _ in range(3):
             TdvpEngine(state, mpo, max_chi=16).step(1e-9)
         assert state.orthogonality_center == 0
-        assert state.check_canonical(tol=1e-10)
-        assert abs(state.norm() - 1.0) < 1e-9
+        assert check_canonical(state, tol=1e-10)
+        assert abs(mps_norm(state) - 1.0) < 1e-9
 
     def test_records_fields(self, setup_3x3):
         lat, params, _ = setup_3x3
@@ -138,9 +144,44 @@ class TestMechanics:
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
 
-    def test_site_expectations_product_state(self):
-        state = product_all_ground(5)
-        assert np.allclose(site_expectations(state, NUMBER_OP), 0.0)
+
+def _truncated_4x4():
+    """4x4 state after three TDVP steps from |0...0> with a chi cap of 8, far
+    below the 2^8 a 16-site MPS can hold, so the steps truncate."""
+    lat, params, v = paper_setup(4, 4)
+    state = product_all_ground(16, max_chi=8)
+    engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=8)
+    assert sum(engine.step(5e-9).truncation_weight_step for _ in range(3)) > 0.0
+    return state
+
+
+class TestSiteExpectations:
+    @pytest.mark.parametrize("op", [NUMBER_OP, SIGMA_Y], ids=["n", "sigma_y"])
+    @pytest.mark.parametrize(
+        "make_state",
+        [
+            pytest.param(lambda: product_all_ground(5), id="product"),
+            *(
+                pytest.param(
+                    lambda n=n, chi=chi: random_state(n, chi, np.random.default_rng(n + chi)),
+                    id=f"random-{n}-chi{chi}",
+                )
+                for n in (9, 16)
+                for chi in (2, 8, 32)
+            ),
+            pytest.param(_truncated_4x4, id="tdvp-truncated"),
+        ],
+    )
+    def test_one_pass_matches_two_pass_reference(self, make_state, op):
+        state = make_state()
+        got = site_expectations(state, op)
+        assert np.abs(got - site_expectations_any_gauge(state, op)).max() <= 1e-12
+
+    def test_center_off_site_0_rejected(self):
+        state = random_state(6, 4, np.random.default_rng(1))
+        state.orthogonality_center = 1
+        with pytest.raises(ValueError, match="orthogonality center"):
+            site_expectations(state, NUMBER_OP)
 
 
 class TestRectangularLattice:
