@@ -189,9 +189,10 @@ def simulate_tdvp(
     )
     # wall timings live only in timing.csv (measurements are exempt from the
     # byte-reproducibility contract); everything in verdict.json is deterministic
+    max_chi_used = max((r.max_chi_used for r in traj.records), default=1)
     extra = {
         "run": {
-            "max_chi_used": max((r.max_chi_used for r in traj.records), default=1),
+            "max_chi_used": max_chi_used,
             "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
             "lanczos_converged": all(r.lanczos_converged for r in traj.records),
         }
@@ -202,7 +203,7 @@ def simulate_tdvp(
         write_timing_csv(
             Path(out_dir) / "timing.csv",
             lattice.n_sites,
-            mps_cfg["max_chi"],
+            max_chi_used,
             params.dt,
             traj.records,
             _hardware_tag(),

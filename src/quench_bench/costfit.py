@@ -302,16 +302,30 @@ def read_timing_csv(path) -> list[RuntimeSample]:
 
 
 def mean_power_from_log(path) -> float:
-    """Mean watts from a power-log CSV (timestamp_iso8601, watts)."""
+    """Mean watts from a power-log CSV (timestamp_iso8601, watts).
+
+    A row without a finite, nonnegative watts column, or a log without any
+    sample row, raises InvalidConfig naming the file (and the line).
+    """
     watts = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#") or line.lower().startswith("timestamp"):
                 continue
-            watts.append(float(line.split(",")[1]))
+            fields = line.split(",")
+            try:
+                value = float(fields[1])
+            except (IndexError, ValueError):
+                value = math.nan
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidConfig(
+                    f"power log {path}, line {lineno}: expected 'timestamp,watts' "
+                    f"with finite nonnegative watts, got {line!r}"
+                )
+            watts.append(value)
     if not watts:
-        raise ValueError(f"power log {path} contains no samples")
+        raise InvalidConfig(f"power log {path} contains no samples")
     return float(np.mean(watts))
 
 

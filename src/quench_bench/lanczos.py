@@ -71,7 +71,9 @@ def expm_lanczos(
         alphas[k] = np.real(np.vdot(basis[k], w))
         # full reorthogonalization against the basis built so far
         active = basis[: k + 1]
-        w -= active.conj() @ w @ active  # (k+1,) coefficients times basis rows
+        # (k+1,) coefficients <v_j|w> times basis rows; conjugating the
+        # product instead of the basis avoids a copy of the basis
+        w -= (active @ w.conj()).conj() @ active
         beta = math.sqrt(np.vdot(w, w).real)
 
         if k < 2 and k + 1 < k_max and beta > tol * max(1.0, abs(alphas[k])):

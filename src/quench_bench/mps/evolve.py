@@ -58,46 +58,65 @@ def _merge_mpo_pair(w1, w2):
     return pair.reshape(hl, d1 * d2, e1 * e2, hr)
 
 
-def _operator_matrix(wop: np.ndarray) -> np.ndarray:
-    """(w, t, s, w') MPO tensor as a (w*s, t*w') matrix for _LocalApply."""
-    w, t, s, wr = wop.shape
-    return np.ascontiguousarray(wop.transpose(0, 2, 1, 3)).reshape(w * s, t * wr)
+def _split_blocks(wop: np.ndarray) -> tuple[np.ndarray, list]:
+    """Split a real (w, t, s, w') MPO tensor into its (w, w') operator blocks.
+
+    Returns ``diag``, the (t, w, w') array of W[w, t, t, w'] over every block
+    that is diagonal in the physical index (the automaton's identity
+    pass-throughs, ``n`` openings and ``V n`` closings) and zero elsewhere,
+    and the list of (w, w', block) for the other nonzero blocks: only the
+    onsite ready -> done term, or none when Omega = 0.
+    """
+    d = wop.shape[1]
+    off_diagonal = np.any(wop * (1.0 - np.eye(d))[:, :, None] != 0.0, axis=(1, 2))
+    diag = np.einsum("wttx->twx", wop) * ~off_diagonal
+    full = [
+        (int(i), int(j), wop[i, :, :, j].astype(complex))
+        for i, j in zip(*np.nonzero(off_diagonal))
+    ]
+    return diag, full
 
 
 class _LocalApply:
-    """Effective local Hamiltonian as three BLAS products.
+    """Effective local Hamiltonian applied block by block over the real MPO.
 
-    Works for one site or a merged pair; ``wm`` is the operator matrix from
-    ``_operator_matrix`` with (possibly merged) physical dimension s = t.
-    The environment views are prepared once and reused across all Lanczos
-    iterations of a local solve, keeping the Python-side overhead per
-    application at a handful of numpy calls.
+    Works for one site or a merged pair.  Vectors are laid out (s, a, b):
+    (possibly merged) physical index slowest, then the left and right bonds.
+    Once per local solve the left environment is permuted to an (a'*w, a)
+    matrix and every diagonal MPO block is folded into a per-``t`` right
+    matrix R_t[w*b, b'] = sum_w' W[w, t, t, w'] R[b, w', b'].  One
+    application is then one GEMM through the left environment into a reused
+    (s, a', w, b) buffer, one batched GEMM through R_t, and two small GEMMs
+    for each non-diagonal block (only the onsite term).
     """
 
-    __slots__ = ("a", "s", "b", "w", "wr", "a_bra", "b_bra", "lm", "wm", "rm")
+    __slots__ = ("dims", "left", "right_t", "full", "z")
 
-    def __init__(self, left, right, wm, s_dim):
-        self.a, self.w, self.a_bra = left.shape
-        self.b, self.wr, self.b_bra = right.shape
-        self.s = s_dim
-        self.lm = left.reshape(self.a, self.w * self.a_bra)
-        self.wm = wm
-        self.rm = right.reshape(self.b * self.wr, self.b_bra)
+    def __init__(self, left, right, blocks):
+        diag, full = blocks
+        a, w, a_bra = left.shape
+        b, wr, b_bra = right.shape
+        s = diag.shape[0]
+        self.dims = (s, a, b, a_bra, w, b_bra)
+        self.left = left.transpose(2, 1, 0).reshape(a_bra * w, a)
+        # real coefficients: contract the real and imaginary parts of R in
+        # one real GEMM, then read the (t, w, b, 2 b') result back as complex
+        right_ri = right.view(np.float64).reshape(b, wr, 2 * b_bra).transpose(1, 0, 2)
+        right_t = diag.reshape(s * w, wr) @ right_ri.reshape(wr, 2 * b * b_bra)
+        self.right_t = right_t.view(complex).reshape(s, w * b, b_bra)
+        self.full = [(i, right[:, j, :], m) for i, j, m in full]
+        self.z = np.empty((s, a_bra * w, b), dtype=complex)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        t = self.lm.T @ x.reshape(self.a, self.s * self.b)
-        t = (
-            t.reshape(self.w, self.a_bra, self.s, self.b)
-            .transpose(1, 3, 0, 2)
-            .reshape(self.a_bra * self.b, self.w * self.s)
-        )
-        t = t @ self.wm
-        t = (
-            t.reshape(self.a_bra, self.b, self.s, self.wr)
-            .transpose(0, 2, 1, 3)
-            .reshape(self.a_bra * self.s, self.b * self.wr)
-        )
-        return (t @ self.rm).ravel()
+        s, a, b, a_bra, w, b_bra = self.dims
+        # the output buffer keeps the batched product on the BLAS path
+        z = np.matmul(self.left, x.reshape(s, a, b), out=self.z)
+        out = z.reshape(s, a_bra, w * b) @ self.right_t
+        z = z.reshape(s, a_bra, w, b)
+        for i, right_j, m in self.full:
+            zr = z[:, :, i, :].reshape(s * a_bra, b) @ right_j
+            out += (m @ zr.reshape(s, a_bra * b_bra)).reshape(s, a_bra, b_bra)
+        return out.ravel()
 
 
 def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
@@ -156,17 +175,17 @@ class TdvpEngine:
             self.right_envs[i] = update_right_env(
                 self.right_envs[i + 1], state.tensors[i + 1], mpo.tensors[i + 1]
             )
-        self._site_wm = [_operator_matrix(w) for w in mpo.tensors]
-        self._pair_wm = [
-            _operator_matrix(_merge_mpo_pair(mpo.tensors[i], mpo.tensors[i + 1]))
+        self._site_blocks = [_split_blocks(w) for w in mpo.tensors]
+        self._pair_blocks = [
+            _split_blocks(_merge_mpo_pair(mpo.tensors[i], mpo.tensors[i + 1]))
             for i in range(n - 1)
         ]
 
     def energy(self) -> float:
         """<H> from the cached environments at the center (site 0)."""
-        a0 = self.state.tensors[0]
-        apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._site_wm[0], 2)
-        return float(np.real(np.vdot(a0.ravel(), apply_h(a0.ravel())) / np.vdot(a0, a0)))
+        x = self.state.tensors[0].transpose(1, 0, 2).ravel()
+        apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._site_blocks[0])
+        return float(np.real(np.vdot(x, apply_h(x)) / np.vdot(x, x)))
 
     def step(self, dt: float) -> TdvpStepRecord:
         """One symmetric two-site TDVP sweep by dt."""
@@ -176,21 +195,30 @@ class TdvpEngine:
         trunc = 0.0
         t0 = time.perf_counter()
 
-        def local_exp(apply_fn, vec, coeff):
+        def local_exp(left, right, blocks, x, coeff):
+            """exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout."""
             nonlocal iters_max, converged
-            res = expm_lanczos(apply_fn, vec, coeff, k_max=self.k_max, tol=self.lanczos_tol)
+            a_dim, s_dim, b_dim = x.shape
+            res = expm_lanczos(
+                _LocalApply(left, right, blocks),
+                x.transpose(1, 0, 2).ravel(),
+                coeff,
+                k_max=self.k_max,
+                tol=self.lanczos_tol,
+            )
             iters_max = max(iters_max, res.iterations)
             converged = converged and res.converged
-            return res.vector
+            return np.ascontiguousarray(
+                res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2)
+            )
 
         a = self.state.tensors
         w = self.mpo.tensors
         n = self.state.n_sites
 
         if n == 1:
-            shape = a[0].shape
-            apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._site_wm[0], 2)
-            a[0] = local_exp(apply_h, a[0].ravel(), -1j * dt).reshape(shape)
+            blocks = self._site_blocks[0]
+            a[0] = local_exp(self.left_envs[0], self.right_envs[0], blocks, a[0], -1j * dt)
         else:
             half = 0.5 * dt
 
@@ -198,17 +226,13 @@ class TdvpEngine:
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
                 shape = (al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-                apply_h = _LocalApply(
-                    self.left_envs[i], self.right_envs[i + 1], self._pair_wm[i], 4
-                )
-                return local_exp(apply_h, theta.ravel(), coeff).reshape(shape)
+                theta = theta.reshape(shape[0], -1, shape[3])
+                left, right = self.left_envs[i], self.right_envs[i + 1]
+                return local_exp(left, right, self._pair_blocks[i], theta, coeff).reshape(shape)
 
             def evolve_site(i: int, coeff: complex) -> None:
-                shape = a[i].shape
-                apply_h = _LocalApply(
-                    self.left_envs[i], self.right_envs[i], self._site_wm[i], 2
-                )
-                a[i] = local_exp(apply_h, a[i].ravel(), coeff).reshape(shape)
+                left, right = self.left_envs[i], self.right_envs[i]
+                a[i] = local_exp(left, right, self._site_blocks[i], a[i], coeff)
 
             # left-to-right half sweep
             for i in range(n - 2):

@@ -7,8 +7,9 @@ owes a coupling to a site further along the snake.  The bond dimension at a
 cut is therefore 2 plus the number of open couplings across it, which for
 square lattices with the default interaction cutoff peaks at 3*sqrt(N) + 2.
 
-MPO tensors are indexed (h_left, phys_out, phys_in, h_right); contracting all
-of them reproduces the Hamiltonian matrix exactly.
+MPO tensors are indexed (h_left, phys_out, phys_in, h_right) and are real
+(float64): every coefficient of the Hamiltonian is.  Contracting all of them
+reproduces the Hamiltonian matrix exactly.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from ..model import InteractionMatrix, LatticeSpec, QuenchParams
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-_IDENTITY = np.eye(2, dtype=complex)
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]])
+_IDENTITY = np.eye(2)
 
 
 @dataclass
@@ -74,7 +75,7 @@ def build_mpo(
     prev: dict = {"S": 0}
     for site in range(n):
         cur = states_at_bond(site) if site < n - 1 else {"F": 0}
-        w = np.zeros((len(prev), 2, 2, len(cur)), dtype=complex)
+        w = np.zeros((len(prev), 2, 2, len(cur)))
         if "S" in prev:
             a = prev["S"]
             if "S" in cur:

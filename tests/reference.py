@@ -51,6 +51,32 @@ def mpo_dense_matrix(mpo) -> np.ndarray:
     return acc[:, :, 0]
 
 
+def merge_mpo_pair(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Two neighboring (h, t, s, h') MPO tensors as one (h_l, t1 t2, s1 s2, h_r)."""
+    pair = np.einsum("wabx,xcdy->wacbdy", w1, w2)
+    hl, d1, d2, e1, e2, hr = pair.shape
+    return pair.reshape(hl, d1 * d2, e1 * e2, hr)
+
+
+def dense_local_apply(left, right, wop, x) -> np.ndarray:
+    """TDVP effective Hamiltonian on an (a, s, b) tensor as three dense GEMMs.
+
+    ``left`` is (a, w, a') and ``right`` (b, w', b'), both (ket, mpo, bra);
+    ``wop`` is the (w, t, s, w') MPO tensor of one site or a merged pair,
+    used as a dense complex (w*s, t*w') matrix with two transposed copies
+    of the intermediate.  Returns the (a', t, b') result.
+    """
+    a, w, a_bra = left.shape
+    b, wr, b_bra = right.shape
+    s = wop.shape[2]
+    wm = wop.astype(complex).transpose(0, 2, 1, 3).reshape(w * s, s * wr)
+    t = left.reshape(a, w * a_bra).T @ x.reshape(a, s * b)
+    t = t.reshape(w, a_bra, s, b).transpose(1, 3, 0, 2).reshape(a_bra * b, w * s)
+    t = t @ wm
+    t = t.reshape(a_bra, b, s, wr).transpose(0, 2, 1, 3).reshape(a_bra * s, b * wr)
+    return (t @ right.reshape(b * wr, b_bra)).reshape(a_bra, s, b_bra)
+
+
 def mps_norm(state) -> float:
     """sqrt(<psi|psi>) by folding the MPS left to right."""
     left = np.ones((1, 1), dtype=complex)

@@ -97,7 +97,14 @@ class TestSimulate:
         assert (out / "verdict.json").exists()
         assert (out / "manifest.json").exists()
         timing = (out / "timing.csv").read_text().splitlines()
-        assert timing[-1].startswith("4,8,1.0,")
+        assert timing[-1].startswith("4,4,1.0,")  # a 4-site MPS holds chi = 4, not the cap 8
+
+    def test_tdvp_timing_records_chi_reached(self, runner, tmp_path):
+        out = tmp_path / "run"
+        args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "40ns", "--max-chi", "64"]
+        invoke(runner, args + ["--out", str(out), "--json"])
+        timing = (out / "timing.csv").read_text().splitlines()
+        assert timing[-1].startswith("9,16,1.0,")  # a 9-site MPS saturates at 2^4
 
     def test_tdvp_reports_truncation(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -193,6 +200,11 @@ class TestConfigHandling:
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-step", "0"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "700"],
             ["fit", "mps", "--samples", "{bad_timing}"],
+            *(
+                ["estimate", "classical", "--samples", "{timing}", "--size", "15x15",
+                 "--chi", "1000", "--power-log", log]
+                for log in ("{log_no_watts}", "{log_abc_watts}", "{log_empty}")
+            ),
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -201,7 +213,18 @@ class TestConfigHandling:
         bad_timing.write_text(
             "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n36,64,1.0,abc,cpu-x,1\n"
         )
-        args = [a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing) for a in args]
+        logs = {}
+        for name, rows in (
+            ("log_no_watts", "2025-01-01T00:00:00Z\n"),
+            ("log_abc_watts", "2025-01-01T00:00:00Z,abc\n"),
+            ("log_empty", ""),
+        ):
+            logs[name] = tmp_path / f"{name}.csv"
+            logs[name].write_text("timestamp_iso8601,watts\n" + rows)
+        args = [
+            a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing, **logs)
+            for a in args
+        ]
         result = runner.invoke(main, [*args, "--json"])
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"

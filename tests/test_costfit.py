@@ -264,7 +264,16 @@ class TestFileInterfaces:
     def test_power_log_empty(self, tmp_path):
         path = tmp_path / "power.csv"
         path.write_text("timestamp_iso8601,watts\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="no samples"):
+            mean_power_from_log(path)
+
+    @pytest.mark.parametrize(
+        "row", ["2025-01-01T00:01:00Z", "2025-01-01T00:01:00Z,abc", "2025-01-01T00:01:00Z,-5"]
+    )
+    def test_power_log_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "power.csv"
+        path.write_text(f"timestamp_iso8601,watts\n2025-01-01T00:00:00Z,380.0\n{row}\n")
+        with pytest.raises(InvalidConfig, match=re.escape(f"{path}, line 3")):
             mean_power_from_log(path)
 
     def test_timing_csv_comments_skipped(self, tmp_path):

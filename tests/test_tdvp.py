@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quench_bench import model
@@ -12,6 +14,7 @@ from quench_bench.mps import (
     site_expectations,
     write_timing_csv,
 )
+from quench_bench.mps.evolve import _LocalApply, _merge_mpo_pair, _split_blocks
 from quench_bench.mps.state import product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv
 
@@ -19,6 +22,9 @@ from conftest import paper_setup
 from reference import (
     check_canonical,
     dense_hamiltonian,
+    dense_local_apply,
+    merge_mpo_pair,
+    mpo_dense_matrix,
     mpo_expectation,
     mps_norm,
     site_expectations_any_gauge,
@@ -143,6 +149,73 @@ class TestMechanics:
         state = random_state(9, chi=8, rng=rng)
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _block_apply(left, right, wop, x):
+    """The engine's apply on an (a, s, b) tensor, through its (s, a, b) layout."""
+    apply_h = _LocalApply(left, right, _split_blocks(wop))
+    out = apply_h(x.transpose(1, 0, 2).ravel())
+    return out.reshape(x.shape[1], left.shape[2], right.shape[2]).transpose(1, 0, 2)
+
+
+def _assert_matches_dense(left, right, wop, ref_wop, rng):
+    x = _random_complex(rng, (left.shape[0], wop.shape[2], right.shape[0]))
+    ref = dense_local_apply(left, right, ref_wop, x)
+    got = _block_apply(left, right, wop, x)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestBlockApply:
+    def test_mpo_is_real_and_exact(self, setup_3x3):
+        lat, params, v = setup_3x3
+        mpo = build_mpo(lat, params, v)
+        assert all(w.dtype == np.float64 for w in mpo.tensors)
+        expected = dense_hamiltonian(params, v.v[::-1, ::-1])
+        assert np.abs(mpo_dense_matrix(mpo) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @given(
+        lx=st.integers(1, 3),
+        ly=st.integers(1, 4),
+        cutoff_factor=st.floats(1.0, 4.0),
+        chis=st.lists(st.integers(1, 16), min_size=11, max_size=11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_every_site_and_pair_matches_dense_reference(self, lx, ly, cutoff_factor, chis, seed):
+        lat, params, v = paper_setup(lx, ly, cutoff_factor)
+        mpo = build_mpo(lat, params, v)
+        n, w = lat.n_sites, mpo.tensors
+        rng = np.random.default_rng(seed)
+        bonds = [1, *chis[: n - 1], 1]
+        envs = [_random_complex(rng, (c, h, c)) for c, h in zip(bonds, mpo.bond_profile)]
+        for i in range(n):
+            _assert_matches_dense(envs[i], envs[i + 1], w[i], w[i], rng)
+        for i in range(n - 1):
+            pair, ref_pair = _merge_mpo_pair(w[i], w[i + 1]), merge_mpo_pair(w[i], w[i + 1])
+            _assert_matches_dense(envs[i], envs[i + 2], pair, ref_pair, rng)
+
+    @given(d=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_any_block_pattern_matches_dense_reference(self, d, seed):
+        """Zero, c*I, diagonal and full blocks in any arrangement."""
+        rng = np.random.default_rng(seed)
+        w, wr, chi_l, chi_r = rng.integers(1, 7, size=4)
+        wop = np.zeros((w, d, d, wr))
+        for i, j in np.ndindex(w, wr):
+            kind = rng.integers(4)
+            if kind == 1:
+                wop[i, :, :, j] = rng.standard_normal() * np.eye(d)
+            elif kind == 2:
+                wop[i, :, :, j] = np.diag(rng.standard_normal(d))
+            elif kind == 3:
+                wop[i, :, :, j] = rng.standard_normal((d, d))
+        left = _random_complex(rng, (chi_l, w, chi_l))
+        right = _random_complex(rng, (chi_r, wr, chi_r))
+        _assert_matches_dense(left, right, wop, wop, rng)
 
 
 def _truncated_4x4():
