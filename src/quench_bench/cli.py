@@ -39,7 +39,7 @@ from .config import (
 )
 from .errors import InvalidConfig, QuenchBenchError
 from .model import interactions, write_trajectory_csv
-from .mps import run_quench, write_timing_csv
+from .mps import memory_estimate, run_quench, write_timing_csv
 from .units import format_duration, parse_duration
 
 
@@ -195,6 +195,10 @@ def simulate_tdvp(
             "max_chi_used": max_chi_used,
             "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
             "lanczos_converged": all(r.lanczos_converged for r in traj.records),
+            "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
+            "memory_model_bytes": memory_estimate(
+                lattice.n_sites, mps_cfg["max_chi"], k=mps_cfg["k_max"]
+            ).total,
         }
     }
     verdict = convergence.evaluate_run(traj, params)

@@ -13,9 +13,6 @@ range (max - min), which makes the 40% threshold scale-free.
 
 from __future__ import annotations
 
-import contextlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,14 +147,12 @@ def min_converged_chi(
     dt: float | None = None,
     k_max: int = 50,
     memory_budget_bytes: float | None = None,
-    workers: int | None = None,
 ) -> ChiSearchResult:
     """Smallest grid chi whose run passes the convergence verdict.
 
-    Candidates run in increasing order with early stop (or concurrently when
-    ``workers`` > 1; the smallest passing chi is selected either way, so the
-    result is deterministic).  Returns an unconverged result when every
-    candidate fails or the memory budget excludes the whole grid.
+    Candidates run one at a time in increasing order with early stop.
+    Returns an unconverged result when every candidate fails or the memory
+    budget excludes the whole grid.
     """
     if not chi_grid:
         raise ValueError("empty chi grid")
@@ -167,7 +162,7 @@ def min_converged_chi(
     verdicts: dict[int, ConvergenceVerdict] = {}
     budget_blocked = 0
 
-    def attempt(chi: int):
+    for chi in chi_grid:
         try:
             result = run_quench(
                 lattice,
@@ -179,23 +174,13 @@ def min_converged_chi(
                 memory_budget_bytes=memory_budget_bytes,
             )
         except MemoryBudgetExceeded:
-            return None
-        return result, evaluate_run(result, params)
-
-    if workers is None:
-        workers = int(os.environ.get("QUENCH_BENCH_THREADS", "1"))
-    # the lazy built-in map keeps the serial search's early stop
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        outcomes = pool.map(attempt, chi_grid) if pool else map(attempt, chi_grid)
-        for chi, outcome in zip(chi_grid, outcomes):
-            if outcome is None:
-                budget_blocked += 1
-                continue
-            result, verdict = outcome
-            verdicts[chi] = verdict
-            if verdict.passed:
-                return ChiSearchResult(
-                    chi_min=chi, run_seconds=result.wall_seconds_total, verdicts=verdicts
-                )
+            budget_blocked += 1
+            continue
+        verdict = evaluate_run(result, params)
+        verdicts[chi] = verdict
+        if verdict.passed:
+            return ChiSearchResult(
+                chi_min=chi, run_seconds=result.wall_seconds_total, verdicts=verdicts
+            )
     cause = "MemoryBudgetExceeded" if budget_blocked == len(chi_grid) else "NoChiPassed"
     return ChiSearchResult(chi_min=None, run_seconds=None, verdicts=verdicts, cause=cause)

@@ -4,8 +4,10 @@ One ``step`` is a symmetric left-right-left sweep (second order in dt): every
 neighboring pair is evolved forward by dt/2 per sweep direction with the
 intervening single sites evolved backward, the rightmost pair taking a single
 full-dt solve at the turning point.  Left and right environments ("baths")
-are cached across steps and updated incrementally during the sweeps; the only
-full environment build happens at engine construction.
+are updated incrementally during the sweeps and released once the sweep has
+passed them, so N + 1 are held at any moment (between steps ``left_envs[0]``
+and every right bath); the only full environment build happens at engine
+construction.
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -39,6 +41,9 @@ _NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 #: singular value are discarded even when the chi cap is not binding.
 SVD_RTOL = 1e-12
 
+#: Shared zero-size placeholder for a released environment slot.
+_RELEASED = np.empty((0, 0, 0), dtype=complex)
+
 
 @dataclass
 class TdvpStepRecord:
@@ -48,6 +53,7 @@ class TdvpStepRecord:
     truncation_weight_step: float
     energy: float
     lanczos_iters_max: int
+    live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
     lanczos_converged: bool = True
 
 
@@ -143,7 +149,7 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
 
 
 class TdvpEngine:
-    """Evolves one MpsState under one MPO, reusing environments across steps.
+    """Evolves one MpsState under one MPO, reusing live environments across steps.
 
     The state must be canonical with the orthogonality center at site 0; each
     step returns it in the same form.
@@ -169,8 +175,8 @@ class TdvpEngine:
         self.lanczos_tol = lanczos_tol
         self._step_count = 0
         n = state.n_sites
-        self.left_envs = [trivial_env() for _ in range(n)]
-        self.right_envs = [trivial_env() for _ in range(n)]
+        self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
+        self.right_envs = [_RELEASED] * (n - 1) + [trivial_env()]
         for i in range(n - 2, -1, -1):
             self.right_envs[i] = update_right_env(
                 self.right_envs[i + 1], state.tensors[i + 1], mpo.tensors[i + 1]
@@ -187,12 +193,19 @@ class TdvpEngine:
         apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._site_blocks[0])
         return float(np.real(np.vdot(x, apply_h(x)) / np.vdot(x, x)))
 
+    def _held_bytes(self) -> int:
+        """Bytes of the state tensors plus every environment the engine holds."""
+        arrays = self.state.tensors + self.left_envs + self.right_envs
+        return sum(x.nbytes for x in arrays)
+
     def step(self, dt: float) -> TdvpStepRecord:
         """One symmetric two-site TDVP sweep by dt."""
         self._step_count += 1
         iters_max = 0
         converged = True
         trunc = 0.0
+        a = self.state.tensors
+        live = self._held_bytes()
         t0 = time.perf_counter()
 
         def local_exp(left, right, blocks, x, coeff):
@@ -212,7 +225,6 @@ class TdvpEngine:
                 res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2)
             )
 
-        a = self.state.tensors
         w = self.mpo.tensors
         n = self.state.n_sites
 
@@ -240,7 +252,9 @@ class TdvpEngine:
                 a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "right")
                 trunc += disc
                 self.left_envs[i + 1] = update_left_env(self.left_envs[i], a[i], w[i])
+                live = max(live, self._held_bytes())
                 evolve_site(i + 1, +1j * half)
+                self.right_envs[i + 1] = _RELEASED
 
             # full step on the turning pair
             i = n - 2
@@ -248,14 +262,17 @@ class TdvpEngine:
             a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "left")
             trunc += disc
             self.right_envs[i] = update_right_env(self.right_envs[i + 1], a[i + 1], w[i + 1])
+            live = max(live, self._held_bytes())
 
             # right-to-left half sweep
             for i in range(n - 3, -1, -1):
                 evolve_site(i + 1, +1j * half)
+                self.left_envs[i + 1] = _RELEASED
                 theta = evolve_pair(i, -1j * half)
                 a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "left")
                 trunc += disc
                 self.right_envs[i] = update_right_env(self.right_envs[i + 1], a[i + 1], w[i + 1])
+                live = max(live, self._held_bytes())
 
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0
@@ -266,6 +283,7 @@ class TdvpEngine:
             truncation_weight_step=trunc,
             energy=self.energy(),
             lanczos_iters_max=iters_max,
+            live_bytes=live,
             lanczos_converged=converged,
         )
 

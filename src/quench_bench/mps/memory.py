@@ -10,7 +10,9 @@ basis size, h = peak MPO bond dimension 3*sqrt(N) + 2):
 
 The bath term is the trapezoid area under the linear-growth-then-saturation
 bond profile and dominates at scale; its leading part 3 s chi^2 N^{3/2}
-(48 chi^2 N^{3/2} for complex doubles) is reported separately.
+(48 chi^2 N^{3/2} for complex doubles) is reported separately.  It bounds the
+N + 1 environments the TDVP engine holds at once; the tests check the engine's
+``TdvpStepRecord.live_bytes`` against ``total`` on saturated (N, chi).
 """
 
 from __future__ import annotations

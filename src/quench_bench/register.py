@@ -299,18 +299,3 @@ def simulate_defect_free(
     return DefectFreeEstimate(
         p_hat=p_hat, std_err=std_err, trials=trials, counts_mean=counts_mean
     )
-
-
-def write_layout_csv(layout: TrapLayout, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x_um,y_um,in_register\n")
-        for (x, y), in_reg in zip(layout.trap_positions, layout.register_mask):
-            fh.write(f"{float(x)!r},{float(y)!r},{int(in_reg)}\n")
-
-
-def read_layout_csv(path) -> TrapLayout:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    return TrapLayout(
-        trap_positions=rows[:, :2].astype(float),
-        register_mask=rows[:, 2].astype(bool),
-    )

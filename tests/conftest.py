@@ -45,7 +45,22 @@ def tdvp_3x3_400ns(setup_3x3):
 
 
 @pytest.fixture(scope="session")
-def timing_samples():
+def saturated_steps():
+    """Step records of random MPS saturated at the cap, keyed by (N, chi cap)
+    over N in {9, 16, 25, 36} and chi caps 8..64: one warm-up step dropped,
+    four counted."""
+    steps = {}
+    for side in (3, 4, 5, 6):
+        lattice, params, _ = paper_setup(side, side)
+        for chi in (8, 16, 32, 64):
+            steps[lattice.n_sites, chi] = benchmark_steps(
+                lattice, params, chi, n_steps=4, warmup=1
+            )
+    return steps
+
+
+@pytest.fixture(scope="session")
+def timing_samples(saturated_steps):
     """Measured seconds-per-step over N in {9, 16, 25, 36}, chi caps 8..64.
 
     Bond dimensions are recorded as actually used (a 9-site MPS cannot hold
@@ -55,19 +70,16 @@ def timing_samples():
 
     samples = []
     seen = set()
-    for side in (3, 4, 5, 6):
-        lattice, params, _ = paper_setup(side, side)
-        for chi in (8, 16, 32, 64):
-            records = benchmark_steps(lattice, params, chi, n_steps=4, warmup=1)
-            chi_used = max(r.max_chi_used for r in records)
-            if (lattice.n_sites, chi_used) in seen:
-                continue
-            seen.add((lattice.n_sites, chi_used))
-            samples.append(
-                RuntimeSample(
-                    n=lattice.n_sites,
-                    chi=chi_used,
-                    seconds_per_step=float(np.mean([r.wall_seconds for r in records])),
-                )
+    for (n, _), records in saturated_steps.items():
+        chi_used = max(r.max_chi_used for r in records)
+        if (n, chi_used) in seen:
+            continue
+        seen.add((n, chi_used))
+        samples.append(
+            RuntimeSample(
+                n=n,
+                chi=chi_used,
+                seconds_per_step=float(np.mean([r.wall_seconds for r in records])),
             )
+        )
     return samples

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from quench_bench.cli import main
+from quench_bench.mps import memory_estimate
 
 
 @pytest.fixture()
@@ -105,6 +106,9 @@ class TestSimulate:
         invoke(runner, args + ["--out", str(out), "--json"])
         timing = (out / "timing.csv").read_text().splitlines()
         assert timing[-1].startswith("9,16,1.0,")  # a 9-site MPS saturates at 2^4
+        run = json.loads((out / "verdict.json").read_text())["run"]
+        assert 0 < run["live_bytes_peak"] <= run["memory_model_bytes"]
+        assert run["memory_model_bytes"] == memory_estimate(9, 64).total
 
     def test_tdvp_reports_truncation(self, runner, tmp_path):
         out = tmp_path / "run"

@@ -175,16 +175,6 @@ class TestMinConvergedChi:
         assert short.converged and full.converged
         assert short.chi_min <= full.chi_min
 
-    def test_threaded_search_matches_serial(self):
-        lat, params, _ = paper_setup(2, 2)
-        grid = [1, 2, 4]
-        serial = min_converged_chi(lat, params, 100e-9, chi_grid=grid, dt=1e-9, workers=1)
-        threaded = min_converged_chi(lat, params, 100e-9, chi_grid=grid, dt=1e-9, workers=2)
-        assert serial.chi_min > grid[0]  # the search passes over failing candidates
-        assert threaded.chi_min == serial.chi_min
-        passed = {chi: v.passed for chi, v in serial.verdicts.items()}
-        assert {chi: v.passed for chi, v in threaded.verdicts.items()} == passed
-
     def test_empty_grid_rejected(self, setup_3x3):
         lat, params, _ = setup_3x3
         with pytest.raises(ValueError):

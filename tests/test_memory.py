@@ -43,3 +43,14 @@ class TestClosedForms:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             memory_estimate(0, 10)
+
+
+class TestEngineFitsModel:
+    def test_live_bytes_within_model(self, saturated_steps):
+        """The engine holds no more than the model allows on the saturated grid
+        N in {9, 16, 25, 36} x chi in {8, 16, 32, 64}; it only holds the
+        environments on each side of the active pair."""
+        assert len(saturated_steps) == 16
+        for (n, chi), records in saturated_steps.items():
+            for r in records:
+                assert 0 < r.live_bytes <= memory_estimate(n, chi).total, (n, chi)

@@ -14,9 +14,7 @@ from quench_bench.register import (
     load_stochastic,
     make_layout,
     plan_rearrangement,
-    read_layout_csv,
     simulate_defect_free,
-    write_layout_csv,
 )
 
 import reference
@@ -47,14 +45,6 @@ class TestLayout:
         )
         np.fill_diagonal(d, np.inf)
         assert d.min() >= 5.0 - 1e-9
-
-    def test_csv_roundtrip(self, tmp_path):
-        layout = make_layout(10, 25)
-        path = tmp_path / "layout.csv"
-        write_layout_csv(layout, path)
-        loaded = read_layout_csv(path)
-        assert np.allclose(loaded.trap_positions, layout.trap_positions)
-        assert np.array_equal(loaded.register_mask, layout.register_mask)
 
 
 class TestLoading:

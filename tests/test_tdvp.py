@@ -151,6 +151,33 @@ class TestMechanics:
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
 
 
+class TestFullRankConservation:
+    @given(
+        lx=st.integers(1, 3),
+        ly=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        dt_ns=st.floats(0.2, 5.0),
+        n_steps=st.integers(3, 5),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_norm_and_energy_conserved(self, lx, ly, seed, dt_ns, n_steps):
+        """At full rank the TDVP projector is the identity, so every step is
+        unitary under a time-independent H; ``energy`` reads the environments
+        the sweep left live."""
+        lat, params, v = paper_setup(lx, ly)
+        n = lat.n_sites
+        mpo = build_mpo(lat, params, v)
+        chi = 2 ** (n // 2)
+        state = random_state(n, chi, np.random.default_rng(seed))
+        e0 = mpo_expectation(state, mpo)
+        engine = TdvpEngine(state, mpo, max_chi=chi)
+        tol = 1e-10 * n * params.omega / 2
+        for _ in range(n_steps):
+            record = engine.step(dt_ns * 1e-9)
+            assert abs(record.energy - e0) <= tol
+            assert abs(mps_norm(state) - 1.0) <= 1e-10
+
+
 def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
