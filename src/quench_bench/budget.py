@@ -109,12 +109,11 @@ def qpu_schedule(
     confidence: float = 0.95,
     shot_rate: float = 1.0,
     qpu_power_watts: float = 3200.0,
-    p_observable: float = 0.5,
 ) -> QpuSchedule:
     """Full QPU budget for one quench task on an n_register-atom array.
 
     Uses the expected-counts model (``register.expected_counts``) for the
-    defect-free probability; ``p_observable`` defaults to the worst case 0.5.
+    defect-free probability and the worst-case observable, p = 0.5.
     """
     if n_register < 1:
         raise InvalidConfig(f"register needs at least one site, got {n_register}")
@@ -122,7 +121,7 @@ def qpu_schedule(
         raise InvalidConfig(f"shot_rate must be positive, got {shot_rate}")
     counts = expected_counts(n_register)
     p_df = defect_free_analytic(counts, probs)
-    m = shots_for_precision(p_observable, alpha)
+    m = shots_for_precision(0.5, alpha)
     n = attempts_for_usable(m, p_df, confidence)
     wall = n / shot_rate
     budget = ShotBudget(

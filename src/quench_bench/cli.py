@@ -20,7 +20,6 @@ import functools
 import math
 import platform
 import sys
-import warnings
 from pathlib import Path
 
 import click
@@ -177,6 +176,8 @@ def simulate_tdvp(
         mps_cfg["memory_budget_gb"] * 1e9 if mps_cfg["memory_budget_gb"] is not None else None
     )
     cutoff = config["physics"]["cutoff_factor"] * params.spacing
+    # also validates max_chi and k_max before the run starts
+    model_bytes = memory_estimate(lattice.n_sites, mps_cfg["max_chi"], k=mps_cfg["k_max"]).total
     traj = run_quench(
         lattice,
         params,
@@ -196,9 +197,7 @@ def simulate_tdvp(
             "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
             "lanczos_converged": all(r.lanczos_converged for r in traj.records),
             "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
-            "memory_model_bytes": memory_estimate(
-                lattice.n_sites, mps_cfg["max_chi"], k=mps_cfg["k_max"]
-            ).total,
+            "memory_model_bytes": model_bytes,
         }
     }
     verdict = convergence.evaluate_run(traj, params)
@@ -342,23 +341,18 @@ def estimate_classical(
         power_watts = costfit.DEFAULT_GPU_POWER_WATTS
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
     model = costfit.fit_mps(samples)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
-    payload = {
-        "report": report.as_dict(),
-        "fit": {
-            "a": model.a,
-            "b": model.b,
-            "c": model.c,
-            "residual_relative_rms": model.fit_residual,
-            "domain": model.domain,
-        },
-    }
+    report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
+    payload = {"report": report.as_dict(), "fit": model.as_dict()}
     if as_json:
         click.echo(dump_json(payload), nl=False)
     else:
         click.echo(costfit.format_resource_table([report]))
+        if report.extrapolated:
+            d = model.domain
+            click.echo(
+                f"extrapolated: N={n}, chi={chi} lies outside the fitted domain "
+                f"N {d['n_min']}-{d['n_max']}, chi {d['chi_min']}-{d['chi_max']}"
+            )
 
 
 @estimate.command("crossover")
@@ -391,9 +385,7 @@ def estimate_crossover(
     model = costfit.fit_mps(samples)
 
     def classical_fn(n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
+        return costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
 
     sweep = list(range(n_min, n_max + 1, n_step))
     result = costfit.crossover(classical_fn, functools.partial(_qpu_schedule, config), sweep)
@@ -482,14 +474,7 @@ def fit() -> None:
 def fit_mps_cmd(samples_path, as_json) -> None:
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
     model = costfit.fit_mps(samples)
-    payload = {
-        "a": model.a,
-        "b": model.b,
-        "c": model.c,
-        "residual_relative_rms": model.fit_residual,
-        "domain": model.domain,
-        "n_samples": len(samples),
-    }
+    payload = {**model.as_dict(), "n_samples": len(samples)}
     click.echo(dump_json(payload), nl=False)
 
 

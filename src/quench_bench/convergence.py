@@ -145,7 +145,6 @@ def min_converged_chi(
     chi_grid: list[int],
     *,
     dt: float | None = None,
-    k_max: int = 50,
     memory_budget_bytes: float | None = None,
 ) -> ChiSearchResult:
     """Smallest grid chi whose run passes the convergence verdict.
@@ -170,7 +169,6 @@ def min_converged_chi(
                 t_pulse,
                 dt,
                 max_chi=chi,
-                k_max=k_max,
                 memory_budget_bytes=memory_budget_bytes,
             )
         except MemoryBudgetExceeded:

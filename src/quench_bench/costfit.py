@@ -10,7 +10,6 @@ minimizes relative rather than absolute residuals.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,15 @@ class CostModelMPS:
     def predict(self, n: float, chi: float) -> float:
         return self.a + self.b * n**1.5 * chi**3 + self.c * n**2 * chi**2
 
+    def as_dict(self) -> dict:
+        return {
+            "a": self.a,
+            "b": self.b,
+            "c": self.c,
+            "residual_relative_rms": self.fit_residual,
+            "domain": self.domain,
+        }
+
 
 @dataclass(frozen=True)
 class CostModelNQS:
@@ -80,6 +88,7 @@ class ResourceReport:
     memory_bytes: float | None
     energy_kwh: float
     power_watts: float
+    extrapolated: bool  # (N, chi) lies outside the fitted sample domain
 
     def as_dict(self) -> dict:
         return {
@@ -93,6 +102,7 @@ class ResourceReport:
             "memory_bytes": self.memory_bytes,
             "energy_kwh": self.energy_kwh,
             "power_watts": self.power_watts,
+            "extrapolated": self.extrapolated,
         }
 
 
@@ -193,18 +203,12 @@ def extrapolate(
 ) -> ResourceReport:
     """Project total run time, memory and energy for one quench simulation.
 
-    Issues a warning (never an error) when (N, chi) falls outside the fitted
-    sample domain.  Memory follows the closed-form MPS model; NQS reports
-    carry no memory figure.
+    The report's ``extrapolated`` flag is set when (N, chi) falls outside the
+    fitted sample domain.  Memory follows the closed-form MPS model; NQS
+    reports carry no memory figure.
     """
     dom = model.domain
-    if not (dom["n_min"] <= n <= dom["n_max"]) or not (
-        dom["chi_min"] <= chi <= dom["chi_max"]
-    ):
-        warnings.warn(
-            f"extrapolating outside the fitted domain: N={n}, chi={chi} vs {dom}",
-            stacklevel=2,
-        )
+    inside = dom["n_min"] <= n <= dom["n_max"] and dom["chi_min"] <= chi <= dom["chi_max"]
     n_steps = int(round(t_pulse / dt))
     per_step = float(model.predict(n, chi))
     total = n_steps * per_step
@@ -221,6 +225,7 @@ def extrapolate(
         memory_bytes=memory,
         energy_kwh=watt_seconds_to_kwh(power_watts, total),
         power_watts=power_watts,
+        extrapolated=not inside,
     )
 
 

@@ -21,10 +21,6 @@ class TooLargeForOracle(QuenchBenchError):
     """System size exceeds the dense-statevector limit."""
 
 
-class InvalidSite(QuenchBenchError):
-    """Site index outside the lattice."""
-
-
 class MemoryBudgetExceeded(QuenchBenchError):
     """Estimated memory for a run exceeds the configured budget."""
 

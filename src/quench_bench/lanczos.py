@@ -17,6 +17,8 @@ import math
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
+from .errors import InvalidConfig
+
 _stev = get_lapack_funcs("stev", (np.empty(0, dtype=np.float64),))
 
 
@@ -46,20 +48,23 @@ def expm_lanczos(
         matvec: action of the Hermitian operator on a flat complex vector.
         v: start vector (not necessarily normalized).
         coeff: scalar multiplying H in the exponent, e.g. -1j*dt.
-        k_max: Krylov-basis cap; non-convergence at k_max is reported through
-            ``converged``, not raised.
+        k_max: Krylov-basis cap, at least 1 (InvalidConfig otherwise);
+            non-convergence at k_max is reported through ``converged``, not
+            raised.
         tol: relative tolerance on the local coefficient vector.
 
     Returns:
         LanczosResult with the evolved vector, the basis size used, and a
         convergence flag.
     """
+    if k_max < 1:
+        raise InvalidConfig(f"Lanczos needs k_max >= 1, got {k_max}")
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         return LanczosResult(vector=v.copy(), iterations=0, converged=True)
 
     dim = v.size
-    k_max = max(1, min(k_max, dim))
+    k_max = min(k_max, dim)
     basis = np.empty((k_max, dim), dtype=complex)
     basis[0] = np.ravel(v) / norm_v
     alphas = np.empty(k_max)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MemoryBudgetExceeded
+from ..errors import InvalidConfig, MemoryBudgetExceeded
 from ..lanczos import expm_lanczos
 from ..model import LatticeSpec, ObservableMap, QuenchParams, Trajectory, interactions
 from .memory import memory_estimate
@@ -40,6 +40,9 @@ _NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 #: Relative singular-value floor; values below this fraction of the largest
 #: singular value are discarded even when the chi cap is not binding.
 SVD_RTOL = 1e-12
+
+#: Lanczos stopping tolerance of every local solve.
+LANCZOS_TOL = 1e-12
 
 #: Shared zero-size placeholder for a released environment slot.
 _RELEASED = np.empty((0, 0, 0), dtype=complex)
@@ -136,7 +139,7 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
 
         u, s, vh = scipy_svd(m, full_matrices=False, lapack_driver="gesvd")
     keep = int(np.sum(s >= SVD_RTOL * s[0])) if s[0] > 0 else 1
-    keep = max(1, min(keep, max_chi))
+    keep = min(keep, max_chi)
     total = float(np.sum(s**2))
     discarded = float(np.sum(s[keep:] ** 2) / total) if total > 0 else 0.0
     if direction == "right":
@@ -152,7 +155,8 @@ class TdvpEngine:
     """Evolves one MpsState under one MPO, reusing live environments across steps.
 
     The state must be canonical with the orthogonality center at site 0; each
-    step returns it in the same form.
+    step returns it in the same form.  ``max_chi`` and ``k_max`` must be at
+    least 1 (InvalidConfig otherwise).
     """
 
     def __init__(
@@ -161,18 +165,21 @@ class TdvpEngine:
         mpo: MpoHamiltonian,
         max_chi: int | None = None,
         k_max: int = 50,
-        lanczos_tol: float = 1e-12,
     ):
         if state.n_sites != mpo.n_sites:
             raise ValueError("state and MPO site counts differ")
         if state.orthogonality_center != 0:
             raise ValueError("engine expects the orthogonality center at site 0")
+        max_chi = max_chi if max_chi is not None else state.max_chi
+        if max_chi < 1 or k_max < 1:
+            raise InvalidConfig(
+                f"TDVP needs max_chi >= 1 and k_max >= 1, got max_chi={max_chi}, k_max={k_max}"
+            )
         self.state = state
         self.mpo = mpo
-        self.max_chi = max_chi if max_chi is not None else state.max_chi
-        self.state.max_chi = self.max_chi
+        self.max_chi = max_chi
+        self.state.max_chi = max_chi
         self.k_max = k_max
-        self.lanczos_tol = lanczos_tol
         self._step_count = 0
         n = state.n_sites
         self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
@@ -217,7 +224,7 @@ class TdvpEngine:
                 x.transpose(1, 0, 2).ravel(),
                 coeff,
                 k_max=self.k_max,
-                tol=self.lanczos_tol,
+                tol=LANCZOS_TOL,
             )
             iters_max = max(iters_max, res.iterations)
             converged = converged and res.converged
@@ -337,26 +344,20 @@ def benchmark_steps(
     params: QuenchParams,
     chi: int,
     n_steps: int = 3,
-    dt: float = 1e-9,
-    k_max: int = 50,
     *,
-    cutoff: float | None = None,
-    seed: int = 7,
     warmup: int = 1,
 ) -> list[TdvpStepRecord]:
-    """Time TDVP steps at a saturated bond dimension.
+    """Time TDVP steps of ``params.dt`` at a saturated bond dimension.
 
-    Starts from a random canonical MPS whose bonds sit at the chi cap, so the
-    mean wall time per step reflects the sustained cost at (N, chi) rather
-    than the cheap early-time steps of the quench.  ``warmup`` leading steps
-    are dropped from the returned records.
+    Starts from a random canonical MPS (seed 7) whose bonds sit at the chi
+    cap, so the mean wall time per step reflects the sustained cost at
+    (N, chi) rather than the cheap early-time steps of the quench.
+    ``warmup`` leading steps are dropped from the returned records.
     """
-    v = interactions(lattice, params, cutoff)
-    mpo = build_mpo(lattice, params, v)
-    rng = np.random.default_rng(seed)
-    state = random_state(lattice.n_sites, chi, rng)
-    engine = TdvpEngine(state, mpo, max_chi=chi, k_max=k_max)
-    records = [engine.step(dt) for _ in range(warmup + n_steps)]
+    mpo = build_mpo(lattice, params, interactions(lattice, params))
+    state = random_state(lattice.n_sites, chi, np.random.default_rng(7))
+    engine = TdvpEngine(state, mpo, max_chi=chi)
+    records = [engine.step(params.dt) for _ in range(warmup + n_steps)]
     return records[warmup:]
 
 

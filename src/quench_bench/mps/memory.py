@@ -50,7 +50,9 @@ def memory_estimate(n: int, chi: int, d: int = 2, s: int = 16, k: int = 50) -> M
     picture does not apply; it is clamped at zero there.
     """
     if n < 1 or chi < 1 or d < 1 or s < 1 or k < 1:
-        raise InvalidConfig(f"all memory-model inputs must be positive, got N={n}, chi={chi}")
+        raise InvalidConfig(
+            f"all memory-model inputs must be positive, got N={n}, chi={chi}, d={d}, s={s}, k={k}"
+        )
     sqrt_n = math.sqrt(n)
     chi2 = float(chi) ** 2
     mps = s * d * chi2 * n

@@ -1,4 +1,4 @@
-"""Exact dense-statevector time evolution for small lattices.
+"""Exact dense-statevector time evolution for lattices of up to 16 sites.
 
 Ground truth for MPS validation and convergence-gate calibration.  The
 Hamiltonian is never materialized: its diagonal (interaction + detuning) part
@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSite, TooLargeForOracle
+from .errors import TooLargeForOracle
 from .lanczos import expm_lanczos
 from .model import InteractionMatrix, LatticeSpec, ObservableMap, QuenchParams, Trajectory
 
-#: Hard cap with the dense 2^N diagonal precomputed in one shot.
+#: Largest lattice the dense oracle evolves.
 N_MAX_DENSE = 16
-#: Cap reachable with ``allow_large=True`` (diagonal assembled in chunks).
-N_MAX_LARGE = 20
 
 
 @dataclass
@@ -45,7 +43,7 @@ class DenseHamiltonian:
         self.omega = omega
         dim = 1 << n_sites
         diag = np.zeros(dim, dtype=float)
-        # occupation table in chunks to bound peak memory at large N
+        # occupation table in chunks to bound the set-up's peak memory
         chunk = 1 << min(n_sites, 14)
         bits = np.arange(n_sites)
         for start in range(0, dim, chunk):
@@ -83,41 +81,25 @@ def occupations(state: StateVector) -> np.ndarray:
     )
 
 
-def two_point(state: StateVector, i: int, j: int) -> float:
-    """<sigma^z_i sigma^z_j> with sigma^z = 2n - 1; equals +1 for i == j."""
-    for s in (i, j):
-        if not 0 <= s < state.n_sites:
-            raise InvalidSite(f"site {s} outside 0..{state.n_sites - 1}")
-    prob = np.abs(state.amplitudes) ** 2
-    idx = np.arange(len(prob), dtype=np.int64)
-    zi = 2.0 * ((idx >> i) & 1).astype(float) - 1.0
-    zj = 2.0 * ((idx >> j) & 1).astype(float) - 1.0
-    return float(np.sum(prob * zi * zj))
-
-
 def evolve_exact(
     lattice: LatticeSpec,
     params: QuenchParams,
     v: InteractionMatrix,
     t: float,
     dt: float,
-    *,
-    allow_large: bool = False,
-    krylov_tol: float = 1e-12,
-    k_max: int = 40,
 ) -> Trajectory:
     """Evolve |00...0> under the quench Hamiltonian for time t in steps of dt.
 
-    Each step applies exp(-i H dt) through an adaptive Lanczos expansion; the
-    per-site occupation map and <H> are recorded after every step.
+    Each step applies exp(-i H dt) through an adaptive Lanczos expansion (at
+    most 40 vectors, tolerance 1e-12); the per-site occupation map and <H>
+    are recorded after every step.
 
     Raises:
-        TooLargeForOracle: when N exceeds 16 (or 20 with ``allow_large``).
+        TooLargeForOracle: when N exceeds ``N_MAX_DENSE``.
     """
     n = lattice.n_sites
-    n_max = N_MAX_LARGE if allow_large else N_MAX_DENSE
-    if n > n_max:
-        raise TooLargeForOracle(f"N = {n} exceeds the dense oracle limit {n_max}")
+    if n > N_MAX_DENSE:
+        raise TooLargeForOracle(f"N = {n} exceeds the dense oracle limit {N_MAX_DENSE}")
     if t < 0:
         raise ValueError("evolution time must be non-negative")
 
@@ -127,9 +109,7 @@ def evolve_exact(
     state = initial_state(n)
     for step in range(n_steps + 1):
         if step > 0:
-            result = expm_lanczos(
-                ham.apply, state.amplitudes, -1j * dt, k_max=k_max, tol=krylov_tol
-            )
+            result = expm_lanczos(ham.apply, state.amplitudes, -1j * dt, k_max=40, tol=1e-12)
             state = StateVector(amplitudes=result.vector, n_sites=n)
         traj.maps.append(
             ObservableMap.from_site_values(lattice, occupations(state), label="n", time=step * dt)

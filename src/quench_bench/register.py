@@ -1,10 +1,10 @@
-"""Tweezer loading, Hungarian rearrangement and defect-free statistics.
+"""Tweezer loading, rearrangement event counts and defect-free statistics.
 
 Models one preparation cycle of a neutral-atom register: stochastic loading
-of a trap layout at 50% fill, an optimal-assignment move plan filling the
-register from surplus atoms, and the four elementary failure channels
-(transfer, pick-up for dumping, accidental loading of idle traps, loss of
-unmoved register atoms).  The analytic defect-free probability is
+of a trap layout at 50% fill, filling the empty register sites from surplus
+atoms, and the four elementary failure channels (transfer, pick-up for
+dumping, accidental loading of idle traps, loss of unmoved register atoms).
+The analytic defect-free probability is
 
     P = p_transf^N_transf * p_pickup^N_dump
         * (1 - p_acci)^(N_traps - N_transf - N_dump)
@@ -12,8 +12,8 @@ unmoved register atoms).  The analytic defect-free probability is
 
 and the Monte Carlo applies exactly those four channels per trial, so the
 two agree by construction up to sampling noise and count fluctuations.  The
-counts depend only on the load (``event_counts``), so the Monte Carlo never
-solves the assignment; ``plan_rearrangement`` does, for the move list.
+counts depend only on the load (``event_counts``), not on which atom moves
+where, so no move assignment is ever solved.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidConfig, InvalidCounts, NotEnoughAtoms
 
@@ -65,16 +64,6 @@ class DefectProbabilities:
 
 
 @dataclass
-class RearrangementPlan:
-    moves: list[tuple[int, int]]  # (source trap, target register trap)
-    dumps: list[int]
-    n_transf: int
-    n_dump: int
-    n_idle: int
-    total_distance: float = 0.0
-
-
-@dataclass
 class DefectFreeEstimate:
     p_hat: float
     std_err: float
@@ -82,10 +71,8 @@ class DefectFreeEstimate:
     counts_mean: dict = field(default_factory=dict)
 
 
-def make_layout(
-    n_register: int, n_traps: int | None = None, pitch: float = 5.0
-) -> TrapLayout:
-    """Register grid plus reservoir rings at the same pitch.
+def make_layout(n_register: int, n_traps: int | None = None) -> TrapLayout:
+    """Register grid plus reservoir rings, every trap on a 5 um pitch.
 
     The register is a near-square grid of ``n_register`` sites; reservoir
     traps are added on concentric rectangular rings around it (closest rings
@@ -117,7 +104,7 @@ def make_layout(
         )
         reservoir += candidates[: n_traps - len(register) - len(reservoir)]
         ring += 1
-    coords = np.array(register + reservoir, dtype=float) * pitch
+    coords = np.array(register + reservoir, dtype=float) * 5.0
     mask = np.zeros(len(coords), dtype=bool)
     mask[: n_register] = True
     return TrapLayout(trap_positions=coords, register_mask=mask)
@@ -135,12 +122,8 @@ def load_stochastic(
 
 def trap_distances(layout: TrapLayout) -> np.ndarray:
     """Full trap-to-trap Euclidean distance matrix (um)."""
-    return _distances(layout.trap_positions, layout.trap_positions)
-
-
-def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance (um) from each row of ``a`` to each row of ``b``."""
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    pos = layout.trap_positions
+    return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
 
 
 def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, int]:
@@ -161,34 +144,6 @@ def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, i
             f"{n_surplus} surplus atoms cannot fill {n_empty} empty register sites"
         )
     return n_empty, n_surplus - n_empty, layout.n_traps - n_surplus
-
-
-def plan_rearrangement(layout: TrapLayout, occupancy: np.ndarray) -> RearrangementPlan:
-    """Fill empty register sites from surplus atoms at minimal total distance.
-
-    Atoms already sitting on register sites stay put.  The assignment of
-    surplus atoms to empty register sites minimizes the summed Euclidean move
-    distance (Hungarian / linear sum assignment); leftover surplus atoms are
-    dumped.
-
-    Raises:
-        NotEnoughAtoms: fewer surplus atoms than empty register sites.
-    """
-    occupancy = np.asarray(occupancy, dtype=bool)
-    n_transf, n_dump, n_idle = event_counts(layout, occupancy)
-    empty_register = np.flatnonzero(layout.register_mask & ~occupancy)
-    outside_atoms = np.flatnonzero(~layout.register_mask & occupancy)
-    positions = layout.trap_positions
-    cost = _distances(positions[empty_register], positions[outside_atoms])
-    rows, cols = linear_sum_assignment(cost)
-    return RearrangementPlan(
-        moves=list(zip(outside_atoms[cols].tolist(), empty_register[rows].tolist())),
-        dumps=np.delete(outside_atoms, cols).tolist(),
-        n_transf=n_transf,
-        n_dump=n_dump,
-        n_idle=n_idle,
-        total_distance=float(cost[rows, cols].sum()),
-    )
 
 
 def defect_free_analytic(counts: dict, probs: DefectProbabilities) -> float:

@@ -2,17 +2,18 @@
 
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
-fixed-step RK4 integration, exhaustive assignment search, direct binomial
-tail summation, and a defect-free Monte Carlo that plans every load.
+fixed-step RK4 integration, a minimal-distance move assignment, direct
+binomial tail summation, and a defect-free Monte Carlo that plans every load.
 """
 
 from __future__ import annotations
 
-import itertools
 from math import exp, lgamma, log, sqrt
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from quench_bench.errors import NotEnoughAtoms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 NUMBER_OP = np.diag([0.0, 1.0])
@@ -150,15 +151,20 @@ def occupations_from_state(psi: np.ndarray, n: int) -> np.ndarray:
     return np.array([prob[((idx >> k) & 1) == 1].sum() for k in range(n)])
 
 
-def brute_force_assignment(cost: np.ndarray) -> float:
-    """Minimal total cost over all injective row->column assignments."""
-    n_rows, n_cols = cost.shape
-    assert n_rows <= n_cols and n_rows <= 8
-    best = np.inf
-    for perm in itertools.permutations(range(n_cols), n_rows):
-        total = sum(cost[r, c] for r, c in enumerate(perm))
-        best = min(best, total)
-    return best
+def assign_moves(layout, occupancy):
+    """(moves, dumps) filling the empty register sites from surplus atoms at
+    minimal total distance: moves are (source, target) trap pairs, dumps the
+    surplus left over.  Raises NotEnoughAtoms when the surplus is too small."""
+    empty = np.flatnonzero(layout.register_mask & ~occupancy)
+    outside = np.flatnonzero(~layout.register_mask & occupancy)
+    if len(outside) < len(empty):
+        raise NotEnoughAtoms(f"{len(outside)} surplus atoms for {len(empty)} empty sites")
+    pos = layout.trap_positions
+    rows, cols = linear_sum_assignment(
+        np.linalg.norm(pos[empty][:, None] - pos[outside][None], axis=2)
+    )
+    moves = list(zip(outside[cols].tolist(), empty[rows].tolist()))
+    return moves, np.delete(outside, cols).tolist()
 
 
 def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_reloads=25):
@@ -169,8 +175,6 @@ def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_re
     (seeded by (rng_seed, trial)), so the two agree exactly.  Returns
     (p_hat, std_err, counts_mean).
     """
-    pos = layout.trap_positions
-    distances = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
     mask = layout.register_mask
     n_traps, n_register = len(mask), int(mask.sum())
     successes = infeasible = n_counted = 0
@@ -179,13 +183,12 @@ def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_re
         rng = np.random.default_rng([rng_seed, trial])
         plan = None
         for _ in range(max_reloads + 1):
-            occupancy = rng.random(n_traps) < fill_p
-            empty = np.flatnonzero(mask & ~occupancy)
-            outside = np.flatnonzero(~mask & occupancy)
-            if len(outside) >= len(empty):
-                rows, _ = linear_sum_assignment(distances[np.ix_(empty, outside)])
-                plan = (len(rows), len(outside) - len(rows))
-                break
+            try:
+                moves, dumps = assign_moves(layout, rng.random(n_traps) < fill_p)
+            except NotEnoughAtoms:
+                continue
+            plan = (len(moves), len(dumps))
+            break
         if plan is None:
             infeasible += 1
             continue

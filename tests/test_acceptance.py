@@ -7,7 +7,6 @@ assertions stay valid.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -208,9 +207,7 @@ def test_c9_crossover_at_table_scale(timing_samples):
     fit = costfit.fit_mps(timing_samples)
 
     def classical_fn(n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return costfit.extrapolate(fit, n, 1000, 4e-6, 1e-9, power_watts=400.0)
+        return costfit.extrapolate(fit, n, 1000, 4e-6, 1e-9, power_watts=400.0)
 
     def qpu_fn(n):
         return qpu_schedule(n, PAPER_PROBS, alpha=0.05, confidence=0.95,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from quench_bench import cli
 from quench_bench.cli import main
 from quench_bench.mps import memory_estimate
 
@@ -126,6 +127,21 @@ class TestSimulate:
         run = json.loads((out / "verdict.json").read_text())["run"]
         assert run["lanczos_converged"] is False
 
+    @pytest.mark.parametrize("key, named", [("max_chi", "chi=0"), ("k_max", "k=0")])
+    def test_tdvp_cap_below_one_fails_before_run(self, runner, tmp_path, monkeypatch, key, named):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the quench ran")
+
+        monkeypatch.setattr(cli, "run_quench", forbidden)
+        config = write_config(tmp_path / "bad.ini", f"[mps]\n{key} = 0\n")
+        out = tmp_path / "run"
+        args = ["simulate", "tdvp", "--config", config, "--size", "2x2", "--out", str(out)]
+        result = runner.invoke(main, [*args, "--json"])
+        assert result.exit_code == 1
+        err = json.loads(result.stderr)["error"]
+        assert err["type"] == "InvalidConfig" and named in err["message"]
+        assert not out.exists()
+
     def test_memory_budget_error(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -201,6 +217,10 @@ class TestConfigHandling:
             ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "0"],
             ["simulate", "exact", "--size", "3xb", "--out", "{out}"],
             ["simulate", "exact", "--t-pulse", "1.2.3ns", "--out", "{out}"],
+            ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--max-chi", "0",
+             "--out", "{out}"],
+            ["simulate", "tdvp", "--config", "{k_max_0}", "--size", "2x2", "--t-pulse", "5ns",
+             "--out", "{out}"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-step", "0"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "700"],
             ["fit", "mps", "--samples", "{bad_timing}"],
@@ -225,8 +245,10 @@ class TestConfigHandling:
         ):
             logs[name] = tmp_path / f"{name}.csv"
             logs[name].write_text("timestamp_iso8601,watts\n" + rows)
+        k_max_0 = write_config(tmp_path / "k0.ini", "[mps]\nk_max = 0\n")
         args = [
-            a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing, **logs)
+            a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing, k_max_0=k_max_0,
+                     **logs)
             for a in args
         ]
         result = runner.invoke(main, [*args, "--json"])
@@ -330,6 +352,20 @@ class TestFitAndClassical:
         payload = json.loads(result.output)
         assert payload["report"]["n_steps"] == 4000
         assert abs(payload["report"]["memory_bytes"] - 150e9) / 150e9 < 0.15
+
+    def test_estimate_classical_flags_extrapolation(self, runner, tmp_path):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        args = ["estimate", "classical", "--samples", samples, "--size", "15x15", "--chi", "1000"]
+        payload = json.loads(invoke(runner, [*args, "--json"]).output)
+        assert payload["report"]["extrapolated"] is True
+        text = invoke(runner, args).output.splitlines()
+        assert text[-1] == (
+            "extrapolated: N=225, chi=1000 lies outside the fitted domain N 25-144, chi 100-600"
+        )
+        inside = ["estimate", "classical", "--samples", samples, "--size", "10x10", "--chi", "400"]
+        payload = json.loads(invoke(runner, [*inside, "--json"]).output)
+        assert payload["report"]["extrapolated"] is False
+        assert "extrapolated" not in invoke(runner, inside).output
 
     def test_estimate_crossover(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")

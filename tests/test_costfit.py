@@ -1,8 +1,9 @@
 import re
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quench_bench.costfit import (
     CostModelMPS,
@@ -105,6 +106,37 @@ class TestFitMps:
         assert 0.0 < model.fit_residual < 0.15
 
 
+def _log_uniform_or_zero(lo: float, hi: float):
+    return st.one_of(st.just(0.0), st.floats(lo, hi).map(lambda e: 10.0**e))
+
+
+class TestFitIdentity:
+    @given(
+        coeffs=st.tuples(
+            _log_uniform_or_zero(-6.0, 0.0),
+            _log_uniform_or_zero(-14.0, -8.0),
+            _log_uniform_or_zero(-12.0, -6.0),
+        ).filter(any)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_noiseless_rows_are_reproduced(self, tmp_path_factory, coeffs):
+        """Noiseless rows of a + b N^1.5 chi^3 + c N^2 chi^2 written as a timing
+        CSV, read back and fitted: the fit predicts every row."""
+        a, b, c = coeffs
+        rows = [
+            f"{n},{chi},1.0,{a + b * n**1.5 * chi**3 + c * n**2 * chi**2!r},cpu,1"
+            for n in (9, 16, 25, 36)
+            for chi in (8, 16, 32, 64)
+        ]
+        path = tmp_path_factory.mktemp("fit") / "timing.csv"
+        path.write_text("N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n" + "\n".join(rows))
+        samples = read_timing_csv(path)
+        model = fit_mps(samples)
+        assert len(samples) == 16
+        for s in samples:
+            assert model.predict(s.n, s.chi) == pytest.approx(s.seconds_per_step, rel=1e-9, abs=0)
+
+
 class TestFitNqs:
     def test_pure_cubic_exact(self):
         samples = [
@@ -140,13 +172,11 @@ class TestExtrapolate:
         return fit_mps(synthetic_mps(seed=12))
 
     def test_monotone(self, model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            base = extrapolate(model, 225, 1000, 4e-6, 1e-9)
-            more_n = extrapolate(model, 400, 1000, 4e-6, 1e-9)
-            more_chi = extrapolate(model, 225, 2000, 4e-6, 1e-9)
-            longer = extrapolate(model, 225, 1000, 8e-6, 1e-9)
-            hotter = extrapolate(model, 225, 1000, 4e-6, 1e-9, power_watts=800.0)
+        base = extrapolate(model, 225, 1000, 4e-6, 1e-9)
+        more_n = extrapolate(model, 400, 1000, 4e-6, 1e-9)
+        more_chi = extrapolate(model, 225, 2000, 4e-6, 1e-9)
+        longer = extrapolate(model, 225, 1000, 8e-6, 1e-9)
+        hotter = extrapolate(model, 225, 1000, 4e-6, 1e-9, power_watts=800.0)
         assert more_n.total_seconds > base.total_seconds
         assert more_chi.total_seconds > base.total_seconds
         assert longer.total_seconds > base.total_seconds
@@ -154,25 +184,22 @@ class TestExtrapolate:
         assert base.n_steps == 4000
 
     def test_memory_matches_table_scale(self, model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = extrapolate(model, 225, 1000, 4e-6, 1e-9)
+        report = extrapolate(model, 225, 1000, 4e-6, 1e-9)
         assert abs(report.memory_bytes - 150e9) / 150e9 < 0.15
 
     def test_domain_warning(self, model):
-        with pytest.warns(UserWarning):
-            extrapolate(model, 10000, 1000, 4e-6, 1e-9)
+        for n, chi in ((10000, 300), (100, 1000), (16, 300), (100, 50)):
+            report = extrapolate(model, n, chi, 4e-6, 1e-9)
+            assert report.extrapolated is True
+            assert report.as_dict()["extrapolated"] is True
 
     def test_inside_domain_no_warning(self, model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            extrapolate(model, 100, 300, 4e-6, 1e-9)
+        for n, chi in ((100, 300), (25, 100), (144, 600)):
+            assert extrapolate(model, n, chi, 4e-6, 1e-9).extrapolated is False
 
     def test_nqs_has_no_memory_figure(self):
         model = fit_nqs(synthetic_nqs(seed=12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = extrapolate(model, 100, 0, 4e-6, 1e-9)
+        report = extrapolate(model, 100, 0, 4e-6, 1e-9)
         assert report.memory_bytes is None
         assert report.method == "NQS"
 
@@ -196,9 +223,7 @@ def _constant_qpu(wall_seconds, energy_kwh):
 
 def _classical_from_model(model, chi, t_pulse=4e-6, dt=1e-9, power=400.0):
     def fn(n):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return extrapolate(model, n, chi, t_pulse, dt, power)
+        return extrapolate(model, n, chi, t_pulse, dt, power)
 
     return fn
 
@@ -305,9 +330,7 @@ class TestFileInterfaces:
 
     def test_table_formatting(self):
         model = fit_mps(synthetic_mps(seed=12))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            reports = [extrapolate(model, n, 1000, 4e-6, 1e-9) for n in (225, 400)]
+        reports = [extrapolate(model, n, 1000, 4e-6, 1e-9) for n in (225, 400)]
         text = format_resource_table(reports)
         assert "N=225" in text and "N=400" in text
         assert "GB" in text or "TB" in text

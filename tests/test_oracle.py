@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from quench_bench import model, oracle
 from quench_bench.convergence import d8_error, energy_drift, energy_scale
-from quench_bench.errors import InvalidSite, TooLargeForOracle
+from quench_bench.errors import TooLargeForOracle
 import reference
 from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
 
@@ -93,40 +93,11 @@ class TestConservation:
         assert np.allclose(runs[0], runs[1], atol=1e-9)
 
 
-class TestTwoPoint:
-    def test_all_ground(self):
-        state = oracle.initial_state(3)
-        assert oracle.two_point(state, 0, 2) == pytest.approx(1.0)
-
-    def test_same_site_is_one(self):
-        rng = np.random.default_rng(5)
-        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        amps /= np.linalg.norm(amps)
-        state = oracle.StateVector(amplitudes=amps, n_sites=3)
-        assert oracle.two_point(state, 1, 1) == pytest.approx(1.0)
-
-    def test_bell_states_by_hand(self):
-        plus = oracle.StateVector(np.array([0, 1, 1, 0]) / np.sqrt(2), n_sites=2)
-        minus = oracle.StateVector(np.array([1, 0, 0, 1]) / np.sqrt(2), n_sites=2)
-        assert oracle.two_point(plus, 0, 1) == pytest.approx(-1.0)
-        assert oracle.two_point(minus, 0, 1) == pytest.approx(1.0)
-
-    def test_invalid_site(self):
-        state = oracle.initial_state(2)
-        with pytest.raises(InvalidSite):
-            oracle.two_point(state, 0, 2)
-
-
 class TestLimits:
     def test_too_large(self):
         lat, params, v = paper_setup(6, 3)  # 18 sites
         with pytest.raises(TooLargeForOracle):
             oracle.evolve_exact(lat, params, v, t=1e-9, dt=1e-9)
-
-    def test_large_flag_accepts_up_to_20(self):
-        lat, params, v = paper_setup(6, 3)
-        traj = oracle.evolve_exact(lat, params, v, t=0.0, dt=1e-9, allow_large=True)
-        assert traj.maps[0].values.shape == (3, 6)
 
     def test_export_csv(self, tmp_path):
         lat, params, v = paper_setup(2, 2)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quench_bench import model
-from quench_bench.errors import MemoryBudgetExceeded
+from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
+from quench_bench.lanczos import expm_lanczos
 from quench_bench.mps import (
     TdvpEngine,
     build_mpo,
@@ -120,6 +121,17 @@ class TestMechanics:
             assert rec.lanczos_iters_max <= 50
             assert rec.max_chi_used <= 8
             assert rec.lanczos_converged
+
+    @pytest.mark.parametrize("key, value", [("max_chi", 0), ("max_chi", -3), ("k_max", 0)])
+    def test_caps_below_one_rejected(self, setup_3x3, key, value):
+        lat, params, v = setup_3x3
+        mpo = build_mpo(lat, params, v)
+        with pytest.raises(InvalidConfig, match=f"{key}={value}"):
+            TdvpEngine(product_all_ground(9), mpo, **{"max_chi": 8, "k_max": 50, key: value})
+
+    def test_lanczos_rejects_empty_basis(self):
+        with pytest.raises(InvalidConfig, match="k_max"):
+            expm_lanczos(lambda x: x, np.ones(4, dtype=complex), -1j, k_max=0)
 
     def test_zero_pulse(self, setup_3x3):
         lat, params, _ = setup_3x3
