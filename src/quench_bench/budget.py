@@ -2,10 +2,12 @@
 
 Measuring a +/-1-valued observable to precision alpha (95% confidence,
 sigma_O <= alpha/2) needs m = ceil(16 p (1-p) / alpha^2) usable shots.  Only
-defect-free register preparations yield usable shots, so the attempt count n
-is inflated to make P[Binom(n, p_defect_free) >= m] reach the requested
-confidence.  Wall time is n / shot_rate: each attempt costs one cycle no
-matter the pulse length (pulses of a few us against a ~1 s cycle).
+defect-free register preparations yield usable shots.  The failed attempts
+before the m-th usable one are negative-binomial, so the attempt count n is m
+plus their quantile at the requested confidence: the smallest n with
+P[Binom(n, p_defect_free) >= m] >= confidence.  Wall time is n / shot_rate:
+each attempt costs one cycle no matter the pulse length (pulses of a few us
+against a ~1 s cycle).
 """
 
 from __future__ import annotations
@@ -13,15 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import binom, norm
+from scipy.stats import nbinom
 
 from .errors import InvalidConfig, InvalidPrecision, Unsatisfiable
 from .register import DefectProbabilities, defect_free_analytic, expected_counts
 from .units import watt_seconds_to_kwh
 
-#: Largest n evaluated with the exact binomial tail; beyond this the normal
-#: approximation with continuity correction takes over.
-EXACT_TAIL_LIMIT = 1_000_000
+#: Largest attempt count a float holds exactly.
+MAX_ATTEMPTS = 2**53
 
 
 @dataclass(frozen=True)
@@ -52,26 +53,14 @@ def shots_for_precision(p: float, alpha: float) -> int:
     return math.ceil(16.0 * p * (1.0 - p) / alpha**2)
 
 
-def _tail_at_least(n: int, p: float, m: int) -> float:
-    """P[Binom(n, p) >= m]; exact below EXACT_TAIL_LIMIT, else normal approx."""
-    if m <= 0:
-        return 1.0
-    if n < m:
-        return 0.0
-    if n <= EXACT_TAIL_LIMIT:
-        return float(binom.sf(m - 1, n, p))
-    mean = n * p
-    sigma = math.sqrt(n * p * (1.0 - p))
-    if sigma == 0.0:
-        return 1.0 if mean >= m else 0.0
-    return float(norm.sf((m - 0.5 - mean) / sigma))
-
-
 def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
     """Smallest n such that P[Binom(n, p_df) >= m] >= confidence.
 
-    The tail probability is nondecreasing in n, so the search brackets by
-    doubling and then bisects.
+    n - m is the number of failures before the m-th success, which is
+    negative-binomial, so n is m plus that distribution's confidence quantile.
+    Counts above 2^53, which a float cannot hold exactly, raise Unsatisfiable;
+    they are refused before the quantile is asked for, because scipy's root
+    search for it stalls once the answer passes about 1e125 (scipy 1.17).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
@@ -83,23 +72,11 @@ def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
         raise ValueError(f"p_df = {p_df} outside (0, 1]")
     if m == 0:
         return 0
-    if p_df == 1.0:
-        return m
-
-    lo = m  # tail(m-1) = 0 < confidence always
-    hi = max(m, math.ceil(m / p_df))
-    while _tail_at_least(hi, p_df, m) < confidence:
-        lo = hi
-        hi *= 2
-        if hi > 2**62:  # pragma: no cover - defensive
-            raise Unsatisfiable("attempt search diverged")
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _tail_at_least(mid, p_df, m) >= confidence:
-            hi = mid
-        else:
-            lo = mid
-    return hi if _tail_at_least(lo, p_df, m) < confidence else lo
+    if nbinom.cdf(MAX_ATTEMPTS - m, m, p_df) < confidence:
+        raise Unsatisfiable(
+            f"{m} usable shots at p_df = {p_df:.3g} need more than 2^53 attempts"
+        )
+    return m + int(nbinom.ppf(confidence, m, p_df))
 
 
 def qpu_schedule(

@@ -37,6 +37,11 @@ class RuntimeSample:
         return "NQS" if self.chi == 0 else "MPS"
 
     def __post_init__(self):
+        if self.n < 1 or self.chi < 0 or self.n_workers < 1:
+            raise ValueError(
+                f"need N >= 1, chi >= 0 and n_workers >= 1, got "
+                f"N={self.n}, chi={self.chi}, n_workers={self.n_workers}"
+            )
         if not 0 < self.seconds_per_step < math.inf:
             raise ValueError(
                 f"seconds_per_step must be positive and finite, got {self.seconds_per_step}"

@@ -24,7 +24,6 @@ from .units import TWO_PI
 
 if TYPE_CHECKING:
     from .mps.evolve import TdvpStepRecord
-    from .oracle import StateVector
 
 #: Default interaction coefficient, 2*pi * 138 GHz um^6 (a standard 60S
 #: Rydberg value).  All observables produced by this package depend only on
@@ -131,14 +130,14 @@ class Trajectory:
     ``maps[i]`` (taken at ``maps[i].time``) and ``energies[i]`` belong
     together; index 0 is the initial state.  ``records`` holds the per-step
     TDVP records (empty for the exact backend); ``final_state`` holds the
-    exact backend's final statevector (None for TDVP).
+    exact backend's final 2^N amplitudes (None for TDVP).
     """
 
     lattice: LatticeSpec
     maps: list[ObservableMap] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     records: list[TdvpStepRecord] = field(default_factory=list)
-    final_state: StateVector | None = None
+    final_state: np.ndarray | None = None
 
     @property
     def wall_seconds_total(self) -> float:

@@ -12,8 +12,6 @@ index 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TooLargeForOracle
@@ -22,17 +20,6 @@ from .model import InteractionMatrix, LatticeSpec, ObservableMap, QuenchParams, 
 
 #: Largest lattice the dense oracle evolves.
 N_MAX_DENSE = 16
-
-
-@dataclass
-class StateVector:
-    """Dense state on N sites; amplitudes indexed by occupation bitmask."""
-
-    amplitudes: np.ndarray
-    n_sites: int
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 class DenseHamiltonian:
@@ -66,19 +53,12 @@ class DenseHamiltonian:
         return float(np.real(np.vdot(psi, self.apply(psi))))
 
 
-def initial_state(n_sites: int) -> StateVector:
-    amps = np.zeros(1 << n_sites, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amplitudes=amps, n_sites=n_sites)
-
-
-def occupations(state: StateVector) -> np.ndarray:
-    """Per-site <n_k> from the statevector."""
-    prob = np.abs(state.amplitudes) ** 2
+def occupations(psi: np.ndarray) -> np.ndarray:
+    """Per-site <n_k> from the 2^N amplitudes psi."""
+    prob = np.abs(psi) ** 2
     idx = np.arange(len(prob), dtype=np.int64)
-    return np.array(
-        [float(prob[((idx >> k) & 1) == 1].sum()) for k in range(state.n_sites)]
-    )
+    n_sites = len(prob).bit_length() - 1
+    return np.array([float(prob[((idx >> k) & 1) == 1].sum()) for k in range(n_sites)])
 
 
 def evolve_exact(
@@ -106,14 +86,14 @@ def evolve_exact(
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
     n_steps = int(round(t / dt)) if t > 0 else 0
     traj = Trajectory(lattice)
-    state = initial_state(n)
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
     for step in range(n_steps + 1):
         if step > 0:
-            result = expm_lanczos(ham.apply, state.amplitudes, -1j * dt, k_max=40, tol=1e-12)
-            state = StateVector(amplitudes=result.vector, n_sites=n)
+            psi = expm_lanczos(ham.apply, psi, -1j * dt, k_max=40, tol=1e-12).vector
         traj.maps.append(
-            ObservableMap.from_site_values(lattice, occupations(state), label="n", time=step * dt)
+            ObservableMap.from_site_values(lattice, occupations(psi), label="n", time=step * dt)
         )
-        traj.energies.append(ham.expectation(state.amplitudes))
-    traj.final_state = state
+        traj.energies.append(ham.expectation(psi))
+    traj.final_state = psi
     return traj

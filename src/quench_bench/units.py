@@ -30,6 +30,10 @@ def ghz_um6_to_angular(c6_ghz_um6: float) -> float:
 
 
 def watt_seconds_to_kwh(power_watts: float, seconds: float) -> float:
+    """Energy in kWh of a draw of power_watts for seconds; the power must be
+    finite and non-negative (zero is a free machine)."""
+    if not 0.0 <= power_watts < math.inf:
+        raise InvalidConfig(f"power must be finite and non-negative, got {power_watts} W")
     return power_watts * seconds / JOULES_PER_KWH
 
 

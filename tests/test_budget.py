@@ -1,20 +1,19 @@
 import math
 
 import pytest
-from scipy.stats import binom, norm
+from scipy.stats import binom
 
-from quench_bench.budget import (
-    EXACT_TAIL_LIMIT,
-    attempts_for_usable,
-    qpu_schedule,
-    shots_for_precision,
-)
+from quench_bench.budget import attempts_for_usable, qpu_schedule, shots_for_precision
 from quench_bench.errors import InvalidPrecision, Unsatisfiable
-from quench_bench.register import DefectProbabilities
+from quench_bench.register import DefectProbabilities, defect_free_analytic, expected_counts
 
 import reference
 
 PAPER_PROBS = DefectProbabilities()
+
+
+def paper_p_df(n_register: int) -> float:
+    return defect_free_analytic(expected_counts(n_register), PAPER_PROBS)
 
 
 class TestShotsForPrecision:
@@ -59,9 +58,25 @@ class TestAttemptsForUsable:
     def test_frozen_oracle_values(self, m, p, conf, expected):
         assert attempts_for_usable(m, p, conf) == expected
 
-    @pytest.mark.parametrize("m,p,conf", [(3, 0.4, 0.8), (12, 0.75, 0.99), (1, 0.05, 0.6)])
+    @pytest.mark.parametrize(
+        "m,p,conf",
+        [
+            (3, 0.4, 0.8),
+            (12, 0.75, 0.99),
+            (1, 0.05, 0.6),
+            # answers above a million attempts: 1 084 611 and 2 927 481
+            (16, paper_p_df(900), 0.95),
+            (1600, paper_p_df(625), 0.95),
+        ],
+    )
     def test_live_against_direct_summation(self, m, p, conf):
         assert attempts_for_usable(m, p, conf) == reference.smallest_attempts(m, p, conf)
+
+    def test_minimal_for_every_register_up_to_625(self):
+        for n_register in range(1, 626):
+            p = paper_p_df(n_register)
+            n = attempts_for_usable(1600, p, 0.95)
+            assert binom.sf(1599, n, p) >= 0.95 > binom.sf(1599, n - 1, p), n_register
 
     def test_minimality(self):
         n = attempts_for_usable(16, 0.3, 0.9)
@@ -80,27 +95,10 @@ class TestAttemptsForUsable:
         values = [attempts_for_usable(40, 0.3, c) for c in (0.5, 0.8, 0.95, 0.999)]
         assert values == sorted(values)
 
-    def test_exact_and_normal_branches_agree_at_switchover(self):
-        # pick parameters whose answer sits near the exact-tail limit and
-        # solve with each branch outright
-        m, conf = 1600, 0.95
-        p = 1666.0 / EXACT_TAIL_LIMIT
-
-        def solve(tail):
-            lo, hi = m, 4 * EXACT_TAIL_LIMIT
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if tail(mid) >= conf:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
-
-        exact = solve(lambda n: binom.sf(m - 1, n, p))
-        approx = solve(
-            lambda n: norm.sf((m - 0.5 - n * p) / math.sqrt(n * p * (1 - p)))
-        )
-        assert abs(exact - approx) / exact < 0.01
+    @pytest.mark.parametrize("m,p", [(1600, paper_p_df(3000)), (1600, 1e-300), (2**60, 0.5)])
+    def test_counts_beyond_2_53_unsatisfiable(self, m, p):
+        with pytest.raises(Unsatisfiable, match="2\\^53"):
+            attempts_for_usable(m, p, 0.95)
 
 
 class TestQpuSchedule:

@@ -68,6 +68,14 @@ class TestEstimateQpu:
         result = invoke(runner, ["estimate", "qpu", "--register", "225", "--json"])
         assert json.loads(result.output)["counts"]["N_register"] == 225
 
+    def test_exact_count_above_a_million_attempts(self, runner):
+        result = invoke(
+            runner, ["estimate", "qpu", "--register", "30x30", "--alpha", "0.5", "--json"]
+        )
+        payload = json.loads(result.output)
+        assert payload["m_usable"] == 16
+        assert payload["n_attempts"] == 1084611  # smallest n per binom.sf
+
 
 class TestSimulate:
     def test_exact_zero_pulse_single_snapshot(self, runner, tmp_path):
@@ -229,6 +237,14 @@ class TestConfigHandling:
                  "--chi", "1000", "--power-log", log]
                 for log in ("{log_no_watts}", "{log_abc_watts}", "{log_empty}")
             ),
+            ["fit", "nqs", "--samples", "{nqs_no_workers}"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
+             "--gpu-power-kw", "-1"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
+             "--gpu-power-kw", "nan"],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000",
+             "--gpu-power-kw", "-1"],
+            ["estimate", "qpu", "--qpu-power-kw", "-3"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -245,10 +261,14 @@ class TestConfigHandling:
         ):
             logs[name] = tmp_path / f"{name}.csv"
             logs[name].write_text("timestamp_iso8601,watts\n" + rows)
+        nqs_no_workers = tmp_path / "nqs_no_workers.csv"
+        nqs_no_workers.write_text(
+            "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n100,0,1.0,2.0,gpu-a100,0\n"
+        )
         k_max_0 = write_config(tmp_path / "k0.ini", "[mps]\nk_max = 0\n")
         args = [
             a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing, k_max_0=k_max_0,
-                     **logs)
+                     nqs_no_workers=nqs_no_workers, **logs)
             for a in args
         ]
         result = runner.invoke(main, [*args, "--json"])

@@ -320,6 +320,9 @@ class TestFileInterfaces:
             "36,64,1.0,abc,cpu-x,1",
             "36,64,1.0,0.0,cpu-x,1",
             "36,64,1.0,nan,cpu-x,1",
+            "0,64,1.0,5.5,cpu-x,1",
+            "36,-8,1.0,5.5,cpu-x,1",
+            "100,0,1.0,2.0,gpu-a100,0",
         ],
     )
     def test_timing_csv_bad_row_names_file_and_line(self, tmp_path, row):
