@@ -24,6 +24,7 @@ from .model import (
     QuenchParams,
     derive_quench,
     lattice_for_quench,
+    step_count,
 )
 from .units import ghz_um6_to_angular, mhz_to_angular
 
@@ -116,13 +117,16 @@ def _physics(config: dict) -> tuple[float, float, float]:
 
 
 def durations_from_config(config: dict) -> tuple[float, float]:
-    """(t_pulse, dt) in seconds; t_pulse must be non-negative, dt positive."""
+    """(t_pulse, dt) in seconds; t_pulse must be non-negative, dt positive
+    and t_pulse a whole number of dt steps."""
     quench = config["quench"]
     if not quench["t_pulse_ns"] >= 0:
         raise InvalidConfig(f"quench.t_pulse_ns must be non-negative, got {quench['t_pulse_ns']}")
     if not quench["dt_ns"] > 0:
         raise InvalidConfig(f"quench.dt_ns must be positive, got {quench['dt_ns']}")
-    return quench["t_pulse_ns"] * 1e-9, quench["dt_ns"] * 1e-9
+    t_pulse, dt = quench["t_pulse_ns"] * 1e-9, quench["dt_ns"] * 1e-9
+    step_count(t_pulse, dt)
+    return t_pulse, dt
 
 
 def lattice_from_config(config: dict) -> LatticeSpec:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import InvalidConfig, UnderdeterminedFit
+from .model import step_count
 from .mps import memory_estimate
 from .units import watt_seconds_to_kwh
 
@@ -214,7 +215,7 @@ def extrapolate(
     """
     dom = model.domain
     inside = dom["n_min"] <= n <= dom["n_max"] and dom["chi_min"] <= chi <= dom["chi_max"]
-    n_steps = int(round(t_pulse / dt))
+    n_steps = step_count(t_pulse, dt)
     per_step = float(model.predict(n, chi))
     total = n_steps * per_step
     is_mps = isinstance(model, CostModelMPS)

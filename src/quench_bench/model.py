@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CutoffTooSmall, InvalidLattice
+from .errors import CutoffTooSmall, InvalidConfig, InvalidLattice
 from .units import TWO_PI
 
 if TYPE_CHECKING:
@@ -131,6 +131,8 @@ class Trajectory:
     together; index 0 is the initial state.  ``records`` holds the per-step
     TDVP records (empty for the exact backend); ``final_state`` holds the
     exact backend's final 2^N amplitudes (None for TDVP).
+    ``lanczos_converged`` is false when any Lanczos solve of the run stopped
+    at its basis cap instead of meeting its tolerance.
     """
 
     lattice: LatticeSpec
@@ -138,10 +140,28 @@ class Trajectory:
     energies: list[float] = field(default_factory=list)
     records: list[TdvpStepRecord] = field(default_factory=list)
     final_state: np.ndarray | None = None
+    lanczos_converged: bool = True
 
     @property
     def wall_seconds_total(self) -> float:
         return sum(r.wall_seconds for r in self.records)
+
+
+def step_count(t_pulse: float, dt: float) -> int:
+    """Number of steps of length dt that make up t_pulse (seconds).
+
+    Raises:
+        InvalidConfig: when t_pulse/dt is not within 1e-9 relative of a whole
+            number, since the run would then stop short of or past the pulse.
+    """
+    ratio = t_pulse / dt
+    n_steps = round(ratio)
+    if abs(ratio - n_steps) > 1e-9 * abs(ratio):
+        raise InvalidConfig(
+            f"t_pulse = {t_pulse * 1e9:.10g} ns is not a whole number of "
+            f"dt = {dt * 1e9:.10g} ns steps"
+        )
+    return n_steps
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

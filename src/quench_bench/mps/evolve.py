@@ -22,7 +22,14 @@ import numpy as np
 
 from ..errors import InvalidConfig, MemoryBudgetExceeded
 from ..lanczos import expm_lanczos
-from ..model import LatticeSpec, ObservableMap, QuenchParams, Trajectory, interactions
+from ..model import (
+    LatticeSpec,
+    ObservableMap,
+    QuenchParams,
+    Trajectory,
+    interactions,
+    step_count,
+)
 from .memory import memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
 from .state import (
@@ -330,12 +337,12 @@ def run_quench(
         )
 
     traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
-    n_steps = int(round(t_pulse / dt)) if t_pulse > 0 else 0
-    for step in range(1, n_steps + 1):
+    for step in range(1, step_count(t_pulse, dt) + 1):
         record = engine.step(dt)
         traj.records.append(record)
         traj.maps.append(measure(step * dt))
         traj.energies.append(record.energy)
+    traj.lanczos_converged = all(r.lanczos_converged for r in traj.records)
     return traj
 
 

@@ -2,8 +2,9 @@
 
 Ground truth for MPS validation and convergence-gate calibration.  The
 Hamiltonian is never materialized: its diagonal (interaction + detuning) part
-is precomputed as a 2^N vector and the transverse drive is applied through
-bit flips, so one application costs O(N 2^N).
+is precomputed as a 2^N vector and the transverse drive is applied as one
+in-place half-swap per bit, so one application costs O(N 2^N) and allocates
+two 2^N vectors whatever N is.
 
 Basis convention: bit k of the computational-basis index is the occupation of
 snake site k, with 0 = ground state.  The initial product state |00...0> is
@@ -16,14 +17,26 @@ import numpy as np
 
 from .errors import TooLargeForOracle
 from .lanczos import expm_lanczos
-from .model import InteractionMatrix, LatticeSpec, ObservableMap, QuenchParams, Trajectory
+from .model import (
+    InteractionMatrix,
+    LatticeSpec,
+    ObservableMap,
+    QuenchParams,
+    Trajectory,
+    step_count,
+)
 
 #: Largest lattice the dense oracle evolves.
 N_MAX_DENSE = 16
 
 
 class DenseHamiltonian:
-    """Matrix-free H = sum V_ij n_i n_j + (Omega/2) sum sigma^x_i - Delta sum n_i."""
+    """Matrix-free H = sum V_ij n_i n_j + (Omega/2) sum sigma^x_i - Delta sum n_i.
+
+    ``apply`` scales psi by Omega/2 once, then adds sigma^x_k of it for each
+    bit k in turn as an in-place half-swap: flipping bit k exchanges the two
+    halves of every (2, 2^k) block of the index.
+    """
 
     def __init__(self, n_sites: int, v: np.ndarray, omega: float, delta: float):
         self.n_sites = n_sites
@@ -43,10 +56,10 @@ class DenseHamiltonian:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = self.diagonal * psi
-        tensor = psi.reshape((2,) * self.n_sites)
-        for site in range(self.n_sites):
-            axis = self.n_sites - 1 - site  # bit k of the index is axis N-1-k
-            out += (0.5 * self.omega) * np.flip(tensor, axis=axis).reshape(-1)
+        drive = (0.5 * self.omega) * psi
+        for k in range(self.n_sites):
+            blocks = out.reshape(-1, 2, 1 << k)  # a view: the sum lands in out
+            blocks += drive.reshape(-1, 2, 1 << k)[:, ::-1, :]
         return out
 
     def expectation(self, psi: np.ndarray) -> float:
@@ -56,9 +69,12 @@ class DenseHamiltonian:
 def occupations(psi: np.ndarray) -> np.ndarray:
     """Per-site <n_k> from the 2^N amplitudes psi."""
     prob = np.abs(psi) ** 2
-    idx = np.arange(len(prob), dtype=np.int64)
     n_sites = len(prob).bit_length() - 1
-    return np.array([float(prob[((idx >> k) & 1) == 1].sum()) for k in range(n_sites)])
+    # the copy keeps the amplitudes with bit k set in index order, so the
+    # pairwise sum adds them exactly as a boolean-mask selection would
+    return np.array(
+        [prob.reshape(-1, 2, 1 << k)[:, 1, :].ravel().sum() for k in range(n_sites)]
+    )
 
 
 def evolve_exact(
@@ -72,10 +88,12 @@ def evolve_exact(
 
     Each step applies exp(-i H dt) through an adaptive Lanczos expansion (at
     most 40 vectors, tolerance 1e-12); the per-site occupation map and <H>
-    are recorded after every step.
+    are recorded after every step.  The trajectory's ``lanczos_converged``
+    is false when any step's expansion stopped at 40 vectors unconverged.
 
     Raises:
         TooLargeForOracle: when N exceeds ``N_MAX_DENSE``.
+        InvalidConfig: when t is not a whole number of steps dt.
     """
     n = lattice.n_sites
     if n > N_MAX_DENSE:
@@ -84,13 +102,15 @@ def evolve_exact(
         raise ValueError("evolution time must be non-negative")
 
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
-    n_steps = int(round(t / dt)) if t > 0 else 0
+    n_steps = step_count(t, dt)
     traj = Trajectory(lattice)
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
     for step in range(n_steps + 1):
         if step > 0:
-            psi = expm_lanczos(ham.apply, psi, -1j * dt, k_max=40, tol=1e-12).vector
+            solve = expm_lanczos(ham.apply, psi, -1j * dt, k_max=40, tol=1e-12)
+            psi = solve.vector
+            traj.lanczos_converged &= solve.converged
         traj.maps.append(
             ObservableMap.from_site_values(lattice, occupations(psi), label="n", time=step * dt)
         )

@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
-fixed-step RK4 integration, a minimal-distance move assignment, direct
-binomial tail summation, and a defect-free Monte Carlo that plans every load.
+the dense drive as one flipped copy of the state per site, fixed-step RK4
+integration, a minimal-distance move assignment, direct binomial tail
+summation, and a defect-free Monte Carlo that plans every load.
 """
 
 from __future__ import annotations
@@ -39,6 +40,18 @@ def dense_hamiltonian(params, v: np.ndarray) -> np.ndarray:
             if v[i, j] != 0.0:
                 h += v[i, j] * (embed(NUMBER_OP, i, n) @ embed(NUMBER_OP, j, n))
     return h
+
+
+def flip_apply(diagonal: np.ndarray, omega: float, psi: np.ndarray) -> np.ndarray:
+    """diagonal * psi + (Omega/2) sum_k psi[index ^ 2^k], one flipped copy of
+    psi per site, adding the sites in order k = 0 ... N-1."""
+    n = len(psi).bit_length() - 1
+    out = diagonal * psi
+    tensor = psi.reshape((2,) * n)
+    for site in range(n):
+        axis = n - 1 - site  # bit k of the index is axis N-1-k
+        out += (0.5 * omega) * np.flip(tensor, axis=axis).reshape(-1)
+    return out
 
 
 def mpo_dense_matrix(mpo) -> np.ndarray:

@@ -135,6 +135,15 @@ class TestSimulate:
         run = json.loads((out / "verdict.json").read_text())["run"]
         assert run["lanczos_converged"] is False
 
+    @pytest.mark.parametrize("t_pulse, dt, converged", [("40ns", "1ns", True),
+                                                        ("2000ns", "1000ns", False)])
+    def test_exact_reports_lanczos_convergence(self, runner, tmp_path, t_pulse, dt, converged):
+        out = tmp_path / "run"
+        args = ["simulate", "exact", "--size", "3x3", "--t-pulse", t_pulse, "--dt", dt]
+        invoke(runner, args + ["--out", str(out), "--json"])
+        run = json.loads((out / "verdict.json").read_text())["run"]
+        assert run["lanczos_converged"] is converged
+
     @pytest.mark.parametrize("key, named", [("max_chi", "chi=0"), ("k_max", "k=0")])
     def test_tdvp_cap_below_one_fails_before_run(self, runner, tmp_path, monkeypatch, key, named):
         def forbidden(*args, **kwargs):
@@ -245,6 +254,12 @@ class TestConfigHandling:
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000",
              "--gpu-power-kw", "-1"],
             ["estimate", "qpu", "--qpu-power-kw", "-3"],
+            ["simulate", "exact", "--size", "2x2", "--t-pulse", "3.5ns", "--dt", "1ns",
+             "--out", "{out}"],
+            ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "2.5ns", "--dt", "1ns",
+             "--out", "{out}"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
+             "--t-pulse", "0.4ns", "--dt", "1ns"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quench_bench import model
-from quench_bench.errors import CutoffTooSmall, InvalidLattice
+from quench_bench.errors import CutoffTooSmall, InvalidConfig, InvalidLattice
 from quench_bench.units import TWO_PI, mhz_to_angular, parse_duration
 
 import reference
@@ -137,6 +137,19 @@ class TestInteractions:
         perm = [lat.site_of(col, lat.ly - 1 - row) for row, col in map(lat.rowcol_of, range(9))]
         permuted = v.v[np.ix_(perm, perm)]
         assert np.allclose(permuted, v.v, rtol=1e-12, atol=0)
+
+
+class TestStepCount:
+    @pytest.mark.parametrize(
+        "t_ns, dt_ns, steps", [(0.0, 1.0, 0), (40.0, 1.0, 40), (4000.0, 1.0, 4000), (0.3, 0.1, 3)]
+    )
+    def test_whole_steps(self, t_ns, dt_ns, steps):
+        assert model.step_count(t_ns * 1e-9, dt_ns * 1e-9) == steps
+
+    @pytest.mark.parametrize("t_ns", [3.5, 2.5, 0.4, 40.001])
+    def test_partial_step_names_both_values(self, t_ns):
+        with pytest.raises(InvalidConfig, match=f"t_pulse = {t_ns} ns .* dt = 1 ns"):
+            model.step_count(t_ns * 1e-9, 1e-9)
 
 
 class TestObservableMap:

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from quench_bench import model, oracle
@@ -66,6 +70,31 @@ class TestAgainstIndependentIntegrators:
         ref_n = reference.occupations_from_state(psi, 9)
         got = np.array([traj.maps[-1].values[r, c] for r, c in map(lat.rowcol_of, range(9))])
         assert np.abs(got - ref_n).max() < 1e-6
+
+
+class TestKernels:
+    @given(
+        n=st.integers(1, 9),
+        omega=st.floats(-1e3, 1e3),
+        delta=st.floats(-1e3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_apply_and_occupations(self, n, omega, delta, seed):
+        rng = np.random.default_rng(seed)
+        v = np.triu(rng.standard_normal((n, n)), 1)
+        v = v + v.T  # zero diagonal, as for every interaction matrix
+        psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        ham = oracle.DenseHamiltonian(n, v, omega, delta)
+        got = ham.apply(psi)
+
+        h = reference.dense_hamiltonian(SimpleNamespace(omega=omega, delta=delta), v)
+        scale = np.abs(h).sum(axis=1).max() * np.abs(psi).max()
+        assert np.abs(got - h @ psi).max() <= 1e-12 * scale
+        assert np.array_equal(got, reference.flip_apply(ham.diagonal, omega, psi))
+        assert np.array_equal(
+            oracle.occupations(psi), reference.occupations_from_state(psi, n)
+        )
 
 
 class TestConservation:
