@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import nbinom
-
 from .errors import InvalidConfig, InvalidPrecision, Unsatisfiable
 from .register import DefectProbabilities, defect_free_analytic, expected_counts
 from .units import watt_seconds_to_kwh
@@ -72,6 +70,8 @@ def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
         raise ValueError(f"p_df = {p_df} outside (0, 1]")
     if m == 0:
         return 0
+    from scipy.stats import nbinom  # ~1 s to import; only this function needs it
+
     if nbinom.cdf(MAX_ATTEMPTS - m, m, p_df) < confidence:
         raise Unsatisfiable(
             f"{m} usable shots at p_df = {p_df:.3g} need more than 2^53 attempts"

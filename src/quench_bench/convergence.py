@@ -117,7 +117,8 @@ def evaluate_run(
     r2_integrated: float | None = None,
 ) -> ConvergenceVerdict:
     """Verdict for a finished run: drift over the trajectory, symmetry error
-    of the final observable map, optional external R^2 gate."""
+    of the final observable map, optional external R^2 gate.  A run in which
+    any Lanczos solve did not converge never passes."""
     e_scale = energy_scale(result.lattice, params)
     if e_scale > 0:
         drift = energy_drift(result.energies, e_scale)
@@ -126,7 +127,7 @@ def evaluate_run(
         energies = np.asarray(result.energies, dtype=float)
         drift = 0.0 if np.all(energies == energies[0]) else float("inf")
     sym = d8_error(result.maps[-1])
-    passed = drift < ENERGY_DRIFT_GATE and sym < D8_ERROR_GATE
+    passed = drift < ENERGY_DRIFT_GATE and sym < D8_ERROR_GATE and result.lanczos_converged
     if r2_integrated is not None:
         passed = passed and r2_integrated <= R2_GATE
     return ConvergenceVerdict(

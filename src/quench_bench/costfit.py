@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InvalidConfig, UnderdeterminedFit
 from .model import step_count
@@ -122,6 +121,8 @@ class CrossoverResult:
 
 
 def _nnls_fit(samples, basis_fn):
+    from scipy.optimize import nnls  # imported here to keep the CLI's start-up short
+
     times = np.array([s.seconds_per_step for s in samples], dtype=float)
     design = np.array([basis_fn(s) for s in samples], dtype=float)
     active = ~np.all(design == 0.0, axis=0)

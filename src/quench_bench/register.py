@@ -30,6 +30,10 @@ from .errors import InvalidConfig, InvalidCounts, NotEnoughAtoms
 #: infeasible afterwards count as defective.
 MAX_RELOADS = 25
 
+#: The Monte Carlo draws its trials in blocks of this many, one generator per
+#: block.  Changing it changes every Monte Carlo value.
+BLOCK = 256
+
 
 @dataclass(frozen=True)
 class TrapLayout:
@@ -110,20 +114,18 @@ def make_layout(n_register: int, n_traps: int | None = None) -> TrapLayout:
     return TrapLayout(trap_positions=coords, register_mask=mask)
 
 
-def load_stochastic(
-    layout: TrapLayout, fill_p: float = 0.5, rng_seed=0
-) -> np.ndarray:
-    """Independent Bernoulli(fill_p) occupancy per trap, seed-deterministic."""
-    if not 0.0 <= fill_p <= 1.0:
-        raise InvalidConfig(f"fill_p = {fill_p} outside [0, 1]")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return rng.random(layout.n_traps) < fill_p
-
-
 def trap_distances(layout: TrapLayout) -> np.ndarray:
     """Full trap-to-trap Euclidean distance matrix (um)."""
     pos = layout.trap_positions
     return np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=2)
+
+
+def _load_counts(register_mask: np.ndarray, occupancy: np.ndarray):
+    """(n_empty, n_surplus) of each row of a (rows, n_traps) occupancy matrix:
+    the empty register sites and the atoms loaded outside the register."""
+    n_empty = np.count_nonzero(register_mask & ~occupancy, axis=1)
+    n_surplus = np.count_nonzero(~register_mask & occupancy, axis=1)
+    return n_empty, n_surplus
 
 
 def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, int]:
@@ -137,8 +139,8 @@ def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, i
         NotEnoughAtoms: fewer surplus atoms than empty register sites.
     """
     occupancy = np.asarray(occupancy, dtype=bool)
-    n_empty = int(np.count_nonzero(layout.register_mask & ~occupancy))
-    n_surplus = int(np.count_nonzero(~layout.register_mask & occupancy))
+    (n_empty,), (n_surplus,) = _load_counts(layout.register_mask, occupancy[None])
+    n_empty, n_surplus = int(n_empty), int(n_surplus)
     if n_surplus < n_empty:
         raise NotEnoughAtoms(
             f"{n_surplus} surplus atoms cannot fill {n_empty} empty register sites"
@@ -186,6 +188,46 @@ def expected_counts(n_register: int) -> dict:
     }
 
 
+def _draw_loads(rng, register_mask: np.ndarray, rows: int, fill_p: float):
+    """Load ``rows`` trials, reloading the rows that cannot fill the register.
+
+    Returns (feasible, n_transf, n_surplus) per row; a row still infeasible
+    after ``MAX_RELOADS`` reloads is not feasible and has zero counts.
+    """
+    feasible = np.zeros(rows, dtype=bool)
+    n_transf = np.zeros(rows, dtype=np.int64)
+    n_surplus = np.zeros(rows, dtype=np.int64)
+    pending = np.arange(rows)
+    for _ in range(MAX_RELOADS + 1):
+        occupancy = rng.random((len(pending), len(register_mask))) < fill_p
+        n_empty, n_out = _load_counts(register_mask, occupancy)
+        ok = n_out >= n_empty
+        done = pending[ok]
+        feasible[done] = True
+        n_transf[done] = n_empty[ok]
+        n_surplus[done] = n_out[ok]
+        pending = pending[~ok]
+        if not len(pending):
+            break
+    return feasible, n_transf, n_surplus
+
+
+def _no_failure(u, n_transf, n_surplus, n_traps: int, probs: DefectProbabilities):
+    """Rows of the failure matrix ``u`` in which every event succeeded (the
+    column layout is given in ``simulate_defect_free``)."""
+    traps, register_atoms = u[:, :n_traps], u[:, n_traps:]
+    col = np.arange(n_traps)
+    failed = np.where(
+        col < n_transf[:, None],
+        traps >= probs.p_transf,
+        np.where(col < n_surplus[:, None], traps >= probs.p_pickup, traps < probs.p_acci),
+    )
+    n_register = register_atoms.shape[1]
+    unmoved = np.arange(n_register) < (n_register - n_transf)[:, None]
+    lost = unmoved & (register_atoms < probs.p_loss)
+    return ~(failed.any(axis=1) | lost.any(axis=1))
+
+
 def simulate_defect_free(
     layout: TrapLayout,
     probs: DefectProbabilities,
@@ -197,59 +239,53 @@ def simulate_defect_free(
 
     Each trial draws a load (redrawing up to ``MAX_RELOADS`` times when the
     register cannot be filled, as the hardware would reload), takes the event
-    counts of that load from ``event_counts``, then applies the four failure
-    channels as independent Bernoulli events.  A trial is defect-free iff
-    every transfer and dump succeeded, no idle trap loaded accidentally, and
-    no unmoved register atom was lost.  Trials that stay infeasible after all
-    redraws count as defective.
+    counts of that load by the rule of ``event_counts``, then applies the four
+    failure channels as independent Bernoulli events.  A trial is defect-free
+    iff every transfer and dump succeeded, no idle trap loaded accidentally,
+    and no unmoved register atom was lost.  Trials that stay infeasible after
+    all redraws count as defective.
 
-    Per-trial RNG streams are derived from (rng_seed, trial index), so results
-    are bit-reproducible regardless of execution order.
+    Trials run in blocks of ``BLOCK``; block j (trials BLOCK*j onwards, the
+    last block may be shorter) draws from ``default_rng([rng_seed, j])``, so
+    a result is reproducible for a fixed seed and trial count.  A block
+    draws, for each round of at most ``MAX_RELOADS + 1``, one
+    ``(pending rows, N_traps)`` uniform matrix compared with ``fill_p`` for
+    the rows not yet feasible, then one ``(rows, N_traps + N_register)``
+    failure matrix u.  In row i, columns ``[0, N_transf)`` are transfers
+    (failed if u >= p_transf), ``[N_transf, N_surplus)`` dumps (failed if
+    u >= p_pickup), ``[N_surplus, N_traps)`` idle traps (failed if
+    u < p_acci) and ``[N_traps, N_traps + N_unmoved)`` unmoved register atoms
+    (failed if u < p_loss); the remaining columns are unused.
     """
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
-    n_register = layout.n_register
-    successes = 0
-    infeasible = 0
-    sum_transf = sum_dump = sum_idle = 0.0
-    for trial in range(trials):
-        rng = np.random.default_rng([rng_seed, trial])
-        for _ in range(MAX_RELOADS + 1):
-            try:
-                n_transf, n_dump, n_idle = event_counts(
-                    layout, load_stochastic(layout, fill_p, rng)
-                )
-                break
-            except NotEnoughAtoms:
-                pass
-        else:
-            infeasible += 1
-            continue  # defective shot
-        sum_transf += n_transf
-        sum_dump += n_dump
-        sum_idle += n_idle
-        n_unmoved = n_register - n_transf
-        draws = rng.random(n_transf + n_dump + n_idle + n_unmoved)
-        k = 0
-        ok = bool(np.all(draws[k : k + n_transf] < probs.p_transf))
-        k += n_transf
-        ok = ok and bool(np.all(draws[k : k + n_dump] < probs.p_pickup))
-        k += n_dump
-        ok = ok and bool(np.all(draws[k : k + n_idle] >= probs.p_acci))
-        k += n_idle
-        ok = ok and bool(np.all(draws[k : k + n_unmoved] >= probs.p_loss))
-        if ok:
-            successes += 1
+    if not 0.0 <= fill_p <= 1.0:
+        raise InvalidConfig(f"fill_p = {fill_p} outside [0, 1]")
+    n_traps, n_register = layout.n_traps, layout.n_register
+    successes = n_counted = sum_transf = sum_surplus = 0
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng([rng_seed, block])
+        rows = min(BLOCK, trials - start)
+        feasible, n_transf, n_surplus = _draw_loads(rng, layout.register_mask, rows, fill_p)
+        u = rng.random((rows, n_traps + n_register))
+        ok = feasible & _no_failure(u, n_transf, n_surplus, n_traps, probs)
+        successes += int(np.count_nonzero(ok))
+        n_counted += int(np.count_nonzero(feasible))
+        sum_transf += int(n_transf.sum())
+        sum_surplus += int(n_surplus.sum())
     p_hat = successes / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    n_counted = trials - infeasible
+
+    def mean(total: int) -> float:
+        return total / n_counted if n_counted else float("nan")
+
     counts_mean = {
-        "N_transf": sum_transf / n_counted if n_counted else float("nan"),
-        "N_dump": sum_dump / n_counted if n_counted else float("nan"),
-        "N_idle": sum_idle / n_counted if n_counted else float("nan"),
-        "N_traps": layout.n_traps,
+        "N_transf": mean(sum_transf),
+        "N_dump": mean(sum_surplus - sum_transf),
+        "N_idle": mean(n_counted * n_traps - sum_surplus),
+        "N_traps": n_traps,
         "N_register": n_register,
-        "infeasible_trials": infeasible,
+        "infeasible_trials": trials - n_counted,
     }
     return DefectFreeEstimate(
         p_hat=p_hat, std_err=std_err, trials=trials, counts_mean=counts_mean

@@ -4,7 +4,8 @@ Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
 the dense drive as one flipped copy of the state per site, fixed-step RK4
 integration, a minimal-distance move assignment, direct binomial tail
-summation, and a defect-free Monte Carlo that plans every load.
+summation, a single-load draw, and a defect-free Monte Carlo that plans every
+load.
 """
 
 from __future__ import annotations
@@ -180,47 +181,66 @@ def assign_moves(layout, occupancy):
     return moves, np.delete(outside, cols).tolist()
 
 
-def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_reloads=25):
+def load_stochastic(layout, fill_p=0.5, rng_seed=0):
+    """Independent Bernoulli(fill_p) occupancy per trap, seed-deterministic."""
+    return np.random.default_rng(rng_seed).random(layout.n_traps) < fill_p
+
+
+def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_reloads=25,
+                           block=256):
     """Defect-free Monte Carlo that solves the move assignment of every
     feasible load and reads the event counts back from it.
 
-    Draws the same per-trial streams as ``register.simulate_defect_free``
-    (seeded by (rng_seed, trial)), so the two agree exactly.  Returns
+    Makes the same generator calls in the same order as
+    ``register.simulate_defect_free`` (one generator per block of trials,
+    seeded by (rng_seed, block); per reload round one matrix of loads for the
+    rows still pending; then one failure matrix), but judges every row and
+    every event in plain loops, so the two agree exactly.  Returns
     (p_hat, std_err, counts_mean).
     """
     mask = layout.register_mask
     n_traps, n_register = len(mask), int(mask.sum())
     successes = infeasible = n_counted = 0
     sums = {"N_transf": 0.0, "N_dump": 0.0, "N_idle": 0.0}
-    for trial in range(trials):
-        rng = np.random.default_rng([rng_seed, trial])
-        plan = None
+    for index, start in enumerate(range(0, trials, block)):
+        rng = np.random.default_rng([rng_seed, index])
+        rows = min(block, trials - start)
+        plans = [None] * rows
+        pending = list(range(rows))
         for _ in range(max_reloads + 1):
-            try:
-                moves, dumps = assign_moves(layout, rng.random(n_traps) < fill_p)
-            except NotEnoughAtoms:
+            if not pending:
+                break
+            loads = rng.random((len(pending), n_traps)) < fill_p
+            still_pending = []
+            for row, load in zip(pending, loads):
+                try:
+                    moves, dumps = assign_moves(layout, load)
+                except NotEnoughAtoms:
+                    still_pending.append(row)
+                    continue
+                plans[row] = (len(moves), len(dumps))
+            pending = still_pending
+        failures = rng.random((rows, n_traps + n_register))
+        for plan, draws in zip(plans, failures):
+            if plan is None:
+                infeasible += 1
                 continue
-            plan = (len(moves), len(dumps))
-            break
-        if plan is None:
-            infeasible += 1
-            continue
-        n_transf, n_dump = plan
-        n_idle = n_traps - n_transf - n_dump
-        n_unmoved = n_register - n_transf
-        n_counted += 1
-        sums["N_transf"] += n_transf
-        sums["N_dump"] += n_dump
-        sums["N_idle"] += n_idle
-        draws = rng.random(n_transf + n_dump + n_idle + n_unmoved)
-        groups = np.split(draws, np.cumsum([n_transf, n_dump, n_idle]))
-        if (
-            (groups[0] < probs.p_transf).all()
-            and (groups[1] < probs.p_pickup).all()
-            and (groups[2] >= probs.p_acci).all()
-            and (groups[3] >= probs.p_loss).all()
-        ):
-            successes += 1
+            n_transf, n_dump = plan
+            n_idle = n_traps - n_transf - n_dump
+            n_unmoved = n_register - n_transf
+            n_counted += 1
+            sums["N_transf"] += n_transf
+            sums["N_dump"] += n_dump
+            sums["N_idle"] += n_idle
+            transfers, dumps, idle = np.split(draws[:n_traps], [n_transf, n_transf + n_dump])
+            unmoved = draws[n_traps : n_traps + n_unmoved]
+            if (
+                (transfers < probs.p_transf).all()
+                and (dumps < probs.p_pickup).all()
+                and (idle >= probs.p_acci).all()
+                and (unmoved >= probs.p_loss).all()
+            ):
+                successes += 1
     p_hat = successes / trials
     counts_mean = {k: v / n_counted if n_counted else float("nan") for k, v in sums.items()}
     counts_mean.update(N_traps=n_traps, N_register=n_register, infeasible_trials=infeasible)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,21 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # a fresh interpreter, since this one may have imported them already
+    package_root = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    code = (
+        "import sys, quench_bench.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def write_config(path: Path, text: str) -> str:
@@ -132,8 +150,9 @@ class TestSimulate:
         out = tmp_path / "run"
         args = ["simulate", "tdvp", "--config", config, "--size", "3x3", "--t-pulse", "5ns"]
         invoke(runner, args + ["--out", str(out), "--json"])
-        run = json.loads((out / "verdict.json").read_text())["run"]
-        assert run["lanczos_converged"] is False
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["run"]["lanczos_converged"] is False
+        assert verdict["verdict"]["passed"] is False
 
     @pytest.mark.parametrize("t_pulse, dt, converged", [("40ns", "1ns", True),
                                                         ("2000ns", "1000ns", False)])
@@ -141,8 +160,9 @@ class TestSimulate:
         out = tmp_path / "run"
         args = ["simulate", "exact", "--size", "3x3", "--t-pulse", t_pulse, "--dt", dt]
         invoke(runner, args + ["--out", str(out), "--json"])
-        run = json.loads((out / "verdict.json").read_text())["run"]
-        assert run["lanczos_converged"] is converged
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["run"]["lanczos_converged"] is converged
+        assert verdict["verdict"]["passed"] is converged
 
     @pytest.mark.parametrize("key, named", [("max_chi", "chi=0"), ("k_max", "k=0")])
     def test_tdvp_cap_below_one_fails_before_run(self, runner, tmp_path, monkeypatch, key, named):

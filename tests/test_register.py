@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from quench_bench.errors import InvalidCounts, NotEnoughAtoms
 from quench_bench.register import (
+    BLOCK,
     DefectProbabilities,
     TrapLayout,
     defect_free_analytic,
     event_counts,
     expected_counts,
-    load_stochastic,
     make_layout,
     simulate_defect_free,
 )
@@ -46,23 +46,36 @@ class TestLayout:
 
 
 class TestLoading:
+    """The Monte Carlo's block load, seen through its mean event counts."""
+
     def test_empty_and_full(self):
         layout = make_layout(10)
-        assert not load_stochastic(layout, fill_p=0.0, rng_seed=1).any()
-        assert load_stochastic(layout, fill_p=1.0, rng_seed=1).all()
+        empty = simulate_defect_free(layout, PERFECT, trials=300, rng_seed=1, fill_p=0.0)
+        assert empty.counts_mean["infeasible_trials"] == 300
+        full = simulate_defect_free(layout, PERFECT, trials=300, rng_seed=1, fill_p=1.0)
+        assert full.p_hat == 1.0
+        assert (full.counts_mean["N_transf"], full.counts_mean["N_dump"]) == (0.0, 10.0)
+        assert full.counts_mean["N_idle"] == 10.0
 
     def test_seed_determinism(self):
         layout = make_layout(25)
-        a = load_stochastic(layout, 0.5, rng_seed=42)
-        b = load_stochastic(layout, 0.5, rng_seed=42)
-        assert np.array_equal(a, b)
+        a = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42)
+        b = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42)
+        c = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=43)
+        assert (a.p_hat, a.counts_mean) == (b.p_hat, b.counts_mean)
+        assert a.counts_mean != c.counts_mean
 
     def test_binomial_band(self):
-        layout = make_layout(100, 200)
-        rng = np.random.default_rng(7)
-        fills = [load_stochastic(layout, 0.5, rng).sum() for _ in range(2000)]
-        sigma = np.sqrt(200 * 0.25)
-        assert abs(np.mean(fills) - 100.0) < 3 * sigma / np.sqrt(2000)
+        # at 50 atoms in 200 traps no load is infeasible, so the counts are
+        # those of unconditioned Bernoulli(1/2) loads
+        layout = make_layout(50, 200)
+        trials = 2000
+        est = simulate_defect_free(layout, PERFECT, trials=trials, rng_seed=7)
+        assert est.counts_mean["infeasible_trials"] == 0
+        empty_sigma = np.sqrt(50 * 0.25 / trials)
+        surplus_sigma = np.sqrt(150 * 0.25 / trials)
+        assert abs(est.counts_mean["N_transf"] - 25.0) < 3 * empty_sigma
+        assert abs(est.counts_mean["N_idle"] - 125.0) < 3 * surplus_sigma
 
 
 class TestPlanning:
@@ -77,7 +90,7 @@ class TestPlanning:
 
     def test_counts_identity(self):
         layout = make_layout(12, 30)
-        occupancy = load_stochastic(layout, 0.5, rng_seed=3)
+        occupancy = reference.load_stochastic(layout, 0.5, rng_seed=3)
         try:
             n_transf, n_dump, n_idle = event_counts(layout, occupancy)
         except NotEnoughAtoms:
@@ -196,9 +209,10 @@ class TestMonteCarlo:
 
     def test_infeasible_fill_counts_as_defective(self):
         layout = make_layout(10, 20)
-        est = simulate_defect_free(layout, PERFECT, trials=50, rng_seed=2, fill_p=0.0)
+        trials = 2 * BLOCK + 88  # three blocks, the last one short
+        est = simulate_defect_free(layout, PERFECT, trials=trials, rng_seed=2, fill_p=0.0)
         assert est.p_hat == 0.0
-        assert est.counts_mean["infeasible_trials"] == 50
+        assert est.counts_mean["infeasible_trials"] == trials
 
     @pytest.mark.parametrize(
         "n_register, n_traps, trials, seed, fill_p",
@@ -207,6 +221,12 @@ class TestMonteCarlo:
             (100, 200, 400, 0, 0.5),
             (40, 80, 300, 3, 0.35),
             (10, 20, 30, 2, 0.0),  # every load infeasible
+            # block edges
+            (12, 30, 1, 5, 0.5),
+            (12, 30, 255, 5, 0.5),
+            (12, 30, 256, 5, 0.5),
+            (12, 30, 257, 5, 0.5),
+            (30, 60, 600, 8, 0.45),
         ],
     )
     def test_matches_planned_reference(self, n_register, n_traps, trials, seed, fill_p):
@@ -217,6 +237,23 @@ class TestMonteCarlo:
         )
         assert (est.p_hat, est.std_err) == (p_hat, std_err)
         np.testing.assert_equal(est.counts_mean, counts_mean)  # exact, NaN == NaN
+
+    @given(
+        n_register=st.integers(1, 20),
+        extra_traps=st.integers(0, 20),
+        fill_p=st.floats(0.0, 1.0),
+        trials=st.integers(1, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_stream_matches_reference(self, n_register, extra_traps, fill_p, trials, seed):
+        layout = make_layout(n_register, 2 * n_register + extra_traps)
+        est = simulate_defect_free(layout, PAPER_PROBS, trials, rng_seed=seed, fill_p=fill_p)
+        p_hat, std_err, counts_mean = reference.planned_defect_free_mc(
+            layout, PAPER_PROBS, trials, rng_seed=seed, fill_p=fill_p
+        )
+        assert (est.p_hat, est.std_err) == (p_hat, std_err)
+        np.testing.assert_equal(est.counts_mean, counts_mean)
 
     def test_never_solves_an_assignment(self, monkeypatch):
         def forbidden(*args, **kwargs):
