@@ -43,11 +43,12 @@ class QpuSchedule:
 
 
 def shots_for_precision(p: float, alpha: float) -> int:
-    """ceil(16 p (1-p) / alpha^2); zero at p in {0, 1} (no variance)."""
+    """ceil(16 p (1-p) / alpha^2) for a finite alpha > 0; zero at p in {0, 1}
+    (no variance)."""
     if not 0.0 <= p <= 1.0:
         raise InvalidConfig(f"p = {p} outside [0, 1]")
-    if not alpha > 0.0:
-        raise InvalidPrecision(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise InvalidPrecision(f"alpha must be positive and finite, got {alpha}")
     return math.ceil(16.0 * p * (1.0 - p) / alpha**2)
 
 
@@ -94,8 +95,8 @@ def qpu_schedule(
     """
     if n_register < 1:
         raise InvalidConfig(f"register needs at least one site, got {n_register}")
-    if not shot_rate > 0:
-        raise InvalidConfig(f"shot_rate must be positive, got {shot_rate}")
+    if not 0 < shot_rate < math.inf:
+        raise InvalidConfig(f"shot_rate must be positive and finite, got {shot_rate}")
     counts = expected_counts(n_register)
     p_df = defect_free_analytic(counts, probs)
     m = shots_for_precision(0.5, alpha)

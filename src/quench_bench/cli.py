@@ -249,6 +249,12 @@ def _probs_from_config(config) -> register.DefectProbabilities:
     )
 
 
+def _fit_mps_csv(samples_path) -> tuple[list[costfit.RuntimeSample], costfit.CostModelMPS]:
+    """The MPS rows of a timing CSV and the cost law fitted to them."""
+    samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
+    return samples, costfit.fit_mps(samples)
+
+
 def _qpu_schedule(config, n_register: int) -> budget_mod.QpuSchedule:
     b = config["budget"]
     return budget_mod.qpu_schedule(
@@ -341,8 +347,7 @@ def estimate_classical(
         power_watts = gpu_power_kw * 1e3
     else:
         power_watts = costfit.DEFAULT_GPU_POWER_WATTS
-    samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
-    model = costfit.fit_mps(samples)
+    _, model = _fit_mps_csv(samples_path)
     report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
     payload = {"report": report.as_dict(), "fit": model.as_dict()}
     if as_json:
@@ -383,8 +388,7 @@ def estimate_crossover(
     power_watts = (
         gpu_power_kw * 1e3 if gpu_power_kw is not None else costfit.DEFAULT_GPU_POWER_WATTS
     )
-    samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
-    model = costfit.fit_mps(samples)
+    _, model = _fit_mps_csv(samples_path)
 
     def classical_fn(n):
         return costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
@@ -474,8 +478,7 @@ def fit() -> None:
 @click.option("--json", "as_json", is_flag=True, default=False)
 @handles_errors
 def fit_mps_cmd(samples_path, as_json) -> None:
-    samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "MPS"]
-    model = costfit.fit_mps(samples)
+    samples, model = _fit_mps_csv(samples_path)
     payload = {**model.as_dict(), "n_samples": len(samples)}
     click.echo(dump_json(payload), nl=False)
 

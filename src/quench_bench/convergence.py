@@ -13,13 +13,13 @@ range (max - min), which makes the 40% threshold scale-free.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidScale, MemoryBudgetExceeded
 from .model import LatticeSpec, ObservableMap, QuenchParams, Trajectory
-from .mps import run_quench
 
 ENERGY_DRIFT_GATE = 0.05
 D8_ERROR_GATE = 0.40
@@ -64,6 +64,16 @@ class ConvergenceVerdict:
 
 @dataclass(frozen=True)
 class ChiSearchResult:
+    """Outcome of ``min_converged_chi``.
+
+    ``chi_min`` is the first grid chi whose run passed (None if none did) and
+    ``run_seconds`` that run's ``wall_seconds_total``.  ``verdicts`` maps each
+    chi whose run was judged to its verdict; a chi whose run raised
+    MemoryBudgetExceeded has none.  ``cause`` is None on success, else
+    "MemoryBudgetExceeded" when every run was refused and "NoChiPassed"
+    otherwise.
+    """
+
     chi_min: int | None
     run_seconds: float | None
     verdicts: dict  # chi -> ConvergenceVerdict
@@ -140,38 +150,28 @@ def evaluate_run(
 
 
 def min_converged_chi(
-    lattice: LatticeSpec,
     params: QuenchParams,
-    t_pulse: float,
     chi_grid: list[int],
-    *,
-    dt: float | None = None,
-    memory_budget_bytes: float | None = None,
+    run: Callable[[int], Trajectory],
 ) -> ChiSearchResult:
     """Smallest grid chi whose run passes the convergence verdict.
 
-    Candidates run one at a time in increasing order with early stop.
-    Returns an unconverged result when every candidate fails or the memory
-    budget excludes the whole grid.
+    Calls ``run(chi)`` for each grid chi in increasing order and judges the
+    trajectory it returns; no chi after the first that passes is run.  The
+    memory-budget check belongs to ``run``: a chi whose run raises
+    MemoryBudgetExceeded is skipped.  Returns an unconverged result when every
+    candidate fails or is refused.
     """
     if not chi_grid:
         raise ValueError("empty chi grid")
     if sorted(chi_grid) != list(chi_grid):
         raise ValueError("chi grid must be increasing")
-    dt = params.dt if dt is None else dt
     verdicts: dict[int, ConvergenceVerdict] = {}
     budget_blocked = 0
 
     for chi in chi_grid:
         try:
-            result = run_quench(
-                lattice,
-                params,
-                t_pulse,
-                dt,
-                max_chi=chi,
-                memory_budget_bytes=memory_budget_bytes,
-            )
+            result = run(chi)
         except MemoryBudgetExceeded:
             budget_blocked += 1
             continue

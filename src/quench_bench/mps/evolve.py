@@ -15,6 +15,7 @@ observable and energy measurements happen outside the timed section.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -316,10 +317,14 @@ def run_quench(
     """Evolve |00...0> for t_pulse, recording observables and step timings.
 
     Refuses to start when the Appendix-style memory estimate for (N, max_chi)
-    exceeds ``memory_budget_bytes``.
+    exceeds ``memory_budget_bytes``, which must be a finite number >= 0.
     """
     n = lattice.n_sites
     if memory_budget_bytes is not None:
+        if not 0.0 <= memory_budget_bytes < math.inf:
+            raise InvalidConfig(
+                f"memory budget must be a finite number >= 0, got {memory_budget_bytes} B"
+            )
         estimate = memory_estimate(n, max_chi, k=k_max)
         if estimate.total > memory_budget_bytes:
             raise MemoryBudgetExceeded(

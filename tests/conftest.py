@@ -30,18 +30,39 @@ def oracle_3x3_400ns(setup_3x3):
     return oracle.evolve_exact(lattice, params, v, t=400e-9, dt=1e-9)
 
 
+class QuenchRuns(dict):
+    """TDVP runs (dt = 1 ns) of one quench from |0...0>, made on first use and
+    keyed by the bond cap that can bind.
+
+    No bond of an N-site MPS exceeds 2^(N//2), so a larger cap gives the run
+    at that bound bit for bit (``test_cap_above_bond_bound_changes_nothing``
+    checks this) and is served from it.
+    """
+
+    def __init__(self, lattice, params, t_pulse):
+        super().__init__()
+        self.lattice, self.params, self.t_pulse = lattice, params, t_pulse
+        self.bond_bound = 2 ** (lattice.n_sites // 2)
+
+    def at(self, chi):
+        key = min(chi, self.bond_bound)
+        if key not in self:
+            self[key] = run_quench(self.lattice, self.params, self.t_pulse, 1e-9, max_chi=key)
+        return self[key]
+
+
 @pytest.fixture(scope="session")
 def tdvp_3x3_400ns(setup_3x3):
-    """TDVP runs of the canonical 3x3 quench at several bond-dimension caps."""
+    """TDVP runs of the canonical 3x3 quench at 400 ns, by bond-dimension cap."""
     lattice, params, _ = setup_3x3
+    return QuenchRuns(lattice, params, 400e-9)
 
-    class Runs(dict):
-        def at(self, chi):
-            if chi not in self:
-                self[chi] = run_quench(lattice, params, 400e-9, 1e-9, max_chi=chi)
-            return self[chi]
 
-    return Runs()
+@pytest.fixture(scope="session")
+def tdvp_3x3_100ns(setup_3x3):
+    """TDVP runs of the canonical 3x3 quench at 100 ns, by bond-dimension cap."""
+    lattice, params, _ = setup_3x3
+    return QuenchRuns(lattice, params, 100e-9)
 
 
 @pytest.fixture(scope="session")

@@ -239,11 +239,11 @@ def test_c9_crossover_at_table_scale(timing_samples):
 
 
 def test_c10_convergence_gate_behavior(setup_3x3, tdvp_3x3_400ns):
-    lattice, params, _ = setup_3x3
+    _, params, _ = setup_3x3
     starved = evaluate_run(tdvp_3x3_400ns.at(2), params)
     converged = evaluate_run(tdvp_3x3_400ns.at(64), params)
     grid = [2, 4, 8, 16, 32]
-    search = min_converged_chi(lattice, params, 400e-9, chi_grid=grid, dt=1e-9)
+    search = min_converged_chi(params, grid, tdvp_3x3_400ns.at)
     position = grid.index(search.chi_min) if search.converged else -1
     ok = (not starved.passed) and converged.passed and position > 0
     report(

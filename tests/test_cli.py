@@ -280,6 +280,11 @@ class TestConfigHandling:
              "--out", "{out}"],
             ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
              "--t-pulse", "0.4ns", "--dt", "1ns"],
+            ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--memory-budget-gb", "nan",
+             "--out", "{out}"],
+            ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--memory-budget-gb", "-1",
+             "--out", "{out}"],
+            ["estimate", "qpu", "--register", "15x15", "--shot-rate", "inf"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -312,6 +317,13 @@ class TestConfigHandling:
 
     def test_nan_alpha_rejected(self, runner):
         result = runner.invoke(main, ["estimate", "qpu", "--alpha", "nan", "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+
+    def test_infinite_alpha_rejected(self, runner):
+        result = runner.invoke(
+            main, ["estimate", "qpu", "--register", "15x15", "--alpha", "inf", "--json"]
+        )
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
 

@@ -13,7 +13,8 @@ from quench_bench.convergence import (
     evaluate_run,
     min_converged_chi,
 )
-from quench_bench.errors import InvalidScale
+from quench_bench.errors import InvalidScale, MemoryBudgetExceeded
+from quench_bench.mps import run_quench
 
 from conftest import paper_setup
 
@@ -126,6 +127,28 @@ class TestVerdict:
             assert key in payload
 
 
+class FakeRuns:
+    """Stand-in for ``run(chi)`` that needs no TDVP: it records every chi it is
+    asked for, raises MemoryBudgetExceeded for the chis in ``refused`` and
+    otherwise returns a flat-map trajectory whose energy drifts by a full
+    E_scale below ``passes_from`` and not at all from it on."""
+
+    def __init__(self, passes_from=None, refused=()):
+        self.lattice, self.params, _ = paper_setup(2, 2)
+        self.passes_from = passes_from
+        self.refused = set(refused)
+        self.calls = []
+
+    def __call__(self, chi):
+        self.calls.append(chi)
+        if chi in self.refused:
+            raise MemoryBudgetExceeded(f"chi={chi} refused")
+        passes = self.passes_from is not None and chi >= self.passes_from
+        drift = 0.0 if passes else energy_scale(self.lattice, self.params)
+        flat = model.ObservableMap(np.zeros((2, 2)), label="n")
+        return model.Trajectory(self.lattice, maps=[flat, flat], energies=[0.0, drift])
+
+
 class TestMinConvergedChi:
     def test_omega_zero_takes_first_grid_value(self):
         lat, params, _ = paper_setup(2, 2)
@@ -137,45 +160,81 @@ class TestMinConvergedChi:
             spacing=params.spacing,
             j_scale=params.j_scale,
         )
-        result = min_converged_chi(lat, frozen, t_pulse=20e-9, chi_grid=[2, 4, 8], dt=1e-9)
+        result = min_converged_chi(
+            frozen, [2, 4, 8], lambda chi: run_quench(lat, frozen, 20e-9, 1e-9, max_chi=chi)
+        )
         assert result.converged
         assert result.chi_min == 2
 
     def test_memory_budget_blocks_whole_grid(self, setup_3x3):
         lat, params, _ = setup_3x3
         result = min_converged_chi(
-            lat, params, 10e-9, chi_grid=[8, 16], dt=1e-9, memory_budget_bytes=1e3
+            params,
+            [8, 16],
+            lambda chi: run_quench(lat, params, 10e-9, 1e-9, max_chi=chi, memory_budget_bytes=1e3),
         )
         assert not result.converged
         assert result.cause == "MemoryBudgetExceeded"
 
-    def test_grid_search_matches_oracle_error_threshold(self, setup_3x3, oracle_3x3_400ns):
+    def test_grid_search_matches_oracle_error_threshold(
+        self, setup_3x3, oracle_3x3_400ns, tdvp_3x3_400ns
+    ):
         """The gate-based search lands on the same chi as a 1e-2 accuracy
         cut against the exact oracle (grid {2, 4, 8, 16, 32}, 400 ns)."""
-        lat, params, _ = setup_3x3
-        from quench_bench.mps import run_quench
-
-        result = min_converged_chi(lat, params, 400e-9, chi_grid=[2, 4, 8, 16, 32], dt=1e-9)
+        _, params, _ = setup_3x3
+        result = min_converged_chi(params, [2, 4, 8, 16, 32], tdvp_3x3_400ns.at)
         assert result.converged
         assert result.run_seconds > 0
         ref = oracle_3x3_400ns.maps[-1].values
         chi_accurate = None
         for chi in (2, 4, 8, 16, 32):
-            run = run_quench(lat, params, 400e-9, 1e-9, max_chi=chi)
+            run = tdvp_3x3_400ns.at(chi)
             if np.abs(run.maps[-1].values - ref).max() <= 1e-2:
                 chi_accurate = chi
                 break
         assert result.chi_min == chi_accurate
 
-    def test_shorter_pulse_never_needs_more_chi(self, setup_3x3):
-        lat, params, _ = setup_3x3
+    def test_shorter_pulse_never_needs_more_chi(self, setup_3x3, tdvp_3x3_400ns, tdvp_3x3_100ns):
+        _, params, _ = setup_3x3
         grid = [2, 4, 8, 16, 32]
-        full = min_converged_chi(lat, params, 400e-9, chi_grid=grid, dt=1e-9)
-        short = min_converged_chi(lat, params, 100e-9, chi_grid=grid, dt=1e-9)
+        full = min_converged_chi(params, grid, tdvp_3x3_400ns.at)
+        short = min_converged_chi(params, grid, tdvp_3x3_100ns.at)
         assert short.converged and full.converged
         assert short.chi_min <= full.chi_min
 
-    def test_empty_grid_rejected(self, setup_3x3):
-        lat, params, _ = setup_3x3
+    def test_no_run_after_first_passing_chi(self):
+        run = FakeRuns(passes_from=4)
+        result = min_converged_chi(run.params, [2, 4, 8, 16], run)
+        assert run.calls == [2, 4]
+        assert result.chi_min == 4
+        assert sorted(result.verdicts) == [2, 4]
+        assert not result.verdicts[2].passed and result.verdicts[4].passed
+        assert result.cause is None
+
+    def test_partly_refused_grid_is_no_chi_passed(self):
+        run = FakeRuns(refused=(2, 4))
+        result = min_converged_chi(run.params, [2, 4, 8], run)
+        assert run.calls == [2, 4, 8]
+        assert not result.converged and result.run_seconds is None
+        assert sorted(result.verdicts) == [8]
+        assert result.cause == "NoChiPassed"
+
+    def test_fully_refused_grid_is_memory_budget_exceeded(self):
+        run = FakeRuns(passes_from=2, refused=(2, 4, 8))
+        result = min_converged_chi(run.params, [2, 4, 8], run)
+        assert run.calls == [2, 4, 8]
+        assert not result.converged and result.verdicts == {}
+        assert result.cause == "MemoryBudgetExceeded"
+
+    def test_empty_grid_rejected(self):
+        run = FakeRuns()
         with pytest.raises(ValueError):
-            min_converged_chi(lat, params, 1e-9, chi_grid=[])
+            min_converged_chi(run.params, [], run)
+        assert run.calls == []
+
+    @pytest.mark.parametrize("grid", [[4, 2], [2, 8, 4]])
+    def test_non_increasing_grid_rejected(self, grid):
+        run = FakeRuns()
+        with pytest.raises(ValueError, match="increasing"):
+            min_converged_chi(run.params, grid, run)
+        assert run.calls == []

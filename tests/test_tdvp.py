@@ -74,12 +74,12 @@ class TestTwoSiteExactness:
 
 
 class TestAgainstOracle:
-    def test_3x3_100_steps(self, setup_3x3):
+    def test_3x3_100_steps(self, setup_3x3, tdvp_3x3_100ns):
         from quench_bench import oracle
 
         lat, params, v = setup_3x3
         traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
-        result = run_quench(lat, params, t_pulse=100e-9, dt=1e-9, max_chi=64)
+        result = tdvp_3x3_100ns.at(64)
         err = np.abs(result.maps[-1].values - traj.maps[-1].values).max()
         assert err <= 1e-3
 
@@ -349,3 +349,15 @@ class TestBenchmark:
         lat, params, _ = setup_3x3
         records = benchmark_steps(lat, params, chi=64, n_steps=1, warmup=0)
         assert records[0].max_chi_used == 16  # 9-site MPS saturates at 2^4
+
+    def test_cap_above_bond_bound_changes_nothing(self, setup_3x3):
+        """The quench caches in conftest serve every cap above 2^(N//2) from
+        the run at that bound; this holds only if the runs are bit-identical."""
+        lat, params, _ = setup_3x3
+        at_bound = run_quench(lat, params, t_pulse=40e-9, dt=1e-9, max_chi=16)
+        above = run_quench(lat, params, t_pulse=40e-9, dt=1e-9, max_chi=64)
+        assert max(r.max_chi_used for r in at_bound.records) == 16
+        assert len(above.maps) == len(at_bound.maps)
+        for a, b in zip(above.maps, at_bound.maps):
+            assert np.array_equal(a.values, b.values)
+        assert above.energies == at_bound.energies
