@@ -36,30 +36,40 @@ from .config import (
     manifest_digest,
     params_from_config,
 )
+from .costfit import step_sample, write_timing_csv
 from .errors import InvalidConfig, QuenchBenchError
 from .model import interactions, write_trajectory_csv
-from .mps import memory_estimate, run_quench, write_timing_csv
+from .mps import memory_estimate, run_quench
 from .units import format_duration, parse_duration
 
 
-def handles_errors(fn):
+def emits_output(fn):
+    """Give a command ``--json`` and print what it returns.
+
+    The command returns ``(payload, text)``: the payload is printed as JSON
+    with ``--json`` or when ``text`` is None, the text otherwise.  A module
+    error becomes an error object (JSON with ``--json``) on stderr and exit
+    code 1.
+    """
+
+    @click.option("--json", "as_json", is_flag=True, default=False)
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args, as_json, **kwargs):
         try:
-            return fn(*args, **kwargs)
+            payload, text = fn(*args, **kwargs)
         except QuenchBenchError as exc:
-            payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            if kwargs.get("as_json"):
-                click.echo(dump_json(payload), err=True, nl=False)
+            if as_json:
+                error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+                click.echo(dump_json(error), err=True, nl=False)
             else:
                 click.echo(f"error [{type(exc).__name__}]: {exc}", err=True)
             sys.exit(1)
+        if as_json or text is None:
+            click.echo(dump_json(payload), nl=False)
+        else:
+            click.echo(text)
 
     return wrapper
-
-
-def _hardware_tag() -> str:
-    return f"cpu-{platform.machine()}"
 
 
 def _parse_size(text: str) -> tuple[int, int]:
@@ -101,39 +111,42 @@ def _config_with_flags(config_path, t_pulse=None, dt=None, size=None, **sections
 
 
 def _prepare_run(config_path, t_pulse, dt, size, **sections):
+    """Config, lattice, params, manifest and interaction cutoff of a
+    simulate command."""
     config = _config_with_flags(config_path, t_pulse, dt, size, **sections)
     lattice = lattice_from_config(config)
     params = params_from_config(config, lattice)
     inputs = [config_path] if config_path else []
     manifest = build_manifest(config, config["run"]["seed"], inputs)
-    return config, lattice, params, manifest
+    cutoff = config["physics"]["cutoff_factor"] * params.spacing
+    return config, lattice, params, manifest, cutoff
 
 
-def _prepend_manifest_comment(path: Path, manifest: dict) -> None:
-    body = Path(path).read_text()
-    Path(path).write_text(f"# manifest_sha256={manifest_digest(manifest)}\n{body}")
+def _manifest_header(manifest: dict) -> str:
+    return f"manifest_sha256={manifest_digest(manifest)}"
 
 
-def _emit_verdict(out_dir, manifest: dict, traj, verdict, as_json: bool, extra=None) -> None:
+def _emit_verdict(out_dir, manifest: dict, traj, verdict, run: dict) -> dict:
     """Write trajectory.csv, manifest.json and verdict.json of a finished run
-    of either backend, and echo the verdict."""
+    of either backend; return the verdict payload."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out / "trajectory.csv")
-    _prepend_manifest_comment(out / "trajectory.csv", manifest)
+    write_trajectory_csv(traj, out / "trajectory.csv", _manifest_header(manifest))
     dump_json(manifest, out / "manifest.json")
-    payload = {"verdict": verdict.as_dict(), "manifest": manifest_core(manifest)}
-    if extra:
-        payload.update(extra)
+    payload = {"verdict": verdict.as_dict(), "manifest": manifest_core(manifest), "run": run}
     dump_json(payload, out / "verdict.json")
-    if as_json:
-        click.echo(dump_json(payload), nl=False)
-    else:
-        state = "passed" if verdict.passed else "FAILED"
-        click.echo(
-            f"verdict {state}: energy drift {verdict.energy_drift_rel:.3e}, "
-            f"D8 error {verdict.d8_error_rel:.3e}  -> {out}"
-        )
+    return payload
+
+
+def _judge_run(out_dir, manifest: dict, traj, params, run: dict) -> tuple[dict, str]:
+    """Judge a finished run, write its artifacts and return (payload, text)."""
+    verdict = convergence.evaluate_run(traj, params)
+    payload = _emit_verdict(out_dir, manifest, traj, verdict, run)
+    state = "passed" if verdict.passed else "FAILED"
+    return payload, (
+        f"verdict {state}: energy drift {verdict.energy_drift_rel:.3e}, "
+        f"D8 error {verdict.d8_error_rel:.3e}  -> {Path(out_dir)}"
+    )
 
 
 @simulate.command("exact")
@@ -142,17 +155,14 @@ def _emit_verdict(out_dir, manifest: dict, traj, verdict, as_json: bool, extra=N
 @click.option("--t-pulse", default=None, help="pulse duration with suffix, e.g. 400ns")
 @click.option("--dt", default=None, help="step with suffix, e.g. 1ns")
 @click.option("--size", default=None, help="lattice size, e.g. 3x3")
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def simulate_exact(config_path, out_dir, t_pulse, dt, size, as_json) -> None:
+@emits_output
+def simulate_exact(config_path, out_dir, t_pulse, dt, size):
     """Dense-statevector evolution (ground truth for small lattices)."""
-    config, lattice, params, manifest = _prepare_run(config_path, t_pulse, dt, size)
-    cutoff = config["physics"]["cutoff_factor"] * params.spacing
+    _, lattice, params, manifest, cutoff = _prepare_run(config_path, t_pulse, dt, size)
     v = interactions(lattice, params, cutoff)
     traj = oracle.evolve_exact(lattice, params, v, params.t_pulse, params.dt)
-    extra = {"run": {"lanczos_converged": traj.lanczos_converged}}
-    verdict = convergence.evaluate_run(traj, params)
-    _emit_verdict(out_dir, manifest, traj, verdict, as_json, extra)
+    run = {"lanczos_converged": traj.lanczos_converged}
+    return _judge_run(out_dir, manifest, traj, params, run)
 
 
 @simulate.command("tdvp")
@@ -163,21 +173,15 @@ def simulate_exact(config_path, out_dir, t_pulse, dt, size, as_json) -> None:
 @click.option("--size", default=None)
 @click.option("--max-chi", type=int, default=None)
 @click.option("--memory-budget-gb", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def simulate_tdvp(
-    config_path, out_dir, t_pulse, dt, size, max_chi, memory_budget_gb, as_json
-) -> None:
+@emits_output
+def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budget_gb):
     """Two-site TDVP evolution with timing instrumentation."""
     mps_overrides = {"max_chi": max_chi, "memory_budget_gb": memory_budget_gb}
-    config, lattice, params, manifest = _prepare_run(
+    config, lattice, params, manifest, cutoff = _prepare_run(
         config_path, t_pulse, dt, size, mps=mps_overrides
     )
     mps_cfg = config["mps"]
-    budget_bytes = (
-        mps_cfg["memory_budget_gb"] * 1e9 if mps_cfg["memory_budget_gb"] is not None else None
-    )
-    cutoff = config["physics"]["cutoff_factor"] * params.spacing
+    budget_gb = mps_cfg["memory_budget_gb"]
     # also validates max_chi and k_max before the run starts
     model_bytes = memory_estimate(lattice.n_sites, mps_cfg["max_chi"], k=mps_cfg["k_max"]).total
     traj = run_quench(
@@ -188,32 +192,24 @@ def simulate_tdvp(
         max_chi=mps_cfg["max_chi"],
         k_max=mps_cfg["k_max"],
         cutoff=cutoff,
-        memory_budget_bytes=budget_bytes,
+        memory_budget_bytes=None if budget_gb is None else budget_gb * 1e9,
     )
     # wall timings live only in timing.csv (measurements are exempt from the
     # byte-reproducibility contract); everything in verdict.json is deterministic
-    max_chi_used = max((r.max_chi_used for r in traj.records), default=1)
-    extra = {
-        "run": {
-            "max_chi_used": max_chi_used,
-            "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
-            "lanczos_converged": traj.lanczos_converged,
-            "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
-            "memory_model_bytes": model_bytes,
-        }
+    run = {
+        "max_chi_used": max((r.max_chi_used for r in traj.records), default=1),
+        "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
+        "lanczos_converged": traj.lanczos_converged,
+        "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
+        "memory_model_bytes": model_bytes,
     }
-    verdict = convergence.evaluate_run(traj, params)
-    _emit_verdict(out_dir, manifest, traj, verdict, as_json, extra)
+    result = _judge_run(out_dir, manifest, traj, params, run)
     if traj.records:
+        sample = step_sample(lattice.n_sites, traj.records, f"cpu-{platform.machine()}")
         write_timing_csv(
-            Path(out_dir) / "timing.csv",
-            lattice.n_sites,
-            max_chi_used,
-            params.dt,
-            traj.records,
-            _hardware_tag(),
-            header_comment=f"manifest_sha256={manifest_digest(manifest)}",
+            Path(out_dir) / "timing.csv", [sample], params.dt, _manifest_header(manifest)
         )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +224,11 @@ def estimate() -> None:
 @estimate.command("shots")
 @click.option("--p", type=float, default=0.5, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def estimate_shots(p, alpha, as_json) -> None:
+@emits_output
+def estimate_shots(p, alpha):
     """Shots needed for precision alpha on a +/-1 observable."""
     n = budget_mod.shots_for_precision(p, alpha)
-    if as_json:
-        click.echo(dump_json({"p": p, "alpha": alpha, "shots": n}), nl=False)
-    else:
-        click.echo(str(n))
+    return {"p": p, "alpha": alpha, "shots": n}, str(n)
 
 
 def _probs_from_config(config) -> register.DefectProbabilities:
@@ -284,11 +276,8 @@ def _register_atoms(text: str) -> int:
 @click.option("--confidence", type=float, default=None)
 @click.option("--shot-rate", type=float, default=None, help="Hz")
 @click.option("--qpu-power-kw", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def estimate_qpu(
-    config_path, register_size, alpha, confidence, shot_rate, qpu_power_kw, as_json
-) -> None:
+@emits_output
+def estimate_qpu(config_path, register_size, alpha, confidence, shot_rate, qpu_power_kw):
     """Wall time and energy for one quench task on the QPU."""
     config = _config_with_flags(
         config_path,
@@ -312,15 +301,12 @@ def estimate_qpu(
         "energy_kwh": schedule.energy_kwh,
         "counts": schedule.counts,
     }
-    if as_json:
-        click.echo(dump_json(payload), nl=False)
-    else:
-        click.echo(
-            f"N={n_register}: {schedule.budget.n_attempts} attempts for "
-            f"{schedule.budget.m_usable} usable shots "
-            f"(p_df={schedule.budget.p_defect_free:.4g}) -> "
-            f"{format_duration(schedule.budget.wall_seconds)}, {schedule.energy_kwh:.3g} kWh"
-        )
+    return payload, (
+        f"N={n_register}: {schedule.budget.n_attempts} attempts for "
+        f"{schedule.budget.m_usable} usable shots "
+        f"(p_df={schedule.budget.p_defect_free:.4g}) -> "
+        f"{format_duration(schedule.budget.wall_seconds)}, {schedule.energy_kwh:.3g} kWh"
+    )
 
 
 @estimate.command("classical")
@@ -332,11 +318,8 @@ def estimate_qpu(
 @click.option("--dt", default=None)
 @click.option("--gpu-power-kw", type=float, default=None)
 @click.option("--power-log", type=click.Path(exists=True), default=None)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def estimate_classical(
-    samples_path, config_path, size, chi, t_pulse, dt, gpu_power_kw, power_log, as_json
-) -> None:
+@emits_output
+def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_power_kw, power_log):
     """Fit the timing samples and extrapolate one classical simulation."""
     config = _config_with_flags(config_path, t_pulse, dt, size)
     n = config["lattice"]["Lx"] * config["lattice"]["Ly"]
@@ -349,17 +332,14 @@ def estimate_classical(
         power_watts = costfit.DEFAULT_GPU_POWER_WATTS
     _, model = _fit_mps_csv(samples_path)
     report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
-    payload = {"report": report.as_dict(), "fit": model.as_dict()}
-    if as_json:
-        click.echo(dump_json(payload), nl=False)
-    else:
-        click.echo(costfit.format_resource_table([report]))
-        if report.extrapolated:
-            d = model.domain
-            click.echo(
-                f"extrapolated: N={n}, chi={chi} lies outside the fitted domain "
-                f"N {d['n_min']}-{d['n_max']}, chi {d['chi_min']}-{d['chi_max']}"
-            )
+    text = costfit.format_resource_table([report])
+    if report.extrapolated:
+        d = model.domain
+        text += (
+            f"\nextrapolated: N={n}, chi={chi} lies outside the fitted domain "
+            f"N {d['n_min']}-{d['n_max']}, chi {d['chi_min']}-{d['chi_max']}"
+        )
+    return {"report": report.as_dict(), "fit": model.as_dict()}, text
 
 
 @estimate.command("crossover")
@@ -372,11 +352,9 @@ def estimate_classical(
 @click.option("--t-pulse", default=None)
 @click.option("--dt", default=None)
 @click.option("--gpu-power-kw", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def estimate_crossover(
-    samples_path, config_path, chi, n_min, n_max, n_step, t_pulse, dt, gpu_power_kw, as_json
-) -> None:
+@emits_output
+def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_pulse, dt,
+                       gpu_power_kw):
     """Locate the system size where the QPU beats the classical projection."""
     if n_step < 1 or n_min > n_max:
         raise InvalidConfig(
@@ -402,13 +380,11 @@ def estimate_crossover(
         "at_boundary_energy": result.at_boundary_energy,
         "sweep": {"n_min": n_min, "n_max": n_max, "n_step": n_step, "chi": chi},
     }
-    if as_json:
-        click.echo(dump_json(payload), nl=False)
-    else:
-        def fmt(x):
-            return "NONE" if x is None else f"{x:.0f}"
 
-        click.echo(f"crossover N*_time={fmt(result.n_time)} N*_energy={fmt(result.n_energy)}")
+    def fmt(x):
+        return "NONE" if x is None else f"{x:.0f}"
+
+    return payload, f"crossover N*_time={fmt(result.n_time)} N*_energy={fmt(result.n_energy)}"
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +398,8 @@ def estimate_crossover(
 @click.option("--register-size", type=int, default=None, help="atoms in the register")
 @click.option("--n-traps", type=int, default=None)
 @click.option("--fill-p", type=float, default=None)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def rearrange(config_path, trials, seed, register_size, n_traps, fill_p, as_json) -> None:
+@emits_output
+def rearrange(config_path, trials, seed, register_size, n_traps, fill_p):
     """Monte Carlo defect-free estimate, side by side with the analytic model."""
     config = _config_with_flags(
         config_path, register={"fill_p": fill_p, "n_traps": n_traps}, run={"seed": seed}
@@ -454,14 +429,11 @@ def rearrange(config_path, trials, seed, register_size, n_traps, fill_p, as_json
         "analytic_at_expected_counts": analytic_expected,
         "layout_model": "register_grid_plus_reservoir_rings",
     }
-    if as_json:
-        click.echo(dump_json(payload), nl=False)
-    else:
-        ana = "n/a" if analytic_mc is None else f"{analytic_mc:.4f}"
-        click.echo(
-            f"N={n_register}, traps={layout.n_traps}: p_hat = {est.p_hat:.4f} +- {est.std_err:.4f} "
-            f"(MC, {trials} trials) vs {ana} (analytic at mean counts)"
-        )
+    ana = "n/a" if analytic_mc is None else f"{analytic_mc:.4f}"
+    return payload, (
+        f"N={n_register}, traps={layout.n_traps}: p_hat = {est.p_hat:.4f} +- {est.std_err:.4f} "
+        f"(MC, {trials} trials) vs {ana} (analytic at mean counts)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +447,18 @@ def fit() -> None:
 
 @fit.command("mps")
 @click.option("--samples", "samples_path", type=click.Path(exists=True), required=True)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def fit_mps_cmd(samples_path, as_json) -> None:
+@emits_output
+def fit_mps_cmd(samples_path):
     samples, model = _fit_mps_csv(samples_path)
-    payload = {**model.as_dict(), "n_samples": len(samples)}
-    click.echo(dump_json(payload), nl=False)
+    return {**model.as_dict(), "n_samples": len(samples)}, None
 
 
 @fit.command("nqs")
 @click.option("--samples", "samples_path", type=click.Path(exists=True), required=True)
-@click.option("--normalize-workers/--no-normalize-workers", default=True, show_default=True)
-@click.option("--json", "as_json", is_flag=True, default=False)
-@handles_errors
-def fit_nqs_cmd(samples_path, normalize_workers, as_json) -> None:
+@emits_output
+def fit_nqs_cmd(samples_path):
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "NQS"]
-    model = costfit.fit_nqs(samples, normalize_workers=normalize_workers)
+    model = costfit.fit_nqs(samples)
     payload = {
         "a_q": model.a_q,
         "b_q": model.b_q,
@@ -499,7 +467,7 @@ def fit_nqs_cmd(samples_path, normalize_workers, as_json) -> None:
         "domain": model.domain,
         "n_samples": len(samples),
     }
-    click.echo(dump_json(payload), nl=False)
+    return payload, None
 
 
 if __name__ == "__main__":

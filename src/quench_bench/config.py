@@ -13,6 +13,7 @@ import configparser
 import copy
 import hashlib
 import json
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -108,11 +109,14 @@ def apply_overrides(config: dict, overrides: dict) -> dict:
 
 
 def _physics(config: dict) -> tuple[float, float, float]:
-    """(omega, h_x, c6) in internal units; each must be positive."""
+    """(omega, h_x, c6) in internal units; every physics value must be finite
+    and all but cutoff_factor positive."""
     phys = config["physics"]
-    for key in ("omega_mhz", "h_x", "c6_ghz_um6"):
-        if not phys[key] > 0:
-            raise InvalidConfig(f"physics.{key} must be positive, got {phys[key]}")
+    for key, value in phys.items():
+        if not math.isfinite(value):
+            raise InvalidConfig(f"physics.{key} must be finite, got {value}")
+        if key != "cutoff_factor" and not value > 0:
+            raise InvalidConfig(f"physics.{key} must be positive, got {value}")
     return mhz_to_angular(phys["omega_mhz"]), phys["h_x"], ghz_um6_to_angular(phys["c6_ghz_um6"])
 
 

@@ -164,8 +164,8 @@ def min_converged_chi(
     """
     if not chi_grid:
         raise ValueError("empty chi grid")
-    if sorted(chi_grid) != list(chi_grid):
-        raise ValueError("chi grid must be increasing")
+    if any(b <= a for a, b in zip(chi_grid, chi_grid[1:])):
+        raise ValueError("chi grid must be strictly increasing")
     verdicts: dict[int, ConvergenceVerdict] = {}
     budget_blocked = 0
 

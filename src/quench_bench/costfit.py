@@ -10,7 +10,7 @@ minimizes relative rather than absolute residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,7 +125,6 @@ def _nnls_fit(samples, basis_fn):
 
     times = np.array([s.seconds_per_step for s in samples], dtype=float)
     design = np.array([basis_fn(s) for s in samples], dtype=float)
-    active = ~np.all(design == 0.0, axis=0)
     if len(samples) < 4:
         raise UnderdeterminedFit(f"need at least 4 samples, got {len(samples)}")
     if len({(s.n, s.chi) for s in samples}) < 2:
@@ -133,11 +132,9 @@ def _nnls_fit(samples, basis_fn):
     weights = 1.0 / times
     a_mat = design * weights[:, None]
     b_vec = times * weights
-    if np.linalg.matrix_rank(a_mat[:, active]) < int(active.sum()):
+    if np.linalg.matrix_rank(a_mat) < design.shape[1]:
         raise UnderdeterminedFit("design matrix is rank-deficient for the sampled (N, chi)")
-    coeffs = np.zeros(design.shape[1])
-    sol, _ = nnls(a_mat[:, active], b_vec)
-    coeffs[active] = sol
+    coeffs, _ = nnls(a_mat, b_vec)
     pred = design @ coeffs
     residual = float(np.sqrt(np.mean(((pred - times) / times) ** 2)))
     return coeffs, residual
@@ -162,23 +159,16 @@ def fit_mps(samples: list[RuntimeSample]) -> CostModelMPS:
     )
 
 
-def fit_nqs(samples: list[RuntimeSample], normalize_workers: bool = True) -> CostModelNQS:
+def fit_nqs(samples: list[RuntimeSample]) -> CostModelNQS:
     """Fit t(N) = a_q N + b_q N^2 + c_q N^3 over NQS samples.
 
-    With ``normalize_workers`` the per-step seconds are divided by the GPU
-    worker count first (run time scales down roughly linearly with GPUs).
+    The per-step seconds are divided by the GPU worker count first (run time
+    scales down roughly linearly with GPUs).
     """
-    if normalize_workers:
-        samples = [
-            RuntimeSample(
-                n=s.n,
-                chi=s.chi,
-                seconds_per_step=s.seconds_per_step / s.n_workers,
-                hardware_tag=s.hardware_tag,
-                n_workers=1,
-            )
-            for s in samples
-        ]
+    samples = [
+        replace(s, seconds_per_step=s.seconds_per_step / s.n_workers, n_workers=1)
+        for s in samples
+    ]
     coeffs, residual = _nnls_fit(
         samples, lambda s: (float(s.n), float(s.n) ** 2, float(s.n) ** 3)
     )
@@ -288,9 +278,33 @@ def crossover(classical_fn, qpu_fn, n_sweep: list[int]) -> CrossoverResult:
 # file interfaces
 # ---------------------------------------------------------------------------
 
+def step_sample(n_sites: int, records, hardware_tag: str = "cpu") -> RuntimeSample:
+    """One timing sample from the step records of a TDVP run: the mean wall
+    seconds per step, labelled with the largest bond dimension reached."""
+    return RuntimeSample(
+        n=n_sites,
+        chi=max(r.max_chi_used for r in records),
+        seconds_per_step=float(np.mean([r.wall_seconds for r in records])),
+        hardware_tag=hardware_tag,
+    )
+
+
+def write_timing_csv(path, samples: list[RuntimeSample], dt: float, header: str) -> None:
+    """Write a fresh timing CSV: the ``# header`` comment line, the column
+    names and one row per sample, all at step ``dt`` (seconds)."""
+    with open(path, "w") as fh:
+        fh.write(f"# {header}\nN,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n")
+        for s in samples:
+            fh.write(
+                f"{s.n},{s.chi},{dt * 1e9!r},{s.seconds_per_step!r},{s.hardware_tag},"
+                f"{s.n_workers}\n"
+            )
+
+
 def read_timing_csv(path) -> list[RuntimeSample]:
     """Read the timing CSV (N, chi, dt_ns, seconds_per_step, hardware_tag,
-    n_workers); chi = 0 rows are NQS samples."""
+    n_workers); chi = 0 rows are NQS samples.  ``dt_ns`` must be positive and
+    finite."""
     samples = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -298,7 +312,9 @@ def read_timing_csv(path) -> list[RuntimeSample]:
             if not line or line.startswith("#") or line.startswith("N,"):
                 continue
             try:
-                n, chi, _dt_ns, sec, tag, workers = line.split(",")
+                n, chi, dt_ns, sec, tag, workers = line.split(",")
+                if not 0 < float(dt_ns) < math.inf:
+                    raise ValueError(f"dt_ns must be positive and finite, got {dt_ns}")
                 samples.append(
                     RuntimeSample(
                         n=int(n),

@@ -164,10 +164,11 @@ def step_count(t_pulse: float, dt: float) -> int:
     return n_steps
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Tidy CSV with columns time_ns, site_row, site_col, n_expect, energy."""
+def write_trajectory_csv(traj: Trajectory, path, header: str) -> None:
+    """Tidy CSV after a ``# header`` comment line, with columns time_ns,
+    site_row, site_col, n_expect, energy."""
     with open(path, "w") as fh:
-        fh.write("time_ns,site_row,site_col,n_expect,energy\n")
+        fh.write(f"# {header}\ntime_ns,site_row,site_col,n_expect,energy\n")
         for omap, energy in zip(traj.maps, traj.energies):
             n_rows, n_cols = omap.values.shape
             for row in range(n_rows):

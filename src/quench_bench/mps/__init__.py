@@ -3,13 +3,7 @@
 from .memory import MemoryBreakdown, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
 from .state import MpsState, site_expectations
-from .evolve import (
-    TdvpEngine,
-    TdvpStepRecord,
-    benchmark_steps,
-    run_quench,
-    write_timing_csv,
-)
+from .evolve import TdvpEngine, TdvpStepRecord, benchmark_steps, run_quench
 
 __all__ = [
     "MemoryBreakdown",
@@ -22,5 +16,4 @@ __all__ = [
     "memory_estimate",
     "run_quench",
     "site_expectations",
-    "write_timing_csv",
 ]

@@ -371,21 +371,3 @@ def benchmark_steps(
     engine = TdvpEngine(state, mpo, max_chi=chi)
     records = [engine.step(params.dt) for _ in range(warmup + n_steps)]
     return records[warmup:]
-
-
-def write_timing_csv(
-    path,
-    n_sites: int,
-    chi: int,
-    dt: float,
-    records: list[TdvpStepRecord],
-    hardware_tag: str,
-    header_comment: str | None = None,
-) -> None:
-    """Write a fresh costfit-format timing CSV: one single-worker mean-seconds-per-step row."""
-    mean_wall = float(np.mean([r.wall_seconds for r in records]))
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n")
-        fh.write(f"{n_sites},{chi},{dt * 1e9!r},{mean_wall!r},{hardware_tag},1\n")

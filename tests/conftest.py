@@ -1,7 +1,7 @@
-import numpy as np
 import pytest
 
 from quench_bench import model, oracle
+from quench_bench.costfit import step_sample
 from quench_bench.mps import benchmark_steps, run_quench
 from quench_bench.units import mhz_to_angular
 
@@ -87,20 +87,8 @@ def timing_samples(saturated_steps):
     Bond dimensions are recorded as actually used (a 9-site MPS cannot hold
     uniform chi = 64), and duplicate (N, chi) rows are dropped.
     """
-    from quench_bench.costfit import RuntimeSample
-
-    samples = []
-    seen = set()
+    samples = {}
     for (n, _), records in saturated_steps.items():
-        chi_used = max(r.max_chi_used for r in records)
-        if (n, chi_used) in seen:
-            continue
-        seen.add((n, chi_used))
-        samples.append(
-            RuntimeSample(
-                n=n,
-                chi=chi_used,
-                seconds_per_step=float(np.mean([r.wall_seconds for r in records])),
-            )
-        )
-    return samples
+        sample = step_sample(n, records)
+        samples.setdefault((sample.n, sample.chi), sample)
+    return list(samples.values())

@@ -228,7 +228,13 @@ class TestConfigHandling:
         assert manifest["config"]["lattice"]["Lx"] == 2
         assert str(config) in manifest["inputs"]
 
-    @pytest.mark.parametrize("key", ["omega_mhz = 0.0", "h_x = -2.5", "c6_ghz_um6 = 0"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "omega_mhz = 0.0", "h_x = -2.5", "c6_ghz_um6 = 0",
+            "omega_mhz = inf", "h_x = inf", "c6_ghz_um6 = inf", "cutoff_factor = nan",
+        ],
+    )
     def test_nonpositive_physics_rejected(self, runner, tmp_path, key):
         config = write_config(tmp_path / "bad.ini", f"[physics]\n{key}\n")
         result = runner.invoke(
@@ -285,6 +291,7 @@ class TestConfigHandling:
             ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--memory-budget-gb", "-1",
              "--out", "{out}"],
             ["estimate", "qpu", "--register", "15x15", "--shot-rate", "inf"],
+            ["fit", "mps", "--samples", "{bad_dt_timing}"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -293,6 +300,8 @@ class TestConfigHandling:
         bad_timing.write_text(
             "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n36,64,1.0,abc,cpu-x,1\n"
         )
+        bad_dt_timing = tmp_path / "bad_dt_timing.csv"
+        bad_dt_timing.write_text(Path(timing).read_text().replace(",1.0,", ",abc,", 1))
         logs = {}
         for name, rows in (
             ("log_no_watts", "2025-01-01T00:00:00Z\n"),
@@ -307,7 +316,8 @@ class TestConfigHandling:
         )
         k_max_0 = write_config(tmp_path / "k0.ini", "[mps]\nk_max = 0\n")
         args = [
-            a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing, k_max_0=k_max_0,
+            a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing,
+                     bad_dt_timing=bad_dt_timing, k_max_0=k_max_0,
                      nqs_no_workers=nqs_no_workers, **logs)
             for a in args
         ]

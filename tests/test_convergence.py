@@ -232,7 +232,7 @@ class TestMinConvergedChi:
             min_converged_chi(run.params, [], run)
         assert run.calls == []
 
-    @pytest.mark.parametrize("grid", [[4, 2], [2, 8, 4]])
+    @pytest.mark.parametrize("grid", [[4, 2], [2, 8, 4], [4, 4, 8]])
     def test_non_increasing_grid_rejected(self, grid):
         run = FakeRuns()
         with pytest.raises(ValueError, match="increasing"):

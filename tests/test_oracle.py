@@ -132,7 +132,7 @@ class TestLimits:
         lat, params, v = paper_setup(2, 2)
         traj = oracle.evolve_exact(lat, params, v, t=2e-9, dt=1e-9)
         path = tmp_path / "traj.csv"
-        model.write_trajectory_csv(traj, path)
+        model.write_trajectory_csv(traj, path, "manifest_sha256=abc")
         lines = path.read_text().splitlines()
-        assert lines[0] == "time_ns,site_row,site_col,n_expect,energy"
-        assert len(lines) == 1 + 3 * 4  # three snapshots, four sites
+        assert lines[:2] == ["# manifest_sha256=abc", "time_ns,site_row,site_col,n_expect,energy"]
+        assert len(lines) == 2 + 3 * 4  # three snapshots, four sites

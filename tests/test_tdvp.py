@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,10 @@ from quench_bench.mps import (
     benchmark_steps,
     run_quench,
     site_expectations,
-    write_timing_csv,
 )
 from quench_bench.mps.evolve import _LocalApply, _merge_mpo_pair, _split_blocks
 from quench_bench.mps.state import product_all_ground, random_state
-from quench_bench.costfit import read_timing_csv
+from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
 
 from conftest import paper_setup
 from reference import (
@@ -335,8 +336,10 @@ class TestBenchmark:
         assert len(records) == 2
         assert all(r.max_chi_used == 8 for r in records)
         path = tmp_path / "timing.csv"
-        write_timing_csv(path, lat.n_sites, 16, 1e-9, records, "cpu-test")
-        write_timing_csv(path, lat.n_sites, 8, 1e-9, records, "cpu-test")
+        sample = step_sample(lat.n_sites, records, "cpu-test")
+        write_timing_csv(path, [dataclasses.replace(sample, chi=16)], 1e-9, "manifest_sha256=a")
+        write_timing_csv(path, [sample], 1e-9, "manifest_sha256=b")
+        assert path.read_text().startswith("# manifest_sha256=b\n")
         samples = read_timing_csv(path)
         assert len(samples) == 1  # each write starts a fresh file
         assert (samples[0].n, samples[0].chi) == (9, 8)
