@@ -26,33 +26,35 @@ MAX_ATTEMPTS = 2**53
 @dataclass(frozen=True)
 class ShotBudget:
     m_usable: int
-    alpha: float
-    confidence: float
     p_defect_free: float
     n_attempts: int
-    shot_rate: float  # Hz
     wall_seconds: float
 
 
 @dataclass(frozen=True)
 class QpuSchedule:
     budget: ShotBudget
-    qpu_power_watts: float
     energy_kwh: float
     counts: dict
 
 
 def shots_for_precision(p: float, alpha: float) -> int:
     """ceil(16 p (1-p) / alpha^2) for a finite alpha > 0; zero at p in {0, 1}
-    (no variance)."""
+    (no variance).  An alpha so small that the count is not a finite float
+    raises InvalidPrecision."""
     if not 0.0 <= p <= 1.0:
         raise InvalidConfig(f"p = {p} outside [0, 1]")
     if not 0.0 < alpha < math.inf:
         raise InvalidPrecision(f"alpha must be positive and finite, got {alpha}")
-    return math.ceil(16.0 * p * (1.0 - p) / alpha**2)
+    if p in (0.0, 1.0):
+        return 0
+    shots = 16.0 * p * (1.0 - p) / alpha**2 if alpha**2 > 0.0 else math.inf
+    if shots == math.inf:
+        raise InvalidPrecision(f"alpha = {alpha} needs more shots than a float can count")
+    return math.ceil(shots)
 
 
-def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
+def attempts_for_usable(m: int, p_df: float, confidence: float) -> int:
     """Smallest n such that P[Binom(n, p_df) >= m] >= confidence.
 
     n - m is the number of failures before the m-th success, which is
@@ -83,10 +85,10 @@ def attempts_for_usable(m: int, p_df: float, confidence: float = 0.95) -> int:
 def qpu_schedule(
     n_register: int,
     probs: DefectProbabilities,
-    alpha: float = 0.05,
-    confidence: float = 0.95,
-    shot_rate: float = 1.0,
-    qpu_power_watts: float = 3200.0,
+    alpha: float,
+    confidence: float,
+    shot_rate: float,
+    qpu_power_watts: float,
 ) -> QpuSchedule:
     """Full QPU budget for one quench task on an n_register-atom array.
 
@@ -102,18 +104,9 @@ def qpu_schedule(
     m = shots_for_precision(0.5, alpha)
     n = attempts_for_usable(m, p_df, confidence)
     wall = n / shot_rate
-    budget = ShotBudget(
-        m_usable=m,
-        alpha=alpha,
-        confidence=confidence,
-        p_defect_free=p_df,
-        n_attempts=n,
-        shot_rate=shot_rate,
-        wall_seconds=wall,
-    )
+    budget = ShotBudget(m_usable=m, p_defect_free=p_df, n_attempts=n, wall_seconds=wall)
     return QpuSchedule(
         budget=budget,
-        qpu_power_watts=qpu_power_watts,
         energy_kwh=watt_seconds_to_kwh(qpu_power_watts, wall),
         counts=counts,
     )

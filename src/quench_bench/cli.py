@@ -182,15 +182,14 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
     )
     mps_cfg = config["mps"]
     budget_gb = mps_cfg["memory_budget_gb"]
-    # also validates max_chi and k_max before the run starts
-    model_bytes = memory_estimate(lattice.n_sites, mps_cfg["max_chi"], k=mps_cfg["k_max"]).total
+    # also validates max_chi before the run starts
+    model_bytes = memory_estimate(lattice.n_sites, mps_cfg["max_chi"]).total
     traj = run_quench(
         lattice,
         params,
         params.t_pulse,
         params.dt,
         max_chi=mps_cfg["max_chi"],
-        k_max=mps_cfg["k_max"],
         cutoff=cutoff,
         memory_budget_bytes=None if budget_gb is None else budget_gb * 1e9,
     )

@@ -39,11 +39,7 @@ SCHEMA: dict = {
         "cutoff_factor": (float, DEFAULT_CUTOFF_FACTOR),
     },
     "quench": {"t_pulse_ns": (float, 400.0), "dt_ns": (float, 1.0)},
-    "mps": {
-        "max_chi": (int, 64),
-        "k_max": (int, 50),
-        "memory_budget_gb": (float, None),
-    },
+    "mps": {"max_chi": (int, 64), "memory_budget_gb": (float, None)},
     "register": {
         "fill_p": (float, 0.5),
         "n_traps": (int, None),
@@ -121,13 +117,16 @@ def _physics(config: dict) -> tuple[float, float, float]:
 
 
 def durations_from_config(config: dict) -> tuple[float, float]:
-    """(t_pulse, dt) in seconds; t_pulse must be non-negative, dt positive
-    and t_pulse a whole number of dt steps."""
+    """(t_pulse, dt) in seconds; both must be finite, t_pulse non-negative,
+    dt positive and t_pulse a whole number of dt steps."""
     quench = config["quench"]
     if not quench["t_pulse_ns"] >= 0:
         raise InvalidConfig(f"quench.t_pulse_ns must be non-negative, got {quench['t_pulse_ns']}")
     if not quench["dt_ns"] > 0:
         raise InvalidConfig(f"quench.dt_ns must be positive, got {quench['dt_ns']}")
+    for key, value in quench.items():
+        if not math.isfinite(value):
+            raise InvalidConfig(f"quench.{key} must be finite, got {value}")
     t_pulse, dt = quench["t_pulse_ns"] * 1e-9, quench["dt_ns"] * 1e-9
     step_count(t_pulse, dt)
     return t_pulse, dt

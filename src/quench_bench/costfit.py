@@ -115,7 +115,6 @@ class ResourceReport:
 class CrossoverResult:
     n_time: float | None
     n_energy: float | None
-    sweep: list[int]
     at_boundary_time: bool = False
     at_boundary_energy: bool = False
 
@@ -268,7 +267,6 @@ def crossover(classical_fn, qpu_fn, n_sweep: list[int]) -> CrossoverResult:
     return CrossoverResult(
         n_time=n_time,
         n_energy=n_energy,
-        sweep=list(n_sweep),
         at_boundary_time=b_time,
         at_boundary_energy=b_energy,
     )

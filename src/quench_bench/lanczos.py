@@ -33,8 +33,8 @@ def expm_lanczos(
     matvec: Callable[[np.ndarray], np.ndarray],
     v: np.ndarray,
     coeff: complex,
-    k_max: int = 50,
-    tol: float = 1e-12,
+    k_max: int,
+    tol: float,
 ) -> LanczosResult:
     """Approximate exp(coeff * H) v for Hermitian H given through ``matvec``.
 

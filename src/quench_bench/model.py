@@ -88,8 +88,8 @@ class QuenchParams:
     h_x: float  # dimensionless transverse-field ratio
     spacing: float  # um
     j_scale: float  # rad/s
-    t_pulse: float = 4e-6  # s
-    dt: float = 1e-9  # s
+    t_pulse: float  # s
+    dt: float  # s
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,6 @@ class InteractionMatrix:
     """Symmetric pairwise coupling matrix with a hard distance cutoff."""
 
     v: np.ndarray  # (N, N) rad/s, zero diagonal
-    cutoff_distance: float  # um
 
 
 @dataclass
@@ -109,18 +108,17 @@ class ObservableMap:
     """
 
     values: np.ndarray
-    label: str
     time: float = 0.0
 
     @classmethod
     def from_site_values(
-        cls, lattice: LatticeSpec, site_values: np.ndarray, label: str, time: float = 0.0
+        cls, lattice: LatticeSpec, site_values: np.ndarray, time: float = 0.0
     ) -> "ObservableMap":
         grid = np.empty((lattice.ly, lattice.lx), dtype=float)
         rows = lattice.rowcol[:, 0]
         cols = lattice.rowcol[:, 1]
         grid[rows, cols] = site_values
-        return cls(values=grid, label=label, time=time)
+        return cls(values=grid, time=time)
 
 
 @dataclass
@@ -205,8 +203,8 @@ def derive_quench(
     h_x: float,
     c6: float,
     lattice: LatticeSpec,
-    t_pulse: float = 4e-6,
-    dt: float = 1e-9,
+    t_pulse: float,
+    dt: float,
 ) -> QuenchParams:
     """Derive the dependent quench parameters (R, J, delta) from (omega, h_x, c6).
 
@@ -274,4 +272,4 @@ def interactions(
     # despite floating-point rounding of the pair distances
     v = np.where(dist <= cutoff * (1.0 + 1e-9), params.c6 / dist**6, 0.0)
     np.fill_diagonal(v, 0.0)
-    return InteractionMatrix(v=v, cutoff_distance=cutoff)
+    return InteractionMatrix(v=v)

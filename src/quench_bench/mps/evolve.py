@@ -31,7 +31,7 @@ from ..model import (
     interactions,
     step_count,
 )
-from .memory import memory_estimate
+from .memory import KRYLOV_K_MAX, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
 from .state import (
     MpsState,
@@ -58,7 +58,6 @@ _RELEASED = np.empty((0, 0, 0), dtype=complex)
 
 @dataclass
 class TdvpStepRecord:
-    step_index: int
     wall_seconds: float
     max_chi_used: int
     truncation_weight_step: float
@@ -163,32 +162,23 @@ class TdvpEngine:
     """Evolves one MpsState under one MPO, reusing live environments across steps.
 
     The state must be canonical with the orthogonality center at site 0; each
-    step returns it in the same form.  ``max_chi`` and ``k_max`` must be at
-    least 1 (InvalidConfig otherwise).
+    step returns it in the same form.  ``max_chi`` must be at least 1
+    (InvalidConfig otherwise).
     """
 
-    def __init__(
-        self,
-        state: MpsState,
-        mpo: MpoHamiltonian,
-        max_chi: int | None = None,
-        k_max: int = 50,
-    ):
+    #: Krylov-basis cap of each local solve.
+    k_max = KRYLOV_K_MAX
+
+    def __init__(self, state: MpsState, mpo: MpoHamiltonian, max_chi: int):
         if state.n_sites != mpo.n_sites:
             raise ValueError("state and MPO site counts differ")
         if state.orthogonality_center != 0:
             raise ValueError("engine expects the orthogonality center at site 0")
-        max_chi = max_chi if max_chi is not None else state.max_chi
-        if max_chi < 1 or k_max < 1:
-            raise InvalidConfig(
-                f"TDVP needs max_chi >= 1 and k_max >= 1, got max_chi={max_chi}, k_max={k_max}"
-            )
+        if max_chi < 1:
+            raise InvalidConfig(f"TDVP needs max_chi >= 1, got max_chi={max_chi}")
         self.state = state
         self.mpo = mpo
         self.max_chi = max_chi
-        self.state.max_chi = max_chi
-        self.k_max = k_max
-        self._step_count = 0
         n = state.n_sites
         self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
         self.right_envs = [_RELEASED] * (n - 1) + [trivial_env()]
@@ -215,7 +205,6 @@ class TdvpEngine:
 
     def step(self, dt: float) -> TdvpStepRecord:
         """One symmetric two-site TDVP sweep by dt."""
-        self._step_count += 1
         iters_max = 0
         converged = True
         trunc = 0.0
@@ -292,7 +281,6 @@ class TdvpEngine:
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0
         return TdvpStepRecord(
-            step_index=self._step_count,
             wall_seconds=wall,
             max_chi_used=self.state.max_bond,
             truncation_weight_step=trunc,
@@ -309,7 +297,6 @@ def run_quench(
     t_pulse: float,
     dt: float,
     max_chi: int,
-    k_max: int = 50,
     *,
     cutoff: float | None = None,
     memory_budget_bytes: float | None = None,
@@ -325,7 +312,7 @@ def run_quench(
             raise InvalidConfig(
                 f"memory budget must be a finite number >= 0, got {memory_budget_bytes} B"
             )
-        estimate = memory_estimate(n, max_chi, k=k_max)
+        estimate = memory_estimate(n, max_chi)
         if estimate.total > memory_budget_bytes:
             raise MemoryBudgetExceeded(
                 f"estimated {estimate.total:.3e} B for N={n}, chi={max_chi} "
@@ -334,11 +321,11 @@ def run_quench(
     v = interactions(lattice, params, cutoff)
     mpo = build_mpo(lattice, params, v)
     state = product_all_ground(n, max_chi=max_chi)
-    engine = TdvpEngine(state, mpo, max_chi=max_chi, k_max=k_max)
+    engine = TdvpEngine(state, mpo, max_chi=max_chi)
 
     def measure(t: float) -> ObservableMap:
         return ObservableMap.from_site_values(
-            lattice, site_expectations(state, _NUMBER_OP), label="n", time=t
+            lattice, site_expectations(state, _NUMBER_OP), time=t
         )
 
     traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
@@ -355,9 +342,9 @@ def benchmark_steps(
     lattice: LatticeSpec,
     params: QuenchParams,
     chi: int,
-    n_steps: int = 3,
+    n_steps: int,
     *,
-    warmup: int = 1,
+    warmup: int,
 ) -> list[TdvpStepRecord]:
     """Time TDVP steps of ``params.dt`` at a saturated bond dimension.
 

@@ -1,7 +1,8 @@
 """Closed-form memory model for two-site TDVP on square lattices.
 
-Component formulas (s = bytes per scalar, d = local dimension, k = Krylov
-basis size, h = peak MPO bond dimension 3*sqrt(N) + 2):
+Component formulas (s = 16 bytes per complex scalar, d = 2 local states,
+k = KRYLOV_K_MAX = 50 Krylov vectors, h = peak MPO bond dimension
+3*sqrt(N) + 2):
 
     M_mps          = s d chi^2 N
     M_baths        = s chi^2 (3 N^{3/2} - 7 N - 12 sqrt(N) - 4)
@@ -22,6 +23,10 @@ from dataclasses import dataclass
 
 from ..errors import InvalidConfig
 
+#: Krylov-basis cap of every local TDVP solve: the engine reads it as
+#: ``TdvpEngine.k_max`` and the model's Krylov term holds this many vectors.
+KRYLOV_K_MAX = 50
+
 
 @dataclass(frozen=True)
 class MemoryBreakdown:
@@ -32,24 +37,15 @@ class MemoryBreakdown:
     total: float
     leading_term: float
 
-    def as_dict(self) -> dict:
-        return {
-            "mps_bytes": self.mps,
-            "baths_bytes": self.baths,
-            "krylov_bytes": self.krylov,
-            "intermediate_bytes": self.intermediate,
-            "total_bytes": self.total,
-            "leading_term_bytes": self.leading_term,
-        }
 
-
-def memory_estimate(n: int, chi: int, d: int = 2, s: int = 16, k: int = 50) -> MemoryBreakdown:
+def memory_estimate(n: int, chi: int) -> MemoryBreakdown:
     """Upper-bound memory for evolving an N-site MPS at bond dimension chi.
 
     The bath term goes negative for tiny N where the saturated-profile
     picture does not apply; it is clamped at zero there.
     """
-    if n < 1 or chi < 1 or d < 1 or s < 1 or k < 1:
+    d, s, k = 2, 16, KRYLOV_K_MAX
+    if n < 1 or chi < 1:
         raise InvalidConfig(
             f"all memory-model inputs must be positive, got N={n}, chi={chi}, d={d}, s={s}, k={k}"
         )

@@ -31,7 +31,6 @@ class MpoHamiltonian:
 
     tensors: list[np.ndarray]
     bond_profile: list[int]
-    d: int = 2
 
     @property
     def n_sites(self) -> int:

@@ -112,7 +112,7 @@ def evolve_exact(
             psi = solve.vector
             traj.lanczos_converged &= solve.converged
         traj.maps.append(
-            ObservableMap.from_site_values(lattice, occupations(psi), label="n", time=step * dt)
+            ObservableMap.from_site_values(lattice, occupations(psi), time=step * dt)
         )
         traj.energies.append(ham.expectation(psi))
     traj.final_state = psi

@@ -55,10 +55,10 @@ class TrapLayout:
 class DefectProbabilities:
     """The four elementary failure-channel probabilities."""
 
-    p_transf: float = 0.989
-    p_pickup: float = 0.998
-    p_acci: float = 0.0009
-    p_loss: float = 0.009
+    p_transf: float
+    p_pickup: float
+    p_acci: float
+    p_loss: float
 
     def __post_init__(self):
         for name in ("p_transf", "p_pickup", "p_acci", "p_loss"):
@@ -232,8 +232,8 @@ def simulate_defect_free(
     layout: TrapLayout,
     probs: DefectProbabilities,
     trials: int,
-    rng_seed: int = 0,
-    fill_p: float = 0.5,
+    rng_seed: int,
+    fill_p: float,
 ) -> DefectFreeEstimate:
     """Monte Carlo defect-free frequency over load/failure cycles.
 
@@ -247,8 +247,8 @@ def simulate_defect_free(
 
     Trials run in blocks of ``BLOCK``; block j (trials BLOCK*j onwards, the
     last block may be shorter) draws from ``default_rng([rng_seed, j])``, so
-    a result is reproducible for a fixed seed and trial count.  A block
-    draws, for each round of at most ``MAX_RELOADS + 1``, one
+    a result is reproducible for a fixed seed (which must be >= 0) and trial
+    count.  A block draws, for each round of at most ``MAX_RELOADS + 1``, one
     ``(pending rows, N_traps)`` uniform matrix compared with ``fill_p`` for
     the rows not yet feasible, then one ``(rows, N_traps + N_register)``
     failure matrix u.  In row i, columns ``[0, N_transf)`` are transfers
@@ -259,6 +259,8 @@ def simulate_defect_free(
     """
     if trials < 1:
         raise InvalidConfig(f"trials must be >= 1, got {trials}")
+    if rng_seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {rng_seed}")
     if not 0.0 <= fill_p <= 1.0:
         raise InvalidConfig(f"fill_p = {fill_p} outside [0, 1]")
     n_traps, n_register = layout.n_traps, layout.n_register

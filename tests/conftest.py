@@ -13,7 +13,9 @@ def paper_setup(lx: int, ly: int, cutoff_factor: float | None = None):
     """Lattice, derived quench parameters and interaction matrix at the
     canonical quench point (Omega/2pi = 2 MHz, h_x = 2.5)."""
     lattice = model.lattice_for_quench(lx, ly, PAPER_OMEGA, PAPER_HX)
-    params = model.derive_quench(PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lattice)
+    params = model.derive_quench(
+        PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lattice, t_pulse=4e-6, dt=1e-9
+    )
     cutoff = None if cutoff_factor is None else cutoff_factor * params.spacing
     v = model.interactions(lattice, params, cutoff)
     return lattice, params, v

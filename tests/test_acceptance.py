@@ -62,7 +62,9 @@ def test_c2_monte_carlo_matches_analytic_model():
     worst = 0.0
     for n_register in sizes:
         layout = make_layout(n_register, 200)
-        est = simulate_defect_free(layout, PAPER_PROBS, trials=trials, rng_seed=2026)
+        est = simulate_defect_free(
+            layout, PAPER_PROBS, trials=trials, rng_seed=2026, fill_p=0.5
+        )
         analytic = defect_free_analytic(est.counts_mean, PAPER_PROBS)
         sigmas = abs(est.p_hat - analytic) / est.std_err
         worst = max(worst, sigmas)

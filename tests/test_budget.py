@@ -9,7 +9,8 @@ from quench_bench.register import DefectProbabilities, defect_free_analytic, exp
 
 import reference
 
-PAPER_PROBS = DefectProbabilities()
+PAPER_PROBS = DefectProbabilities(p_transf=0.989, p_pickup=0.998, p_acci=0.0009, p_loss=0.009)
+PAPER_BUDGET = {"alpha": 0.05, "confidence": 0.95, "shot_rate": 1.0, "qpu_power_watts": 3200.0}
 
 
 def paper_p_df(n_register: int) -> float:
@@ -34,6 +35,11 @@ class TestShotsForPrecision:
     def test_invalid_alpha(self):
         with pytest.raises(InvalidPrecision):
             shots_for_precision(0.5, 0.0)
+        # alpha**2 underflows to zero, or the count overflows to inf
+        for alpha in (1e-200, 1e-160):
+            with pytest.raises(InvalidPrecision):
+                shots_for_precision(0.5, alpha)
+            assert shots_for_precision(0.0, alpha) == shots_for_precision(1.0, alpha) == 0
 
 
 class TestAttemptsForUsable:
@@ -103,7 +109,7 @@ class TestAttemptsForUsable:
 
 class TestQpuSchedule:
     def test_paper_15x15_row(self):
-        schedule = qpu_schedule(225, PAPER_PROBS)
+        schedule = qpu_schedule(225, PAPER_PROBS, **PAPER_BUDGET)
         assert schedule.budget.m_usable == 1600
         assert schedule.budget.p_defect_free == pytest.approx(0.0679, abs=0.001)
         hours = schedule.budget.wall_seconds / 3600.0
@@ -112,17 +118,17 @@ class TestQpuSchedule:
 
     def test_perfect_probabilities_floor(self):
         perfect = DefectProbabilities(1.0, 1.0, 0.0, 0.0)
-        schedule = qpu_schedule(100, perfect)
+        schedule = qpu_schedule(100, perfect, **PAPER_BUDGET)
         assert schedule.budget.n_attempts == 1600
         assert schedule.budget.wall_seconds == 1600.0
         assert schedule.energy_kwh == pytest.approx(3200.0 * 1600.0 / 3.6e6)
 
     def test_wall_time_scales_with_shot_rate(self):
-        slow = qpu_schedule(64, PAPER_PROBS, shot_rate=1.0)
-        fast = qpu_schedule(64, PAPER_PROBS, shot_rate=2.0)
+        slow = qpu_schedule(64, PAPER_PROBS, **{**PAPER_BUDGET, "shot_rate": 1.0})
+        fast = qpu_schedule(64, PAPER_PROBS, **{**PAPER_BUDGET, "shot_rate": 2.0})
         assert fast.budget.n_attempts == slow.budget.n_attempts
         assert fast.budget.wall_seconds == pytest.approx(slow.budget.wall_seconds / 2)
 
     def test_invalid_shot_rate(self):
         with pytest.raises(ValueError):
-            qpu_schedule(64, PAPER_PROBS, shot_rate=0.0)
+            qpu_schedule(64, PAPER_PROBS, **{**PAPER_BUDGET, "shot_rate": 0.0})

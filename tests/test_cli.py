@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ from click.testing import CliRunner
 
 from quench_bench import cli
 from quench_bench.cli import main
+from quench_bench.config import default_config, load_config
 from quench_bench.mps import memory_estimate
+
+REPO = Path(__file__).parents[1]
 
 
 @pytest.fixture()
@@ -146,9 +150,8 @@ class TestSimulate:
         assert run["lanczos_converged"] is True
 
     def test_tdvp_reports_unconverged_lanczos(self, runner, tmp_path):
-        config = write_config(tmp_path / "k2.ini", "[mps]\nk_max = 2\n")
         out = tmp_path / "run"
-        args = ["simulate", "tdvp", "--config", config, "--size", "3x3", "--t-pulse", "5ns"]
+        args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "2000ns", "--dt", "1000ns"]
         invoke(runner, args + ["--out", str(out), "--json"])
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["run"]["lanczos_converged"] is False
@@ -164,7 +167,7 @@ class TestSimulate:
         assert verdict["run"]["lanczos_converged"] is converged
         assert verdict["verdict"]["passed"] is converged
 
-    @pytest.mark.parametrize("key, named", [("max_chi", "chi=0"), ("k_max", "k=0")])
+    @pytest.mark.parametrize("key, named", [("max_chi", "chi=0")])
     def test_tdvp_cap_below_one_fails_before_run(self, runner, tmp_path, monkeypatch, key, named):
         def forbidden(*args, **kwargs):
             raise AssertionError("the quench ran")
@@ -262,8 +265,7 @@ class TestConfigHandling:
             ["simulate", "exact", "--t-pulse", "1.2.3ns", "--out", "{out}"],
             ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--max-chi", "0",
              "--out", "{out}"],
-            ["simulate", "tdvp", "--config", "{k_max_0}", "--size", "2x2", "--t-pulse", "5ns",
-             "--out", "{out}"],
+            ["simulate", "exact", "--config", "{dt_inf}", "--size", "2x2", "--out", "{out}"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-step", "0"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "700"],
             ["fit", "mps", "--samples", "{bad_timing}"],
@@ -292,6 +294,11 @@ class TestConfigHandling:
              "--out", "{out}"],
             ["estimate", "qpu", "--register", "15x15", "--shot-rate", "inf"],
             ["fit", "mps", "--samples", "{bad_dt_timing}"],
+            ["simulate", "exact", "--size", "2x2", "--dt", "1e300s", "--out", "{out}"],
+            ["simulate", "exact", "--config", "{t_pulse_inf}", "--size", "2x2", "--out", "{out}"],
+            ["simulate", "exact", "--size", "2x2", "--t-pulse", "1e300s", "--out", "{out}"],
+            ["rearrange", "--seed", "-1", "--trials", "5"],
+            ["rearrange", "--config", "{seed_neg}", "--trials", "5"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -314,11 +321,18 @@ class TestConfigHandling:
         nqs_no_workers.write_text(
             "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n100,0,1.0,2.0,gpu-a100,0\n"
         )
-        k_max_0 = write_config(tmp_path / "k0.ini", "[mps]\nk_max = 0\n")
+        configs = {
+            name: write_config(tmp_path / f"{name}.ini", text)
+            for name, text in (
+                ("dt_inf", "[quench]\ndt_ns = inf\n"),
+                ("t_pulse_inf", "[quench]\nt_pulse_ns = inf\n"),
+                ("seed_neg", "[run]\nseed = -1\n"),
+            )
+        }
         args = [
             a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing,
-                     bad_dt_timing=bad_dt_timing, k_max_0=k_max_0,
-                     nqs_no_workers=nqs_no_workers, **logs)
+                     bad_dt_timing=bad_dt_timing, nqs_no_workers=nqs_no_workers,
+                     **logs, **configs)
             for a in args
         ]
         result = runner.invoke(main, [*args, "--json"])
@@ -336,6 +350,21 @@ class TestConfigHandling:
         )
         assert result.exit_code == 1
         assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+
+    @pytest.mark.parametrize("command", ["shots", "qpu"])
+    def test_underflowing_alpha_rejected(self, runner, command):
+        result = runner.invoke(main, ["estimate", command, "--alpha", "1e-200", "--json"])
+        assert result.exit_code == 1
+        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+
+    def test_documented_configs_load(self, tmp_path):
+        """Every ini block of README loads, and config.example.ini restates
+        the defaults."""
+        blocks = re.findall(r"```ini\n(.*?)```", (REPO / "README.md").read_text(), re.DOTALL)
+        assert blocks
+        for i, block in enumerate(blocks):
+            load_config(write_config(tmp_path / f"readme_{i}.ini", block))
+        assert load_config(REPO / "config.example.ini") == default_config()
 
     def test_unknown_key_rejected(self, runner, tmp_path):
         config = write_config(tmp_path / "bad.ini", "[lattice]\nnonsense = 3\n")

@@ -20,7 +20,7 @@ from conftest import paper_setup
 
 
 def omap(values):
-    return model.ObservableMap(values=np.asarray(values, dtype=float), label="n")
+    return model.ObservableMap(values=np.asarray(values, dtype=float))
 
 
 class TestEnergyDrift:
@@ -145,7 +145,7 @@ class FakeRuns:
             raise MemoryBudgetExceeded(f"chi={chi} refused")
         passes = self.passes_from is not None and chi >= self.passes_from
         drift = 0.0 if passes else energy_scale(self.lattice, self.params)
-        flat = model.ObservableMap(np.zeros((2, 2)), label="n")
+        flat = model.ObservableMap(np.zeros((2, 2)))
         return model.Trajectory(self.lattice, maps=[flat, flat], energies=[0.0, drift])
 
 
@@ -159,6 +159,8 @@ class TestMinConvergedChi:
             h_x=params.h_x,
             spacing=params.spacing,
             j_scale=params.j_scale,
+            t_pulse=params.t_pulse,
+            dt=params.dt,
         )
         result = min_converged_chi(
             frozen, [2, 4, 8], lambda chi: run_quench(lat, frozen, 20e-9, 1e-9, max_chi=chi)

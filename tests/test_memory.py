@@ -7,13 +7,13 @@ from quench_bench.mps import memory_estimate
 
 class TestClosedForms:
     def test_minimal_plugin(self):
-        est = memory_estimate(n=1, chi=1, d=2, s=16, k=50)
+        est = memory_estimate(n=1, chi=1)
         assert est.mps == 32.0
         assert est.krylov == 1600.0
 
     def test_component_formulas(self):
         n, chi, d, s, k = 49, 37, 2, 16, 50
-        est = memory_estimate(n, chi, d=d, s=s, k=k)
+        est = memory_estimate(n, chi)
         sqrt_n = math.sqrt(n)
         assert est.mps == s * d * chi**2 * n
         assert est.baths == s * chi**2 * (3 * n * sqrt_n - 7 * n - 12 * sqrt_n - 4)

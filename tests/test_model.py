@@ -69,7 +69,7 @@ class TestDeriveQuench:
         # R = (c6 h_x / (2 omega))^(1/6) collapses to 1 um when c6 h_x = 2 omega
         omega = mhz_to_angular(2.0)
         lat = model.lattice_for_quench(2, 2, omega, h_x=1.0, c6=2.0 * omega)
-        params = model.derive_quench(omega, 1.0, 2.0 * omega, lat)
+        params = model.derive_quench(omega, 1.0, 2.0 * omega, lat, t_pulse=4e-6, dt=1e-9)
         assert params.spacing == pytest.approx(1.0, abs=1e-12)
 
     def test_ratio_invariants(self):
@@ -97,12 +97,12 @@ class TestDeriveQuench:
     def test_rejects_mismatched_lattice_spacing(self):
         lat = model.build_lattice(2, 2, 1.0)
         with pytest.raises(InvalidLattice):
-            model.derive_quench(PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lat)
+            model.derive_quench(PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lat, t_pulse=4e-6, dt=1e-9)
 
     def test_rejects_nonpositive(self):
         lat, _, _ = paper_setup(2, 2)
         with pytest.raises(ValueError):
-            model.derive_quench(-1.0, PAPER_HX, model.DEFAULT_C6, lat)
+            model.derive_quench(-1.0, PAPER_HX, model.DEFAULT_C6, lat, t_pulse=4e-6, dt=1e-9)
 
 
 class TestInteractions:
@@ -156,7 +156,7 @@ class TestObservableMap:
     def test_from_site_values_layout(self):
         lat = model.build_lattice(3, 2, 5.0)
         vals = np.arange(6, dtype=float)
-        omap = model.ObservableMap.from_site_values(lat, vals, label="n")
+        omap = model.ObservableMap.from_site_values(lat, vals)
         # snake site 3 lives at (row 1, col 2)
         assert omap.values[1, 2] == 3.0
         assert omap.values.shape == (2, 3)

@@ -35,6 +35,8 @@ class TestInitialState:
             h_x=params.h_x,
             spacing=params.spacing,
             j_scale=params.j_scale,
+            t_pulse=params.t_pulse,
+            dt=params.dt,
         )
         traj = oracle.evolve_exact(lat, frozen, v, t=50e-9, dt=1e-9)
         assert np.abs(traj.final_state[0] - 1.0) < 1e-12
@@ -115,7 +117,7 @@ class TestConservation:
         runs = []
         for c6 in (model.DEFAULT_C6, 2.0 * model.DEFAULT_C6):
             lat = model.lattice_for_quench(2, 2, omega, PAPER_HX, c6)
-            params = model.derive_quench(omega, PAPER_HX, c6, lat)
+            params = model.derive_quench(omega, PAPER_HX, c6, lat, t_pulse=4e-6, dt=1e-9)
             v = model.interactions(lat, params)
             traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
             runs.append(traj.maps[-1].values)

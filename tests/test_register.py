@@ -59,9 +59,9 @@ class TestLoading:
 
     def test_seed_determinism(self):
         layout = make_layout(25)
-        a = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42)
-        b = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42)
-        c = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=43)
+        a = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42, fill_p=0.5)
+        b = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=42, fill_p=0.5)
+        c = simulate_defect_free(layout, PAPER_PROBS, trials=600, rng_seed=43, fill_p=0.5)
         assert (a.p_hat, a.counts_mean) == (b.p_hat, b.counts_mean)
         assert a.counts_mean != c.counts_mean
 
@@ -70,7 +70,7 @@ class TestLoading:
         # those of unconditioned Bernoulli(1/2) loads
         layout = make_layout(50, 200)
         trials = 2000
-        est = simulate_defect_free(layout, PERFECT, trials=trials, rng_seed=7)
+        est = simulate_defect_free(layout, PERFECT, trials=trials, rng_seed=7, fill_p=0.5)
         assert est.counts_mean["infeasible_trials"] == 0
         empty_sigma = np.sqrt(50 * 0.25 / trials)
         surplus_sigma = np.sqrt(150 * 0.25 / trials)
@@ -196,14 +196,14 @@ class TestMonteCarlo:
 
     def test_agreement_with_analytic(self):
         layout = make_layout(50, 200)
-        est = simulate_defect_free(layout, PAPER_PROBS, trials=20000, rng_seed=9)
+        est = simulate_defect_free(layout, PAPER_PROBS, trials=20000, rng_seed=9, fill_p=0.5)
         analytic = defect_free_analytic(est.counts_mean, PAPER_PROBS)
         assert abs(est.p_hat - analytic) <= 3.0 * est.std_err
 
     def test_determinism(self):
         layout = make_layout(20, 50)
-        a = simulate_defect_free(layout, PAPER_PROBS, trials=500, rng_seed=4)
-        b = simulate_defect_free(layout, PAPER_PROBS, trials=500, rng_seed=4)
+        a = simulate_defect_free(layout, PAPER_PROBS, trials=500, rng_seed=4, fill_p=0.5)
+        b = simulate_defect_free(layout, PAPER_PROBS, trials=500, rng_seed=4, fill_p=0.5)
         assert a.p_hat == b.p_hat
         assert a.counts_mean == b.counts_mean
 
@@ -260,17 +260,20 @@ class TestMonteCarlo:
             raise AssertionError("the Monte Carlo solved an assignment")
 
         monkeypatch.setattr("scipy.optimize.linear_sum_assignment", forbidden)
-        est = simulate_defect_free(make_layout(20, 40), PAPER_PROBS, trials=50, rng_seed=1)
+        layout = make_layout(20, 40)
+        est = simulate_defect_free(layout, PAPER_PROBS, trials=50, rng_seed=1, fill_p=0.5)
         assert est.counts_mean["N_transf"] > 0
 
     @pytest.mark.parametrize("fill_p", [1.5, -0.1])
     def test_fill_outside_unit_interval_rejected(self, fill_p):
         with pytest.raises(ValueError):
-            simulate_defect_free(make_layout(10, 20), PERFECT, trials=5, fill_p=fill_p)
+            simulate_defect_free(
+                make_layout(10, 20), PERFECT, trials=5, rng_seed=0, fill_p=fill_p
+            )
 
     def test_std_err_definition(self):
         layout = make_layout(10, 20)
-        est = simulate_defect_free(layout, PAPER_PROBS, trials=400, rng_seed=6)
+        est = simulate_defect_free(layout, PAPER_PROBS, trials=400, rng_seed=6, fill_p=0.5)
         assert est.std_err == pytest.approx(
             np.sqrt(est.p_hat * (1 - est.p_hat) / 400), rel=1e-12
         )
