@@ -104,6 +104,8 @@ def qpu_schedule(
     m = shots_for_precision(0.5, alpha)
     n = attempts_for_usable(m, p_df, confidence)
     wall = n / shot_rate
+    if not math.isfinite(wall):
+        raise InvalidConfig(f"shot_rate = {shot_rate} Hz makes {n} attempts take {wall} s")
     budget = ShotBudget(m_usable=m, p_defect_free=p_df, n_attempts=n, wall_seconds=wall)
     return QpuSchedule(
         budget=budget,

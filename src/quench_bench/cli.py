@@ -20,6 +20,7 @@ import functools
 import math
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -35,6 +36,7 @@ from .config import (
     manifest_core,
     manifest_digest,
     params_from_config,
+    sites_from_config,
 )
 from .costfit import step_sample, write_timing_csv
 from .errors import InvalidConfig, QuenchBenchError
@@ -77,6 +79,8 @@ def _parse_size(text: str) -> tuple[int, int]:
         lx, ly = (int(part) for part in text.lower().split("x"))
     except ValueError:
         raise InvalidConfig(f"size must look like 15x15, got {text!r}") from None
+    if lx < 1 or ly < 1:
+        raise InvalidConfig(f"size sides must be >= 1, got {text!r}")
     return lx, ly
 
 
@@ -288,17 +292,12 @@ def estimate_qpu(config_path, register_size, alpha, confidence, shot_rate, qpu_p
         },
     )
     if register_size is None:
-        n_register = config["lattice"]["Lx"] * config["lattice"]["Ly"]
+        n_register = sites_from_config(config)
     else:
         n_register = _register_atoms(register_size)
     schedule = _qpu_schedule(config, n_register)
     payload = {
-        "m_usable": schedule.budget.m_usable,
-        "p_defect_free": schedule.budget.p_defect_free,
-        "n_attempts": schedule.budget.n_attempts,
-        "wall_seconds": schedule.budget.wall_seconds,
-        "energy_kwh": schedule.energy_kwh,
-        "counts": schedule.counts,
+        **asdict(schedule.budget), "energy_kwh": schedule.energy_kwh, "counts": schedule.counts
     }
     return payload, (
         f"N={n_register}: {schedule.budget.n_attempts} attempts for "
@@ -321,7 +320,7 @@ def estimate_qpu(config_path, register_size, alpha, confidence, shot_rate, qpu_p
 def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_power_kw, power_log):
     """Fit the timing samples and extrapolate one classical simulation."""
     config = _config_with_flags(config_path, t_pulse, dt, size)
-    n = config["lattice"]["Lx"] * config["lattice"]["Ly"]
+    n = sites_from_config(config)
     t_pulse_s, dt_s = durations_from_config(config)
     if power_log is not None:
         power_watts = costfit.mean_power_from_log(power_log)
@@ -360,6 +359,8 @@ def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_p
             f"N sweep needs n_step >= 1 and n_min <= n_max, got "
             f"n_min={n_min}, n_max={n_max}, n_step={n_step}"
         )
+    if n_min < 1:
+        raise InvalidConfig(f"N sweep needs n_min >= 1, got n_min={n_min}")
     config = _config_with_flags(config_path, t_pulse, dt)
     t_pulse_s, dt_s = durations_from_config(config)
     power_watts = (
@@ -403,9 +404,7 @@ def rearrange(config_path, trials, seed, register_size, n_traps, fill_p):
     config = _config_with_flags(
         config_path, register={"fill_p": fill_p, "n_traps": n_traps}, run={"seed": seed}
     )
-    n_register = register_size
-    if n_register is None:
-        n_register = config["lattice"]["Lx"] * config["lattice"]["Ly"]
+    n_register = sites_from_config(config) if register_size is None else register_size
     probs = _probs_from_config(config)
     reg = config["register"]
     layout = register.make_layout(n_register, reg["n_traps"])
@@ -420,10 +419,9 @@ def rearrange(config_path, trials, seed, register_size, n_traps, fill_p):
         register.expected_counts(n_register), probs
     )
     payload = {
-        "p_hat": est.p_hat,
-        "std_err": est.std_err,
-        "trials": est.trials,
-        "counts_mean": est.counts_mean,
+        **asdict(est),
+        # every mean count is NaN when no trial was feasible; JSON has no NaN
+        "counts_mean": {k: None if math.isnan(v) else v for k, v in est.counts_mean.items()},
         "analytic_at_mean_counts": analytic_mc,
         "analytic_at_expected_counts": analytic_expected,
         "layout_model": "register_grid_plus_reservoir_rings",
@@ -458,15 +456,7 @@ def fit_mps_cmd(samples_path):
 def fit_nqs_cmd(samples_path):
     samples = [s for s in costfit.read_timing_csv(samples_path) if s.method == "NQS"]
     model = costfit.fit_nqs(samples)
-    payload = {
-        "a_q": model.a_q,
-        "b_q": model.b_q,
-        "c_q": model.c_q,
-        "residual_relative_rms": model.fit_residual,
-        "domain": model.domain,
-        "n_samples": len(samples),
-    }
-    return payload, None
+    return {**model.as_dict(), "n_samples": len(samples)}, None
 
 
 if __name__ == "__main__":

@@ -132,6 +132,14 @@ def durations_from_config(config: dict) -> tuple[float, float]:
     return t_pulse, dt
 
 
+def sites_from_config(config: dict) -> int:
+    """Lx * Ly of the config's lattice; both sides must be >= 1."""
+    lx, ly = config["lattice"]["Lx"], config["lattice"]["Ly"]
+    if lx < 1 or ly < 1:
+        raise InvalidConfig(f"lattice sides must be >= 1, got Lx={lx}, Ly={ly}")
+    return lx * ly
+
+
 def lattice_from_config(config: dict) -> LatticeSpec:
     return lattice_for_quench(config["lattice"]["Lx"], config["lattice"]["Ly"], *_physics(config))
 
@@ -154,17 +162,20 @@ def sha256_of_file(path: str | Path) -> str:
 
 
 def build_manifest(config: dict, seed: int | None, input_paths: list = ()) -> dict:
-    """Manifest core (timestamp-free) plus a created_utc stamp."""
-    core = {
+    """Manifest core (timestamp-free) plus a created_utc stamp.  A non-finite
+    float anywhere in ``config`` raises InvalidConfig naming its key."""
+    for section, keys in config.items():
+        for key, value in keys.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{section}.{key} must be finite, got {value}")
+    return {
         "tool": "quench-bench",
         "tool_version": __version__,
         "config": config,
         "seed": seed,
         "inputs": {str(p): sha256_of_file(p) for p in input_paths},
+        "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    manifest = dict(core)
-    manifest["created_utc"] = datetime.now(timezone.utc).isoformat()
-    return manifest
 
 
 def manifest_core(manifest: dict) -> dict:
@@ -177,8 +188,9 @@ def manifest_digest(manifest: dict) -> str:
 
 
 def dump_json(obj: dict, path: str | Path | None = None) -> str:
-    """Deterministic JSON text (sorted keys); writes to ``path`` when given."""
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic, strict JSON text (sorted keys; NaN and Infinity raise
+    ValueError, as JSON has no such values); writes to ``path`` when given."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if path is not None:
         Path(path).write_text(text)
     return text

@@ -14,7 +14,7 @@ range (max - min), which makes the 40% threshold scale-free.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,14 +52,7 @@ class ConvergenceVerdict:
     r2_integrated: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "energy_drift_rel": self.energy_drift_rel,
-            "d8_error_rel": self.d8_error_rel,
-            "r2_integrated": self.r2_integrated,
-            "passed": self.passed,
-            "e_scale": self.e_scale,
-            "norm_convention": "entrywise max-norm over observable range",
-        }
+        return {**asdict(self), "norm_convention": "entrywise max-norm over observable range"}
 
 
 @dataclass(frozen=True)

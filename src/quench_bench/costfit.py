@@ -10,7 +10,7 @@ minimizes relative rather than absolute residuals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,8 +48,18 @@ class RuntimeSample:
             )
 
 
+class _CostLaw:
+    """JSON form of both cost laws: every field, with ``fit_residual`` (the
+    relative RMS residual) named ``residual_relative_rms``."""
+
+    def as_dict(self) -> dict:
+        payload = asdict(self)
+        payload["residual_relative_rms"] = payload.pop("fit_residual")
+        return payload
+
+
 @dataclass(frozen=True)
-class CostModelMPS:
+class CostModelMPS(_CostLaw):
     a: float
     b: float
     c: float
@@ -59,18 +69,9 @@ class CostModelMPS:
     def predict(self, n: float, chi: float) -> float:
         return self.a + self.b * n**1.5 * chi**3 + self.c * n**2 * chi**2
 
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "residual_relative_rms": self.fit_residual,
-            "domain": self.domain,
-        }
-
 
 @dataclass(frozen=True)
-class CostModelNQS:
+class CostModelNQS(_CostLaw):
     a_q: float
     b_q: float
     c_q: float
@@ -96,19 +97,9 @@ class ResourceReport:
     extrapolated: bool  # (N, chi) lies outside the fitted sample domain
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "N": self.n,
-            "chi": self.chi,
-            "t_pulse_s": self.t_pulse,
-            "n_steps": self.n_steps,
-            "seconds_per_step": self.seconds_per_step,
-            "total_seconds": self.total_seconds,
-            "memory_bytes": self.memory_bytes,
-            "energy_kwh": self.energy_kwh,
-            "power_watts": self.power_watts,
-            "extrapolated": self.extrapolated,
-        }
+        payload = asdict(self)
+        payload["N"], payload["t_pulse_s"] = payload.pop("n"), payload.pop("t_pulse")
+        return payload
 
 
 @dataclass(frozen=True)
@@ -201,8 +192,10 @@ def extrapolate(
 
     The report's ``extrapolated`` flag is set when (N, chi) falls outside the
     fitted sample domain.  Memory follows the closed-form MPS model; NQS
-    reports carry no memory figure.
+    reports carry no memory figure.  N below 1 raises InvalidConfig.
     """
+    if n < 1:
+        raise InvalidConfig(f"N must be >= 1, got {n}")
     dom = model.domain
     inside = dom["n_min"] <= n <= dom["n_max"] and dom["chi_min"] <= chi <= dom["chi_max"]
     n_steps = step_count(t_pulse, dt)

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from quench_bench import cli
 from quench_bench.cli import main
-from quench_bench.config import default_config, load_config
+from quench_bench.config import default_config, dump_json, load_config
 from quench_bench.mps import memory_estimate
 
 REPO = Path(__file__).parents[1]
@@ -24,6 +24,21 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def loads(text: str):
+    """``json.loads`` that refuses NaN and Infinity, which JSON does not have."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def test_dump_json_refuses_non_finite():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            dump_json({"x": value})
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
@@ -60,6 +75,14 @@ def write_synthetic_timing(path: Path) -> str:
     return str(path)
 
 
+def write_nqs_timing(path: Path) -> str:
+    lines = ["N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers"]
+    for n in (25, 36, 49, 64, 81, 100, 121, 144):
+        lines.append(f"{n},0,1.0,{3e-7 * n**3!r},gpu,1")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 class TestEstimateShots:
     def test_paper_value_plain(self, runner):
         result = invoke(runner, ["estimate", "shots", "--p", "0.5", "--alpha", "0.05"])
@@ -68,19 +91,19 @@ class TestEstimateShots:
 
     def test_json(self, runner):
         result = invoke(runner, ["estimate", "shots", "--json"])
-        assert json.loads(result.output)["shots"] == 1600
+        assert loads(result.output)["shots"] == 1600
 
     def test_error_object_and_exit_code(self, runner):
         result = runner.invoke(main, ["estimate", "shots", "--alpha", "-1", "--json"])
         assert result.exit_code == 1
-        err = json.loads(result.stderr)
+        err = loads(result.stderr)
         assert err["error"]["type"] == "InvalidPrecision"
 
 
 class TestEstimateQpu:
     def test_table_row(self, runner):
         result = invoke(runner, ["estimate", "qpu", "--register", "15x15", "--json"])
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["m_usable"] == 1600
         hours = payload["wall_seconds"] / 3600.0
         assert abs(hours - 6.3) / max(hours, 6.3) < 0.25
@@ -88,13 +111,13 @@ class TestEstimateQpu:
 
     def test_atom_count_form(self, runner):
         result = invoke(runner, ["estimate", "qpu", "--register", "225", "--json"])
-        assert json.loads(result.output)["counts"]["N_register"] == 225
+        assert loads(result.output)["counts"]["N_register"] == 225
 
     def test_exact_count_above_a_million_attempts(self, runner):
         result = invoke(
             runner, ["estimate", "qpu", "--register", "30x30", "--alpha", "0.5", "--json"]
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["m_usable"] == 16
         assert payload["n_attempts"] == 1084611  # smallest n per binom.sf
 
@@ -107,7 +130,7 @@ class TestSimulate:
             ["simulate", "exact", "--size", "2x2", "--t-pulse", "0ns", "--out", str(out), "--json"],
         )
         assert result.exit_code == 0
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["verdict"]["passed"] is True
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert len([r for r in rows if not r.startswith(("#", "time_ns"))]) == 4
@@ -122,7 +145,7 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 0
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["verdict"]["passed"] is True
         assert (out / "trajectory.csv").exists()
         assert (out / "timing.csv").exists()
@@ -137,7 +160,7 @@ class TestSimulate:
         invoke(runner, args + ["--out", str(out), "--json"])
         timing = (out / "timing.csv").read_text().splitlines()
         assert timing[-1].startswith("9,16,1.0,")  # a 9-site MPS saturates at 2^4
-        run = json.loads((out / "verdict.json").read_text())["run"]
+        run = loads((out / "verdict.json").read_text())["run"]
         assert 0 < run["live_bytes_peak"] <= run["memory_model_bytes"]
         assert run["memory_model_bytes"] == memory_estimate(9, 64).total
 
@@ -145,7 +168,7 @@ class TestSimulate:
         out = tmp_path / "run"
         args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "20ns", "--max-chi", "2"]
         invoke(runner, args + ["--out", str(out), "--json"])
-        run = json.loads((out / "verdict.json").read_text())["run"]
+        run = loads((out / "verdict.json").read_text())["run"]
         assert run["truncation_weight"] > 0.0
         assert run["lanczos_converged"] is True
 
@@ -153,7 +176,7 @@ class TestSimulate:
         out = tmp_path / "run"
         args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "2000ns", "--dt", "1000ns"]
         invoke(runner, args + ["--out", str(out), "--json"])
-        verdict = json.loads((out / "verdict.json").read_text())
+        verdict = loads((out / "verdict.json").read_text())
         assert verdict["run"]["lanczos_converged"] is False
         assert verdict["verdict"]["passed"] is False
 
@@ -163,7 +186,7 @@ class TestSimulate:
         out = tmp_path / "run"
         args = ["simulate", "exact", "--size", "3x3", "--t-pulse", t_pulse, "--dt", dt]
         invoke(runner, args + ["--out", str(out), "--json"])
-        verdict = json.loads((out / "verdict.json").read_text())
+        verdict = loads((out / "verdict.json").read_text())
         assert verdict["run"]["lanczos_converged"] is converged
         assert verdict["verdict"]["passed"] is converged
 
@@ -178,7 +201,7 @@ class TestSimulate:
         args = ["simulate", "tdvp", "--config", config, "--size", "2x2", "--out", str(out)]
         result = runner.invoke(main, [*args, "--json"])
         assert result.exit_code == 1
-        err = json.loads(result.stderr)["error"]
+        err = loads(result.stderr)["error"]
         assert err["type"] == "InvalidConfig" and named in err["message"]
         assert not out.exists()
 
@@ -191,7 +214,7 @@ class TestSimulate:
             ],
         )
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "MemoryBudgetExceeded"
+        assert loads(result.stderr)["error"]["type"] == "MemoryBudgetExceeded"
 
     def test_reproducible_artifacts(self, runner, tmp_path):
         args = ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "8ns", "--max-chi", "4"]
@@ -200,8 +223,8 @@ class TestSimulate:
         for name in ("trajectory.csv", "verdict.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         # manifests differ only in the timestamp
-        ma = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        mb = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        ma = loads((tmp_path / "a" / "manifest.json").read_text())
+        mb = loads((tmp_path / "b" / "manifest.json").read_text())
         ma.pop("created_utc")
         mb.pop("created_utc")
         assert ma == mb
@@ -226,7 +249,7 @@ class TestConfigHandling:
             ["simulate", "exact", "--config", config, "--t-pulse", "3ns", "--out", str(out), "--json"],
         )
         assert result.exit_code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = loads((out / "manifest.json").read_text())
         assert manifest["config"]["quench"]["t_pulse_ns"] == 3.0  # flag beats file
         assert manifest["config"]["lattice"]["Lx"] == 2
         assert str(config) in manifest["inputs"]
@@ -244,9 +267,27 @@ class TestConfigHandling:
             main, ["simulate", "exact", "--config", config, "--out", str(tmp_path / "x"), "--json"]
         )
         assert result.exit_code == 1
-        err = json.loads(result.stderr)["error"]
+        err = loads(result.stderr)["error"]
         assert err["type"] == "InvalidConfig"
         assert key.split(" = ")[0] in err["message"]
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("budget", "alpha = nan"), ("register", "fill_p = inf"),
+         ("mps", "memory_budget_gb = inf")],
+    )
+    def test_non_finite_config_rejected(self, runner, tmp_path, section, key):
+        config = write_config(tmp_path / "bad.ini", f"[{section}]\n{key}\n")
+        out = tmp_path / "x"
+        result = runner.invoke(
+            main, ["simulate", "exact", "--config", config, "--size", "2x2", "--t-pulse", "0ns",
+                   "--out", str(out), "--json"]
+        )
+        assert result.exit_code == 1
+        err = loads(result.stderr)["error"]
+        assert err["type"] == "InvalidConfig"
+        assert f"{section}.{key.split(' = ')[0]}" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "args",
@@ -299,6 +340,15 @@ class TestConfigHandling:
             ["simulate", "exact", "--size", "2x2", "--t-pulse", "1e300s", "--out", "{out}"],
             ["rearrange", "--seed", "-1", "--trials", "5"],
             ["rearrange", "--config", "{seed_neg}", "--trials", "5"],
+            ["estimate", "qpu", "--register", "-3x-3"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "-6x-6", "--chi", "1000"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "-3x3", "--chi", "1000"],
+            ["estimate", "qpu", "--config", "{lattice_neg}"],
+            ["estimate", "classical", "--samples", "{timing}", "--config", "{lattice_neg}",
+             "--chi", "1000"],
+            ["rearrange", "--config", "{lattice_neg}", "--trials", "5"],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "-25"],
+            ["estimate", "qpu", "--shot-rate", "1e-320"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -327,6 +377,7 @@ class TestConfigHandling:
                 ("dt_inf", "[quench]\ndt_ns = inf\n"),
                 ("t_pulse_inf", "[quench]\nt_pulse_ns = inf\n"),
                 ("seed_neg", "[run]\nseed = -1\n"),
+                ("lattice_neg", "[lattice]\nLx = -3\nLy = -3\n"),
             )
         }
         args = [
@@ -337,25 +388,25 @@ class TestConfigHandling:
         ]
         result = runner.invoke(main, [*args, "--json"])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_nan_alpha_rejected(self, runner):
         result = runner.invoke(main, ["estimate", "qpu", "--alpha", "nan", "--json"])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
 
     def test_infinite_alpha_rejected(self, runner):
         result = runner.invoke(
             main, ["estimate", "qpu", "--register", "15x15", "--alpha", "inf", "--json"]
         )
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
 
     @pytest.mark.parametrize("command", ["shots", "qpu"])
     def test_underflowing_alpha_rejected(self, runner, command):
         result = runner.invoke(main, ["estimate", command, "--alpha", "1e-200", "--json"])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
 
     def test_documented_configs_load(self, tmp_path):
         """Every ini block of README loads, and config.example.ini restates
@@ -372,7 +423,7 @@ class TestConfigHandling:
             main, ["simulate", "exact", "--config", config, "--out", str(tmp_path / "x"), "--json"]
         )
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
 
 class TestRearrange:
@@ -385,7 +436,7 @@ class TestRearrange:
             runner,
             ["rearrange", "--config", config, "--register-size", "9", "--trials", "50", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["p_hat"] == 1.0
         assert payload["analytic_at_mean_counts"] == 1.0
 
@@ -394,9 +445,10 @@ class TestRearrange:
             runner,
             ["rearrange", "--register-size", "6", "--trials", "20", "--fill-p", "0.0", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["p_hat"] == 0.0
         assert payload["analytic_at_mean_counts"] is None
+        assert [payload["counts_mean"][k] for k in ("N_transf", "N_dump", "N_idle")] == [None] * 3
 
     def test_monotone_in_register_size(self, runner):
         p_hats = []
@@ -406,14 +458,14 @@ class TestRearrange:
                 ["rearrange", "--register-size", str(size), "--n-traps", "200",
                  "--trials", "3000", "--seed", "5", "--json"],
             )
-            p_hats.append(json.loads(result.output)["p_hat"])
+            p_hats.append(loads(result.output)["p_hat"])
         assert p_hats == sorted(p_hats, reverse=True)
 
     @pytest.mark.parametrize("flag", ["--register-size", "--n-traps"])
     def test_zero_size_rejected(self, runner, flag):
         result = runner.invoke(main, ["rearrange", flag, "0", "--trials", "5", "--json"])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_determinism(self, runner):
         args = ["rearrange", "--register-size", "12", "--trials", "400", "--seed", "9", "--json"]
@@ -424,7 +476,7 @@ class TestFitAndClassical:
     def test_fit_mps_recovers_truth(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")
         result = invoke(runner, ["fit", "mps", "--samples", samples, "--json"])
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert abs(payload["a"] - 0.01) / 0.01 <= 0.10
         assert abs(payload["b"] - 1e-12) / 1e-12 <= 0.10
         assert abs(payload["c"] - 1e-9) / 1e-9 <= 0.10
@@ -436,16 +488,12 @@ class TestFitAndClassical:
         )
         result = runner.invoke(main, ["fit", "mps", "--samples", str(path), "--json"])
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "UnderdeterminedFit"
+        assert loads(result.stderr)["error"]["type"] == "UnderdeterminedFit"
 
     def test_fit_nqs(self, runner, tmp_path):
-        path = tmp_path / "nqs.csv"
-        lines = ["N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers"]
-        for n in (25, 36, 49, 64, 81, 100, 121, 144):
-            lines.append(f"{n},0,1.0,{3e-7 * n**3!r},gpu,1")
-        path.write_text("\n".join(lines) + "\n")
-        result = invoke(runner, ["fit", "nqs", "--samples", str(path), "--json"])
-        payload = json.loads(result.output)
+        path = write_nqs_timing(tmp_path / "nqs.csv")
+        result = invoke(runner, ["fit", "nqs", "--samples", path, "--json"])
+        payload = loads(result.output)
         assert payload["c_q"] == pytest.approx(3e-7, rel=1e-6)
 
     def test_estimate_classical_report(self, runner, tmp_path):
@@ -455,21 +503,21 @@ class TestFitAndClassical:
             ["estimate", "classical", "--samples", samples, "--size", "15x15",
              "--chi", "1000", "--t-pulse", "4us", "--dt", "1ns", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["report"]["n_steps"] == 4000
         assert abs(payload["report"]["memory_bytes"] - 150e9) / 150e9 < 0.15
 
     def test_estimate_classical_flags_extrapolation(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")
         args = ["estimate", "classical", "--samples", samples, "--size", "15x15", "--chi", "1000"]
-        payload = json.loads(invoke(runner, [*args, "--json"]).output)
+        payload = loads(invoke(runner, [*args, "--json"]).output)
         assert payload["report"]["extrapolated"] is True
         text = invoke(runner, args).output.splitlines()
         assert text[-1] == (
             "extrapolated: N=225, chi=1000 lies outside the fitted domain N 25-144, chi 100-600"
         )
         inside = ["estimate", "classical", "--samples", samples, "--size", "10x10", "--chi", "400"]
-        payload = json.loads(invoke(runner, [*inside, "--json"]).output)
+        payload = loads(invoke(runner, [*inside, "--json"]).output)
         assert payload["report"]["extrapolated"] is False
         assert "extrapolated" not in invoke(runner, inside).output
 
@@ -481,7 +529,7 @@ class TestFitAndClassical:
              "--n-min", "25", "--n-max", "625", "--n-step", "50",
              "--t-pulse", "4us", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["N_time"] is not None
         assert payload["N_energy"] is not None
 
@@ -492,7 +540,7 @@ class TestFitAndClassical:
             ["estimate", "classical", "--samples", samples, "--size", "15x15",
              "--chi", "1000", "--t-pulse", "0ns", "--json"],
         )
-        report = json.loads(result.output)["report"]
+        report = loads(result.output)["report"]
         assert report["n_steps"] == 0
         assert report["total_seconds"] == 0.0
 
@@ -504,7 +552,7 @@ class TestFitAndClassical:
             ["estimate", *command, "--samples", samples, "--chi", "1000", "--dt", "0ns", "--json"],
         )
         assert result.exit_code == 1
-        assert json.loads(result.stderr)["error"]["type"] == "InvalidConfig"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_zero_gpu_power_is_used(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")
@@ -514,7 +562,7 @@ class TestFitAndClassical:
              "--n-min", "25", "--n-max", "625", "--n-step", "50",
              "--t-pulse", "4us", "--gpu-power-kw", "0", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["N_time"] is not None
         assert payload["N_energy"] is None  # a classical run at 0 W never costs more energy
 
@@ -529,6 +577,83 @@ class TestFitAndClassical:
             ["estimate", "crossover", "--samples", str(path), "--chi", "100",
              "--n-min", "25", "--n-max", "100", "--n-step", "25", "--json"],
         )
-        payload = json.loads(result.output)
+        payload = loads(result.output)
         assert payload["N_time"] is None
         assert payload["N_energy"] is None
+
+
+VERDICT_KEYS = {"energy_drift_rel", "d8_error_rel", "r2_integrated", "passed", "e_scale",
+                "norm_convention"}
+MANIFEST_KEYS = {"tool", "tool_version", "config", "seed", "inputs"}
+COST_LAW_KEYS = {"residual_relative_rms", "domain"}
+
+#: Command, and the key set of its ``--json`` payload ("") and of each nested
+#: object in it, so that a new result-type field changes a schema only on purpose.
+PAYLOAD_KEYS = {
+    "estimate shots": (["estimate", "shots"], {"": {"p", "alpha", "shots"}}),
+    "estimate qpu": (["estimate", "qpu", "--register", "15x15"], {
+        "": {"m_usable", "p_defect_free", "n_attempts", "wall_seconds", "energy_kwh", "counts"},
+        "counts": {"N_transf", "N_dump", "N_traps", "N_register"},
+    }),
+    "estimate classical": (
+        ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000"], {
+            "": {"report", "fit"},
+            "report": {"method", "N", "chi", "t_pulse_s", "n_steps", "seconds_per_step",
+                       "total_seconds", "memory_bytes", "energy_kwh", "power_watts",
+                       "extrapolated"},
+            "fit": {"a", "b", "c", *COST_LAW_KEYS},
+        }),
+    "estimate crossover": (
+        ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "25",
+         "--n-max", "100"], {
+            "": {"N_time", "N_energy", "at_boundary_time", "at_boundary_energy", "sweep"},
+            "sweep": {"n_min", "n_max", "n_step", "chi"},
+        }),
+    "rearrange": (["rearrange", "--register-size", "6", "--trials", "20"], {
+        "": {"p_hat", "std_err", "trials", "counts_mean", "analytic_at_mean_counts",
+             "analytic_at_expected_counts", "layout_model"},
+        "counts_mean": {"N_transf", "N_dump", "N_idle", "N_traps", "N_register",
+                        "infeasible_trials"},
+    }),
+    "fit mps": (["fit", "mps", "--samples", "{timing}"], {
+        "": {"a", "b", "c", *COST_LAW_KEYS, "n_samples"},
+        "domain": {"n_min", "n_max", "chi_min", "chi_max"},
+    }),
+    "fit nqs": (["fit", "nqs", "--samples", "{nqs}"], {
+        "": {"a_q", "b_q", "c_q", *COST_LAW_KEYS, "n_samples"},
+    }),
+    "simulate exact": (
+        ["simulate", "exact", "--size", "2x2", "--t-pulse", "0ns", "--out", "{out}"], {
+            "": {"verdict", "manifest", "run"},
+            "verdict": VERDICT_KEYS,
+            "manifest": MANIFEST_KEYS,
+            "run": {"lanczos_converged"},
+        }),
+    "simulate tdvp": (
+        ["simulate", "tdvp", "--size", "2x2", "--t-pulse", "5ns", "--max-chi", "4",
+         "--out", "{out}"], {
+            "": {"verdict", "manifest", "run"},
+            "verdict": VERDICT_KEYS,
+            "manifest": MANIFEST_KEYS,
+            "run": {"lanczos_converged", "max_chi_used", "truncation_weight", "live_bytes_peak",
+                    "memory_model_bytes"},
+        }),
+    "error": (["estimate", "shots", "--alpha", "-1"], {
+        "": {"error"},
+        "error": {"type", "message"},
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(PAYLOAD_KEYS))
+def test_payload_keys(runner, tmp_path, name):
+    args, expected = PAYLOAD_KEYS[name]
+    files = {
+        "timing": write_synthetic_timing(tmp_path / "timing.csv"),
+        "nqs": write_nqs_timing(tmp_path / "nqs.csv"),
+        "out": tmp_path / "run",
+    }
+    result = runner.invoke(main, [*(a.format(**files) for a in args), "--json"])
+    assert result.exit_code == (1 if name == "error" else 0)
+    payload = loads(result.stderr if name == "error" else result.output)
+    assert {path: set(payload[path] if path else payload) for path in expected} == expected

@@ -199,6 +199,11 @@ class TestExtrapolate:
         assert report.memory_bytes is None
         assert report.method == "NQS"
 
+    @pytest.mark.parametrize("fit, samples", [(fit_mps, synthetic_mps), (fit_nqs, synthetic_nqs)])
+    def test_no_sites_rejected(self, fit, samples):
+        with pytest.raises(InvalidConfig, match="N must be >= 1, got 0"):
+            extrapolate(fit(samples(seed=12)), 0, 100, 4e-6, 1e-9)
+
 
 def _constant_qpu(wall_seconds, energy_kwh):
     class Budget:
