@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidConfig, InvalidPrecision, Unsatisfiable
+from .errors import InvalidConfig, Unsatisfiable
 from .register import DefectProbabilities, defect_free_analytic, expected_counts
 from .units import watt_seconds_to_kwh
 
@@ -41,16 +41,16 @@ class QpuSchedule:
 def shots_for_precision(p: float, alpha: float) -> int:
     """ceil(16 p (1-p) / alpha^2) for a finite alpha > 0; zero at p in {0, 1}
     (no variance).  An alpha so small that the count is not a finite float
-    raises InvalidPrecision."""
+    raises InvalidConfig."""
     if not 0.0 <= p <= 1.0:
         raise InvalidConfig(f"p = {p} outside [0, 1]")
     if not 0.0 < alpha < math.inf:
-        raise InvalidPrecision(f"alpha must be positive and finite, got {alpha}")
+        raise InvalidConfig(f"alpha must be positive and finite, got {alpha}")
     if p in (0.0, 1.0):
         return 0
     shots = 16.0 * p * (1.0 - p) / alpha**2 if alpha**2 > 0.0 else math.inf
     if shots == math.inf:
-        raise InvalidPrecision(f"alpha = {alpha} needs more shots than a float can count")
+        raise InvalidConfig(f"alpha = {alpha} needs more shots than a float can count")
     return math.ceil(shots)
 
 
@@ -64,13 +64,13 @@ def attempts_for_usable(m: int, p_df: float, confidence: float) -> int:
     search for it stalls once the answer passes about 1e125 (scipy 1.17).
     """
     if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
+        raise InvalidConfig(f"m must be >= 0, got {m}")
     if not 0.0 < confidence < 1.0:
         raise InvalidConfig(f"confidence must be in (0, 1), got {confidence}")
     if p_df <= 0.0:
         raise Unsatisfiable("defect-free probability is zero; no attempt count suffices")
     if p_df > 1.0:
-        raise ValueError(f"p_df = {p_df} outside (0, 1]")
+        raise InvalidConfig(f"p_df = {p_df} outside (0, 1]")
     if m == 0:
         return 0
     from scipy.stats import nbinom  # ~1 s to import; only this function needs it

@@ -20,7 +20,7 @@ import functools
 import math
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -237,10 +237,7 @@ def estimate_shots(p, alpha):
 def _probs_from_config(config) -> register.DefectProbabilities:
     reg = config["register"]
     return register.DefectProbabilities(
-        p_transf=reg["p_transf"],
-        p_pickup=reg["p_pickup"],
-        p_acci=reg["p_acci"],
-        p_loss=reg["p_loss"],
+        **{f.name: reg[f.name] for f in fields(register.DefectProbabilities)}
     )
 
 

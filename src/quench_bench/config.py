@@ -132,16 +132,21 @@ def durations_from_config(config: dict) -> tuple[float, float]:
     return t_pulse, dt
 
 
-def sites_from_config(config: dict) -> int:
-    """Lx * Ly of the config's lattice; both sides must be >= 1."""
+def _lattice_sides(config: dict) -> tuple[int, int]:
+    """(Lx, Ly) of the config's lattice; both sides must be >= 1."""
     lx, ly = config["lattice"]["Lx"], config["lattice"]["Ly"]
     if lx < 1 or ly < 1:
         raise InvalidConfig(f"lattice sides must be >= 1, got Lx={lx}, Ly={ly}")
-    return lx * ly
+    return lx, ly
+
+
+def sites_from_config(config: dict) -> int:
+    """Lx * Ly of the config's lattice."""
+    return math.prod(_lattice_sides(config))
 
 
 def lattice_from_config(config: dict) -> LatticeSpec:
-    return lattice_for_quench(config["lattice"]["Lx"], config["lattice"]["Ly"], *_physics(config))
+    return lattice_for_quench(*_lattice_sides(config), *_physics(config))
 
 
 def params_from_config(config: dict, lattice: LatticeSpec) -> QuenchParams:

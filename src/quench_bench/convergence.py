@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import InvalidScale, MemoryBudgetExceeded
+from .errors import InvalidConfig, MemoryBudgetExceeded
 from .model import LatticeSpec, ObservableMap, QuenchParams, Trajectory
 
 ENERGY_DRIFT_GATE = 0.05
@@ -85,10 +85,10 @@ def energy_scale(lattice: LatticeSpec, params: QuenchParams) -> float:
 def energy_drift(energies, e_scale: float) -> float:
     """max_t |E(t) - E(0)| / e_scale over the trajectory."""
     if e_scale <= 0:
-        raise InvalidScale(f"E_scale must be positive, got {e_scale}")
+        raise InvalidConfig(f"E_scale must be positive, got {e_scale}")
     energies = np.asarray(list(energies), dtype=float)
     if len(energies) == 0:
-        raise ValueError("empty energy trajectory")
+        raise InvalidConfig("empty energy trajectory")
     return float(np.abs(energies - energies[0]).max() / e_scale)
 
 
@@ -121,14 +121,10 @@ def evaluate_run(
 ) -> ConvergenceVerdict:
     """Verdict for a finished run: drift over the trajectory, symmetry error
     of the final observable map, optional external R^2 gate.  A run in which
-    any Lanczos solve did not converge never passes."""
+    any Lanczos solve did not converge never passes; a non-positive energy
+    scale (Omega <= 0) raises InvalidConfig."""
     e_scale = energy_scale(result.lattice, params)
-    if e_scale > 0:
-        drift = energy_drift(result.energies, e_scale)
-    else:
-        # undriven quench (Omega = 0): any energy change at all is a failure
-        energies = np.asarray(result.energies, dtype=float)
-        drift = 0.0 if np.all(energies == energies[0]) else float("inf")
+    drift = energy_drift(result.energies, e_scale)
     sym = d8_error(result.maps[-1])
     passed = drift < ENERGY_DRIFT_GATE and sym < D8_ERROR_GATE and result.lanczos_converged
     if r2_integrated is not None:
@@ -156,9 +152,9 @@ def min_converged_chi(
     candidate fails or is refused.
     """
     if not chi_grid:
-        raise ValueError("empty chi grid")
+        raise InvalidConfig("empty chi grid")
     if any(b <= a for a, b in zip(chi_grid, chi_grid[1:])):
-        raise ValueError("chi grid must be strictly increasing")
+        raise InvalidConfig("chi grid must be strictly increasing")
     verdicts: dict[int, ConvergenceVerdict] = {}
     budget_blocked = 0
 

@@ -38,12 +38,12 @@ class RuntimeSample:
 
     def __post_init__(self):
         if self.n < 1 or self.chi < 0 or self.n_workers < 1:
-            raise ValueError(
+            raise InvalidConfig(
                 f"need N >= 1, chi >= 0 and n_workers >= 1, got "
                 f"N={self.n}, chi={self.chi}, n_workers={self.n_workers}"
             )
         if not 0 < self.seconds_per_step < math.inf:
-            raise ValueError(
+            raise InvalidConfig(
                 f"seconds_per_step must be positive and finite, got {self.seconds_per_step}"
             )
 
@@ -192,15 +192,22 @@ def extrapolate(
 
     The report's ``extrapolated`` flag is set when (N, chi) falls outside the
     fitted sample domain.  Memory follows the closed-form MPS model; NQS
-    reports carry no memory figure.  N below 1 raises InvalidConfig.
+    reports carry no memory figure.  N below 1, or an (N, chi) whose time or
+    energy is not a finite float, raises InvalidConfig.
     """
     if n < 1:
         raise InvalidConfig(f"N must be >= 1, got {n}")
     dom = model.domain
     inside = dom["n_min"] <= n <= dom["n_max"] and dom["chi_min"] <= chi <= dom["chi_max"]
     n_steps = step_count(t_pulse, dt)
-    per_step = float(model.predict(n, chi))
+    try:
+        per_step = float(model.predict(n, chi))
+    except OverflowError:  # an int power of N or chi beyond the float range
+        per_step = math.inf
     total = n_steps * per_step
+    energy = watt_seconds_to_kwh(power_watts, total)
+    if not (math.isfinite(total) and math.isfinite(energy)):
+        raise InvalidConfig(f"N={n}, chi={chi} projects a cost beyond the float range")
     is_mps = isinstance(model, CostModelMPS)
     memory = memory_estimate(n, chi).total if is_mps else None
     return ResourceReport(
@@ -212,7 +219,7 @@ def extrapolate(
         seconds_per_step=per_step,
         total_seconds=total,
         memory_bytes=memory,
-        energy_kwh=watt_seconds_to_kwh(power_watts, total),
+        energy_kwh=energy,
         power_watts=power_watts,
         extrapolated=not inside,
     )
@@ -228,7 +235,7 @@ def crossover(classical_fn, qpu_fn, n_sweep: list[int]) -> CrossoverResult:
     sits at the first grid point (the true crossing is at or below it).
     """
     if not n_sweep:
-        raise ValueError("empty N sweep")
+        raise InvalidConfig("empty N sweep")
     n_sweep = sorted(n_sweep)
     cl_time, cl_energy, q_time, q_energy = [], [], [], []
     for n in n_sweep:

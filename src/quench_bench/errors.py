@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-Every error the toolkit raises deliberately derives from QuenchBenchError so
-the CLI can map it to a machine-readable error object and a nonzero exit code.
+Every deliberate raise in the toolkit is a QuenchBenchError subclass, so the
+CLI can map it to a machine-readable error object and a nonzero exit code.
+Any malformed or out-of-range value is an InvalidConfig; the other five
+types name an outcome a caller handles differently.
 """
 
 
@@ -9,12 +11,8 @@ class QuenchBenchError(Exception):
     """Base class for all toolkit errors."""
 
 
-class InvalidLattice(QuenchBenchError):
-    """Lattice dimensions or spacing are not physical."""
-
-
-class CutoffTooSmall(QuenchBenchError):
-    """Interaction cutoff below the lattice spacing would delete nearest-neighbor physics."""
+class InvalidConfig(QuenchBenchError, ValueError):
+    """A config value, CLI flag or function argument is malformed or out of range."""
 
 
 class TooLargeForOracle(QuenchBenchError):
@@ -29,25 +27,9 @@ class NotEnoughAtoms(QuenchBenchError):
     """Loaded atoms cannot fill the register."""
 
 
-class InvalidCounts(QuenchBenchError):
-    """Rearrangement event counts are inconsistent (e.g. negative exponent)."""
-
-
-class InvalidPrecision(QuenchBenchError):
-    """Precision target alpha must be positive."""
-
-
 class Unsatisfiable(QuenchBenchError):
     """No attempt count can reach the requested usable-shot target."""
 
 
 class UnderdeterminedFit(QuenchBenchError):
     """Timing samples do not determine the scaling-law coefficients."""
-
-
-class InvalidScale(QuenchBenchError):
-    """Energy scale for relative drift must be positive."""
-
-
-class InvalidConfig(QuenchBenchError, ValueError):
-    """A config value, CLI flag or function argument is malformed or out of range."""

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CutoffTooSmall, InvalidConfig, InvalidLattice
+from .errors import InvalidConfig
 from .units import TWO_PI
 
 if TYPE_CHECKING:
@@ -59,7 +59,7 @@ class LatticeSpec:
     def site_of(self, row: int, col: int) -> int:
         """Snake index of lattice coordinate (row, col)."""
         if not (0 <= row < self.ly and 0 <= col < self.lx):
-            raise InvalidLattice(f"(row={row}, col={col}) outside {self.lx}x{self.ly} lattice")
+            raise InvalidConfig(f"(row={row}, col={col}) outside {self.lx}x{self.ly} lattice")
         return row * self.lx + (col if row % 2 == 0 else self.lx - 1 - col)
 
     def rowcol_of(self, site: int) -> tuple[int, int]:
@@ -184,9 +184,9 @@ def build_lattice(lx: int, ly: int, spacing: float) -> LatticeSpec:
     and Lx - 1 - (k % Lx) on odd rows.
     """
     if lx < 1 or ly < 1:
-        raise InvalidLattice(f"lattice dimensions must be >= 1, got {lx}x{ly}")
+        raise InvalidConfig(f"lattice dimensions must be >= 1, got {lx}x{ly}")
     if spacing <= 0:
-        raise InvalidLattice(f"lattice spacing must be positive, got {spacing}")
+        raise InvalidConfig(f"lattice spacing must be positive, got {spacing}")
     n = lx * ly
     rowcol = np.empty((n, 2), dtype=int)
     positions = np.empty((n, 2), dtype=float)
@@ -212,10 +212,10 @@ def derive_quench(
     site with every other site of the full lattice (no cutoff).
     """
     if lattice.n_sites < 1:
-        raise InvalidLattice("lattice is empty")
+        raise InvalidConfig("lattice is empty")
     spacing = quench_spacing(omega, h_x, c6)
     if not math.isclose(spacing, lattice.spacing, rel_tol=1e-9):
-        raise InvalidLattice(
+        raise InvalidConfig(
             f"lattice spacing {lattice.spacing} um does not match the quench "
             f"condition R = (c6 h_x / 2 omega)^(1/6) = {spacing} um"
         )
@@ -239,7 +239,7 @@ def derive_quench(
 def quench_spacing(omega: float, h_x: float, c6: float) -> float:
     """The lattice spacing R = (c6 h_x / 2 omega)^(1/6) of the quench condition."""
     if not (omega > 0 and h_x > 0 and c6 > 0):
-        raise ValueError(f"omega, h_x and c6 must all be positive, got {omega}, {h_x}, {c6}")
+        raise InvalidConfig(f"omega, h_x and c6 must all be positive, got {omega}, {h_x}, {c6}")
     return (c6 * h_x / (2.0 * omega)) ** (1.0 / 6.0)
 
 
@@ -262,7 +262,7 @@ def interactions(
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF_FACTOR * params.spacing
     if cutoff < params.spacing:
-        raise CutoffTooSmall(
+        raise InvalidConfig(
             f"cutoff {cutoff} um is below the lattice spacing {params.spacing} um"
         )
     delta_r = lattice.positions[:, None, :] - lattice.positions[None, :, :]

@@ -171,9 +171,9 @@ class TdvpEngine:
 
     def __init__(self, state: MpsState, mpo: MpoHamiltonian, max_chi: int):
         if state.n_sites != mpo.n_sites:
-            raise ValueError("state and MPO site counts differ")
+            raise InvalidConfig("state and MPO site counts differ")
         if state.orthogonality_center != 0:
-            raise ValueError("engine expects the orthogonality center at site 0")
+            raise InvalidConfig("engine expects the orthogonality center at site 0")
         if max_chi < 1:
             raise InvalidConfig(f"TDVP needs max_chi >= 1, got max_chi={max_chi}")
         self.state = state

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import InvalidConfig
+
 
 @dataclass
 class MpsState:
@@ -103,7 +105,7 @@ def site_expectations(state: MpsState, op: np.ndarray) -> np.ndarray:
     of site 0's.
     """
     if state.orthogonality_center != 0:
-        raise ValueError("site_expectations expects the orthogonality center at site 0")
+        raise InvalidConfig("site_expectations expects the orthogonality center at site 0")
     values = np.empty(state.n_sites, dtype=float)
     left = np.ones((1, 1), dtype=complex)  # (ket, bra)
     for i, a in enumerate(state.tensors):

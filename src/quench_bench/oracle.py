@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TooLargeForOracle
+from .errors import InvalidConfig, TooLargeForOracle
 from .lanczos import expm_lanczos
 from .model import (
     InteractionMatrix,
@@ -99,7 +99,7 @@ def evolve_exact(
     if n > N_MAX_DENSE:
         raise TooLargeForOracle(f"N = {n} exceeds the dense oracle limit {N_MAX_DENSE}")
     if t < 0:
-        raise ValueError("evolution time must be non-negative")
+        raise InvalidConfig("evolution time must be non-negative")
 
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
     n_steps = step_count(t, dt)

@@ -19,11 +19,11 @@ where, so no move assignment is ever solved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidCounts, NotEnoughAtoms
+from .errors import InvalidConfig, NotEnoughAtoms
 
 #: Loads that cannot fill the register are redrawn up to this many times per
 #: trial (the hardware reloads until rearrangement is feasible).  Trials still
@@ -61,10 +61,10 @@ class DefectProbabilities:
     p_loss: float
 
     def __post_init__(self):
-        for name in ("p_transf", "p_pickup", "p_acci", "p_loss"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 <= value <= 1.0:
-                raise InvalidConfig(f"{name} = {value} outside [0, 1]")
+                raise InvalidConfig(f"{f.name} = {value} outside [0, 1]")
 
 
 @dataclass
@@ -161,7 +161,7 @@ def defect_free_analytic(counts: dict, probs: DefectProbabilities) -> float:
     n_idle = n_traps - n_transf - n_dump
     n_unmoved = n_register - n_transf
     if min(n_transf, n_dump, n_idle, n_unmoved) < 0:
-        raise InvalidCounts(
+        raise InvalidConfig(
             f"inconsistent counts: transf={n_transf}, dump={n_dump}, "
             f"idle={n_idle}, unmoved={n_unmoved}"
         )

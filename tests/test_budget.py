@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import binom
 
 from quench_bench.budget import attempts_for_usable, qpu_schedule, shots_for_precision
-from quench_bench.errors import InvalidPrecision, Unsatisfiable
+from quench_bench.errors import InvalidConfig, Unsatisfiable
 from quench_bench.register import DefectProbabilities, defect_free_analytic, expected_counts
 
 import reference
@@ -33,11 +33,11 @@ class TestShotsForPrecision:
         assert shots_for_precision(0.4, 0.0999) == math.ceil(16 * 0.4 * 0.6 / 0.0999**2)
 
     def test_invalid_alpha(self):
-        with pytest.raises(InvalidPrecision):
+        with pytest.raises(InvalidConfig):
             shots_for_precision(0.5, 0.0)
         # alpha**2 underflows to zero, or the count overflows to inf
         for alpha in (1e-200, 1e-160):
-            with pytest.raises(InvalidPrecision):
+            with pytest.raises(InvalidConfig):
                 shots_for_precision(0.5, alpha)
             assert shots_for_precision(0.0, alpha) == shots_for_precision(1.0, alpha) == 0
 

@@ -97,7 +97,7 @@ class TestEstimateShots:
         result = runner.invoke(main, ["estimate", "shots", "--alpha", "-1", "--json"])
         assert result.exit_code == 1
         err = loads(result.stderr)
-        assert err["error"]["type"] == "InvalidPrecision"
+        assert err["error"]["type"] == "InvalidConfig"
 
 
 class TestEstimateQpu:
@@ -349,6 +349,11 @@ class TestConfigHandling:
             ["rearrange", "--config", "{lattice_neg}", "--trials", "5"],
             ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "-25"],
             ["estimate", "qpu", "--shot-rate", "1e-320"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15",
+             "--chi", str(10**103)],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", str(10**103)],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
+             "--gpu-power-kw", "1e305"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -390,23 +395,56 @@ class TestConfigHandling:
         assert result.exit_code == 1
         assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["simulate", "tdvp", "--config", "{lattice_zero}", "--out", "{out}"],
+             "lattice sides must be >= 1, got Lx=0, Ly=3"),
+            (["estimate", "classical", "--samples", "{timing}", "--config", "{lattice_zero}",
+              "--chi", "1000"],
+             "lattice sides must be >= 1, got Lx=0, Ly=3"),
+            (["simulate", "exact", "--config", "{cutoff_half}", "--size", "2x2", "--out", "{out}"],
+             None),
+            (["estimate", "shots", "--alpha", "0"], None),
+            (["estimate", "qpu", "--alpha", "0"], None),
+        ],
+        ids=["lattice-tdvp", "lattice-classical", "cutoff-exact", "alpha-shots", "alpha-qpu"],
+    )
+    def test_bad_value_is_invalid_config(self, runner, tmp_path, args, message):
+        """A bad lattice side, cutoff or alpha is an InvalidConfig, and a bad
+        ``[lattice]`` side gives the same message from every command."""
+        paths = {
+            "out": tmp_path / "x",
+            "timing": write_synthetic_timing(tmp_path / "timing.csv"),
+            "lattice_zero": write_config(tmp_path / "lattice.ini", "[lattice]\nLx = 0\n"),
+            "cutoff_half": write_config(
+                tmp_path / "cutoff.ini", "[physics]\ncutoff_factor = 0.5\n"
+            ),
+        }
+        result = runner.invoke(main, [*(a.format(**paths) for a in args), "--json"])
+        assert result.exit_code == 1
+        error = loads(result.stderr)["error"]
+        assert error["type"] == "InvalidConfig"
+        if message is not None:
+            assert error["message"] == message
+
     def test_nan_alpha_rejected(self, runner):
         result = runner.invoke(main, ["estimate", "qpu", "--alpha", "nan", "--json"])
         assert result.exit_code == 1
-        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_infinite_alpha_rejected(self, runner):
         result = runner.invoke(
             main, ["estimate", "qpu", "--register", "15x15", "--alpha", "inf", "--json"]
         )
         assert result.exit_code == 1
-        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     @pytest.mark.parametrize("command", ["shots", "qpu"])
     def test_underflowing_alpha_rejected(self, runner, command):
         result = runner.invoke(main, ["estimate", command, "--alpha", "1e-200", "--json"])
         assert result.exit_code == 1
-        assert loads(result.stderr)["error"]["type"] == "InvalidPrecision"
+        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
     def test_documented_configs_load(self, tmp_path):
         """Every ini block of README loads, and config.example.ini restates

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from quench_bench.convergence import (
     evaluate_run,
     min_converged_chi,
 )
-from quench_bench.errors import InvalidScale, MemoryBudgetExceeded
+from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
 from quench_bench.mps import run_quench
 
 from conftest import paper_setup
@@ -31,7 +33,7 @@ class TestEnergyDrift:
         assert energy_drift([0.0, 2.0, -6.0, 1.0], e_scale=2.0) == 3.0
 
     def test_invalid_scale(self):
-        with pytest.raises(InvalidScale):
+        with pytest.raises(InvalidConfig):
             energy_drift([1.0], e_scale=0.0)
 
     def test_oracle_trajectory_is_flat(self, setup_3x3, oracle_3x3_400ns):
@@ -119,6 +121,13 @@ class TestVerdict:
         assert good.passed
         assert not bad.passed
 
+    def test_undriven_quench_rejected(self):
+        lat, params, _ = paper_setup(2, 2)
+        flat = model.ObservableMap(np.zeros((2, 2)))
+        traj = model.Trajectory(lat, maps=[flat, flat], energies=[0.0, 0.0])
+        with pytest.raises(InvalidConfig, match="E_scale must be positive"):
+            evaluate_run(traj, replace(params, omega=0.0))
+
     def test_verdict_json_fields(self, setup_3x3, tdvp_3x3_400ns):
         _, params, _ = setup_3x3
         payload = evaluate_run(tdvp_3x3_400ns.at(64), params).as_dict()
@@ -150,24 +159,6 @@ class FakeRuns:
 
 
 class TestMinConvergedChi:
-    def test_omega_zero_takes_first_grid_value(self):
-        lat, params, _ = paper_setup(2, 2)
-        frozen = model.QuenchParams(
-            omega=0.0,
-            delta=params.delta,
-            c6=params.c6,
-            h_x=params.h_x,
-            spacing=params.spacing,
-            j_scale=params.j_scale,
-            t_pulse=params.t_pulse,
-            dt=params.dt,
-        )
-        result = min_converged_chi(
-            frozen, [2, 4, 8], lambda chi: run_quench(lat, frozen, 20e-9, 1e-9, max_chi=chi)
-        )
-        assert result.converged
-        assert result.chi_min == 2
-
     def test_memory_budget_blocks_whole_grid(self, setup_3x3):
         lat, params, _ = setup_3x3
         result = min_converged_chi(

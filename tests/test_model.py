@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quench_bench import model
-from quench_bench.errors import CutoffTooSmall, InvalidConfig, InvalidLattice
+from quench_bench.errors import InvalidConfig
 from quench_bench.units import TWO_PI, mhz_to_angular, parse_duration
 
 import reference
@@ -30,7 +30,7 @@ class TestBuildLattice:
 
     @pytest.mark.parametrize("lx,ly,r", [(0, 3, 5.0), (3, -1, 5.0), (3, 3, 0.0)])
     def test_invalid(self, lx, ly, r):
-        with pytest.raises(InvalidLattice):
+        with pytest.raises(InvalidConfig):
             model.build_lattice(lx, ly, r)
 
     @given(lx=st.integers(1, 8), ly=st.integers(1, 8))
@@ -96,7 +96,7 @@ class TestDeriveQuench:
 
     def test_rejects_mismatched_lattice_spacing(self):
         lat = model.build_lattice(2, 2, 1.0)
-        with pytest.raises(InvalidLattice):
+        with pytest.raises(InvalidConfig):
             model.derive_quench(PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lat, t_pulse=4e-6, dt=1e-9)
 
     def test_rejects_nonpositive(self):
@@ -122,7 +122,7 @@ class TestInteractions:
 
     def test_cutoff_below_spacing_rejected(self):
         lat, params, _ = paper_setup(3, 3)
-        with pytest.raises(CutoffTooSmall):
+        with pytest.raises(InvalidConfig):
             model.interactions(lat, params, cutoff=0.5 * params.spacing)
 
     def test_default_cutoff_reaches_three_rows(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quench_bench.errors import InvalidCounts, NotEnoughAtoms
+from quench_bench.errors import InvalidConfig, NotEnoughAtoms
 from quench_bench.register import (
     BLOCK,
     DefectProbabilities,
@@ -143,7 +143,7 @@ class TestAnalyticModel:
         assert defect_free_analytic(counts, lossy) == pytest.approx(0.9**8)
 
     def test_invalid_counts(self):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidConfig):
             defect_free_analytic(
                 {"N_transf": 30, "N_dump": 0, "N_traps": 60, "N_register": 20}, PAPER_PROBS
             )
