@@ -44,6 +44,9 @@ from .model import interactions, write_trajectory_csv
 from .mps import memory_estimate, run_quench
 from .units import format_duration, parse_duration
 
+#: Most system sizes one ``estimate crossover`` sweep may hold.
+MAX_SWEEP_POINTS = 10_000
+
 
 def emits_output(fn):
     """Give a command ``--json`` and print what it returns.
@@ -327,7 +330,7 @@ def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_po
         power_watts = costfit.DEFAULT_GPU_POWER_WATTS
     _, model = _fit_mps_csv(samples_path)
     report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
-    text = costfit.format_resource_table([report])
+    text = costfit.format_resource_report(report)
     if report.extrapolated:
         d = model.domain
         text += (
@@ -358,6 +361,11 @@ def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_p
         )
     if n_min < 1:
         raise InvalidConfig(f"N sweep needs n_min >= 1, got n_min={n_min}")
+    sweep = range(n_min, n_max + 1, n_step)
+    if len(sweep) > MAX_SWEEP_POINTS:
+        raise InvalidConfig(
+            f"N sweep has {len(sweep)} points, more than the {MAX_SWEEP_POINTS} allowed"
+        )
     config = _config_with_flags(config_path, t_pulse, dt)
     t_pulse_s, dt_s = durations_from_config(config)
     power_watts = (
@@ -368,8 +376,7 @@ def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_p
     def classical_fn(n):
         return costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
 
-    sweep = list(range(n_min, n_max + 1, n_step))
-    result = costfit.crossover(classical_fn, functools.partial(_qpu_schedule, config), sweep)
+    result = costfit.crossover(classical_fn, functools.partial(_qpu_schedule, config), list(sweep))
     payload = {
         "N_time": result.n_time,
         "N_energy": result.n_energy,

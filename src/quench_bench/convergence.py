@@ -2,8 +2,6 @@
 
 A run counts as converged when (1) the relative energy drift stays below 5%
 and (2) the dihedral-symmetry error of the observable map stays below 40%.
-For runs with an externally computed integrated TDVP error (NQS), that value
-must additionally stay at or below 0.05.
 
 The initial product state has exactly zero energy, so drift is normalized by
 E_scale = N * Omega / 2, the magnitude of the driving term.  The symmetry
@@ -23,7 +21,6 @@ from .model import LatticeSpec, ObservableMap, QuenchParams, Trajectory
 
 ENERGY_DRIFT_GATE = 0.05
 D8_ERROR_GATE = 0.40
-R2_GATE = 0.05
 
 _SQUARE_GROUP = (
     lambda m: m,
@@ -49,7 +46,6 @@ class ConvergenceVerdict:
     d8_error_rel: float
     passed: bool
     e_scale: float
-    r2_integrated: float | None = None
 
     def as_dict(self) -> dict:
         return {**asdict(self), "norm_convention": "entrywise max-norm over observable range"}
@@ -114,27 +110,17 @@ def d8_error(obs: ObservableMap) -> float:
     return max(float(np.abs(m - g(m)).max()) for g in group) / value_range
 
 
-def evaluate_run(
-    result: Trajectory,
-    params: QuenchParams,
-    r2_integrated: float | None = None,
-) -> ConvergenceVerdict:
-    """Verdict for a finished run: drift over the trajectory, symmetry error
-    of the final observable map, optional external R^2 gate.  A run in which
-    any Lanczos solve did not converge never passes; a non-positive energy
-    scale (Omega <= 0) raises InvalidConfig."""
+def evaluate_run(result: Trajectory, params: QuenchParams) -> ConvergenceVerdict:
+    """Verdict for a finished run: drift over the trajectory and symmetry
+    error of the final observable map.  A run in which any Lanczos solve did
+    not converge never passes; a non-positive energy scale (Omega <= 0)
+    raises InvalidConfig."""
     e_scale = energy_scale(result.lattice, params)
     drift = energy_drift(result.energies, e_scale)
     sym = d8_error(result.maps[-1])
     passed = drift < ENERGY_DRIFT_GATE and sym < D8_ERROR_GATE and result.lanczos_converged
-    if r2_integrated is not None:
-        passed = passed and r2_integrated <= R2_GATE
     return ConvergenceVerdict(
-        energy_drift_rel=drift,
-        d8_error_rel=sym,
-        passed=passed,
-        e_scale=e_scale,
-        r2_integrated=r2_integrated,
+        energy_drift_rel=drift, d8_error_rel=sym, passed=passed, e_scale=e_scale
     )
 
 

@@ -355,34 +355,17 @@ def mean_power_from_log(path) -> float:
     return float(np.mean(watts))
 
 
-def format_resource_table(reports: list[ResourceReport]) -> str:
-    """Aligned text table with Mem / Time / Energy columns per problem size."""
+def format_resource_report(report: ResourceReport) -> str:
+    """Aligned text table with Mem / Time / Energy columns for one report."""
     from .units import format_bytes, format_duration
 
-    sizes = sorted({r.n for r in reports})
-    lines = []
-    header = f"{'Method':<24}" + "".join(
-        f"| {f'N={n}':^30}" for n in sizes
-    )
-    sub = f"{'':<24}" + "".join(f"| {'Mem':>9} {'Time':>9} {'Energy':>9} " for _ in sizes)
-    lines.append(header)
-    lines.append(sub)
-    lines.append("-" * len(sub))
-    by_method: dict[str, dict[int, ResourceReport]] = {}
-    for r in reports:
-        key = f"{r.method} (chi={r.chi})" if r.method == "MPS" else r.method
-        by_method.setdefault(key, {})[r.n] = r
-    for key, row in sorted(by_method.items()):
-        cells = []
-        for n in sizes:
-            r = row.get(n)
-            if r is None:
-                cells.append(f"| {'-':>9} {'-':>9} {'-':>9} ")
-                continue
-            mem = format_bytes(r.memory_bytes) if r.memory_bytes else "-"
-            cells.append(
-                f"| {mem:>9} {format_duration(r.total_seconds):>9} "
-                f"{r.energy_kwh:>6.3g} kWh"
-            )
-        lines.append(f"{key:<24}" + "".join(cells))
-    return "\n".join(lines)
+    method = f"MPS (chi={report.chi})" if report.method == "MPS" else report.method
+    mem = format_bytes(report.memory_bytes) if report.memory_bytes else "-"
+    sub = f"{'':<24}| {'Mem':>9} {'Time':>9} {'Energy':>9} "
+    return "\n".join([
+        f"{'Method':<24}| {f'N={report.n}':^30}",
+        sub,
+        "-" * len(sub),
+        f"{method:<24}| {mem:>9} {format_duration(report.total_seconds):>9} "
+        f"{report.energy_kwh:>6.3g} kWh",
+    ])

@@ -42,7 +42,8 @@ def expm_lanczos(
     T_k, then returns ||v|| * V_k exp(coeff T_k) e_1.  Iteration stops on a
     happy breakdown (the Krylov space is invariant, so the result is exact) or
     once the coefficient vector exp(coeff T_k) e_1 moves by less than ``tol``
-    between iterations.
+    between iterations.  A basis that spans the whole space also gives the
+    exact result, so it reports converged.
 
     Args:
         matvec: action of the Hermitian operator on a flat complex vector.
@@ -103,7 +104,7 @@ def expm_lanczos(
         if k + 1 < k_max:
             basis[k + 1] = w / beta
 
-    return LanczosResult(vector=norm_v * (y @ basis), iterations=k_max, converged=False)
+    return LanczosResult(vector=norm_v * (y @ basis), iterations=k_max, converged=k_max == dim)
 
 
 def _update_size(y: np.ndarray, y_prev: np.ndarray) -> float:

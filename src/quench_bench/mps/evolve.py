@@ -3,11 +3,12 @@
 One ``step`` is a symmetric left-right-left sweep (second order in dt): every
 neighboring pair is evolved forward by dt/2 per sweep direction with the
 intervening single sites evolved backward, the rightmost pair taking a single
-full-dt solve at the turning point.  Left and right environments ("baths")
-are updated incrementally during the sweeps and released once the sweep has
-passed them, so N + 1 are held at any moment (between steps ``left_envs[0]``
-and every right bath); the only full environment build happens at engine
-construction.
+full-dt solve at the turning point.  ``sweep_ops`` lists these local solves
+as one schedule and ``step`` runs it with one loop.  Left and right
+environments ("baths") are updated incrementally during the sweep and
+released once it has passed them, so N + 1 are held at any moment (between
+steps ``left_envs[0]`` and every right bath); the only full environment
+build happens at engine construction.
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -158,6 +159,28 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     return left, right, discarded, keep
 
 
+def sweep_ops(n: int, dt: float) -> list[tuple[str, int, complex, str | None]]:
+    """The local solves of one symmetric sweep by dt over n sites, in order.
+
+    Entries are (kind, i, coeff, direction).  A "pair" entry evolves sites
+    i, i+1 by exp(coeff H_eff) and splits toward ``direction``, building left
+    environment i+1 ("right") or right environment i ("left").  A "site" entry
+    is the backward half step of site i between two pair solves, after which
+    its right ("right") or left ("left") environment is released.  The
+    turning pair n-2 takes the full dt; a single site takes one full-dt solve.
+    """
+    if n == 1:
+        return [("site", 0, -1j * dt, None)]
+    half = 0.5 * dt
+    ops = []
+    for i in range(n - 2):
+        ops += [("pair", i, -1j * half, "right"), ("site", i + 1, +1j * half, "right")]
+    ops.append(("pair", n - 2, -1j * dt, "left"))
+    for i in range(n - 3, -1, -1):
+        ops += [("site", i + 1, +1j * half, "left"), ("pair", i, -1j * half, "left")]
+    return ops
+
+
 class TdvpEngine:
     """Evolves one MpsState under one MPO, reusing live environments across steps.
 
@@ -204,79 +227,43 @@ class TdvpEngine:
         return sum(x.nbytes for x in arrays)
 
     def step(self, dt: float) -> TdvpStepRecord:
-        """One symmetric two-site TDVP sweep by dt."""
+        """One symmetric two-site TDVP sweep by dt: the local solves of
+        ``sweep_ops(n, dt)``, run in order by one loop."""
         iters_max = 0
         converged = True
         trunc = 0.0
-        a = self.state.tensors
+        a, w = self.state.tensors, self.mpo.tensors
+        lefts, rights = self.left_envs, self.right_envs
         live = self._held_bytes()
         t0 = time.perf_counter()
-
-        def local_exp(left, right, blocks, x, coeff):
-            """exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout."""
-            nonlocal iters_max, converged
-            a_dim, s_dim, b_dim = x.shape
-            res = expm_lanczos(
-                _LocalApply(left, right, blocks),
-                x.transpose(1, 0, 2).ravel(),
-                coeff,
-                k_max=self.k_max,
-                tol=LANCZOS_TOL,
-            )
-            iters_max = max(iters_max, res.iterations)
-            converged = converged and res.converged
-            return np.ascontiguousarray(
-                res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2)
-            )
-
-        w = self.mpo.tensors
-        n = self.state.n_sites
-
-        if n == 1:
-            blocks = self._site_blocks[0]
-            a[0] = local_exp(self.left_envs[0], self.right_envs[0], blocks, a[0], -1j * dt)
-        else:
-            half = 0.5 * dt
-
-            def evolve_pair(i: int, coeff: complex) -> np.ndarray:
+        for kind, i, coeff, direction in sweep_ops(self.state.n_sites, dt):
+            if kind == "pair":
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
-                shape = (al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-                theta = theta.reshape(shape[0], -1, shape[3])
-                left, right = self.left_envs[i], self.right_envs[i + 1]
-                return local_exp(left, right, self._pair_blocks[i], theta, coeff).reshape(shape)
-
-            def evolve_site(i: int, coeff: complex) -> None:
-                left, right = self.left_envs[i], self.right_envs[i]
-                a[i] = local_exp(left, right, self._site_blocks[i], a[i], coeff)
-
-            # left-to-right half sweep
-            for i in range(n - 2):
-                theta = evolve_pair(i, -1j * half)
-                a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "right")
-                trunc += disc
-                self.left_envs[i + 1] = update_left_env(self.left_envs[i], a[i], w[i])
-                live = max(live, self._held_bytes())
-                evolve_site(i + 1, +1j * half)
-                self.right_envs[i + 1] = _RELEASED
-
-            # full step on the turning pair
-            i = n - 2
-            theta = evolve_pair(i, -1j * dt)
-            a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "left")
+                x = theta.reshape(al.shape[0], -1, ar.shape[2])
+                right, blocks = rights[i + 1], self._pair_blocks[i]
+            else:
+                x, right, blocks = a[i], rights[i], self._site_blocks[i]
+            # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
+            res = expm_lanczos(_LocalApply(lefts[i], right, blocks), x.transpose(1, 0, 2).ravel(),
+                               coeff, k_max=self.k_max, tol=LANCZOS_TOL)
+            iters_max = max(iters_max, res.iterations)
+            converged = converged and res.converged
+            a_dim, s_dim, b_dim = x.shape
+            y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
+            if kind == "site":
+                a[i] = y
+                if direction is not None:  # release the environment the sweep has left
+                    (rights if direction == "right" else lefts)[i] = _RELEASED
+                continue
+            theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
+            a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, direction)
             trunc += disc
-            self.right_envs[i] = update_right_env(self.right_envs[i + 1], a[i + 1], w[i + 1])
+            if direction == "right":
+                lefts[i + 1] = update_left_env(lefts[i], a[i], w[i])
+            else:
+                rights[i] = update_right_env(rights[i + 1], a[i + 1], w[i + 1])
             live = max(live, self._held_bytes())
-
-            # right-to-left half sweep
-            for i in range(n - 3, -1, -1):
-                evolve_site(i + 1, +1j * half)
-                self.left_envs[i + 1] = _RELEASED
-                theta = evolve_pair(i, -1j * half)
-                a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, "left")
-                trunc += disc
-                self.right_envs[i] = update_right_env(self.right_envs[i + 1], a[i + 1], w[i + 1])
-                live = max(live, self._held_bytes())
 
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0

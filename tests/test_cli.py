@@ -180,6 +180,16 @@ class TestSimulate:
         assert verdict["run"]["lanczos_converged"] is False
         assert verdict["verdict"]["passed"] is False
 
+    def test_tdvp_full_krylov_space_is_converged(self, runner, tmp_path):
+        """The first step's tiny local solves fill their whole Krylov space
+        at dt = 10 ns; that is exact, so the run passes its verdict."""
+        out = tmp_path / "run"
+        args = ["simulate", "tdvp", "--size", "3x3", "--t-pulse", "400ns", "--dt", "10ns"]
+        invoke(runner, args + ["--out", str(out), "--json"])
+        verdict = loads((out / "verdict.json").read_text())
+        assert verdict["run"]["lanczos_converged"] is True
+        assert verdict["verdict"]["passed"] is True
+
     @pytest.mark.parametrize("t_pulse, dt, converged", [("40ns", "1ns", True),
                                                         ("2000ns", "1000ns", False)])
     def test_exact_reports_lanczos_convergence(self, runner, tmp_path, t_pulse, dt, converged):
@@ -545,6 +555,18 @@ class TestFitAndClassical:
         assert payload["report"]["n_steps"] == 4000
         assert abs(payload["report"]["memory_bytes"] - 150e9) / 150e9 < 0.15
 
+    def test_estimate_classical_text(self, runner, tmp_path):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        args = ["estimate", "classical", "--samples", samples, "--size", "15x15",
+                "--chi", "1000", "--t-pulse", "4us", "--dt", "1ns"]
+        assert invoke(runner, args).output == (
+            "Method                  |             N=225             \n"
+            "                        |       Mem      Time    Energy \n"
+            "--------------------------------------------------------\n"
+            "MPS (chi=1000)          |    152 GB    59.6 h   23.9 kWh\n"
+            "extrapolated: N=225, chi=1000 lies outside the fitted domain N 25-144, chi 100-600\n"
+        )
+
     def test_estimate_classical_flags_extrapolation(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")
         args = ["estimate", "classical", "--samples", samples, "--size", "15x15", "--chi", "1000"]
@@ -604,6 +626,20 @@ class TestFitAndClassical:
         assert payload["N_time"] is not None
         assert payload["N_energy"] is None  # a classical run at 0 W never costs more energy
 
+    def test_crossover_sweep_length_capped(self, runner, tmp_path, monkeypatch):
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        base = ["estimate", "crossover", "--samples", samples, "--chi", "1000", "--json"]
+        result = runner.invoke(main, [*base, "--n-max", "1000000000", "--n-step", "1"])
+        assert result.exit_code == 1
+        error = loads(result.stderr)["error"]
+        assert error["type"] == "InvalidConfig" and "999999976 points" in error["message"]
+        # the default n_min and n_step make 25..100 four sizes
+        args = [*base, "--n-max", "100"]
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3)
+        assert runner.invoke(main, args).exit_code == 1
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 4)
+        assert "N_time" in loads(invoke(runner, args).output)
+
     def test_crossover_none_when_classical_free(self, runner, tmp_path):
         path = tmp_path / "free.csv"
         lines = ["N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers"]
@@ -620,8 +656,7 @@ class TestFitAndClassical:
         assert payload["N_energy"] is None
 
 
-VERDICT_KEYS = {"energy_drift_rel", "d8_error_rel", "r2_integrated", "passed", "e_scale",
-                "norm_convention"}
+VERDICT_KEYS = {"energy_drift_rel", "d8_error_rel", "passed", "e_scale", "norm_convention"}
 MANIFEST_KEYS = {"tool", "tool_version", "config", "seed", "inputs"}
 COST_LAW_KEYS = {"residual_relative_rms", "domain"}
 

@@ -114,13 +114,6 @@ class TestVerdict:
         assert verdict.energy_drift_rel < 1e-4
         assert verdict.d8_error_rel < 1e-6
 
-    def test_external_r2_gate(self, setup_3x3, tdvp_3x3_400ns):
-        _, params, _ = setup_3x3
-        good = evaluate_run(tdvp_3x3_400ns.at(64), params, r2_integrated=0.01)
-        bad = evaluate_run(tdvp_3x3_400ns.at(64), params, r2_integrated=0.2)
-        assert good.passed
-        assert not bad.passed
-
     def test_undriven_quench_rejected(self):
         lat, params, _ = paper_setup(2, 2)
         flat = model.ObservableMap(np.zeros((2, 2)))
@@ -131,8 +124,7 @@ class TestVerdict:
     def test_verdict_json_fields(self, setup_3x3, tdvp_3x3_400ns):
         _, params, _ = setup_3x3
         payload = evaluate_run(tdvp_3x3_400ns.at(64), params).as_dict()
-        for key in ("energy_drift_rel", "d8_error_rel", "r2_integrated", "passed",
-                    "e_scale", "norm_convention"):
+        for key in ("energy_drift_rel", "d8_error_rel", "passed", "e_scale", "norm_convention"):
             assert key in payload
 
 

@@ -12,7 +12,7 @@ from quench_bench.costfit import (
     extrapolate,
     fit_mps,
     fit_nqs,
-    format_resource_table,
+    format_resource_report,
     mean_power_from_log,
     read_timing_csv,
 )
@@ -337,7 +337,8 @@ class TestFileInterfaces:
 
     def test_table_formatting(self):
         model = fit_mps(synthetic_mps(seed=12))
-        reports = [extrapolate(model, n, 1000, 4e-6, 1e-9) for n in (225, 400)]
-        text = format_resource_table(reports)
-        assert "N=225" in text and "N=400" in text
-        assert "GB" in text or "TB" in text
+        text = format_resource_report(extrapolate(model, 400, 1000, 4e-6, 1e-9))
+        header, sub, rule, row = text.split("\n")
+        assert "N=400" in header and row.startswith("MPS (chi=1000)")
+        assert "GB" in row or "TB" in row
+        assert len(header) == len(sub) == len(rule)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from quench_bench import model
+from quench_bench import model, oracle
 from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
 from quench_bench.lanczos import expm_lanczos
 from quench_bench.mps import (
@@ -16,7 +16,7 @@ from quench_bench.mps import (
     run_quench,
     site_expectations,
 )
-from quench_bench.mps.evolve import _LocalApply, _merge_mpo_pair, _split_blocks
+from quench_bench.mps.evolve import _LocalApply, _merge_mpo_pair, _split_blocks, sweep_ops
 from quench_bench.mps.state import product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
 
@@ -45,14 +45,15 @@ class TestTwoSiteExactness:
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
         result = run_quench(lat, params, t_pulse=30e-9, dt=dt, max_chi=8)
-        for _ in range(30):
-            psi = u @ psi
         # site 0 is the slow index in the dense convention
         n0 = np.kron(NUMBER_OP, np.eye(2))
         n1 = np.kron(np.eye(2), NUMBER_OP)
-        expected = [np.vdot(psi, n0 @ psi).real, np.vdot(psi, n1 @ psi).real]
-        got = [result.maps[-1].values[r, c] for r, c in map(lat.rowcol_of, range(2))]
-        assert np.abs(np.array(got) - expected).max() < 1e-10
+        assert len(result.maps) == 31
+        for step_map in result.maps[1:]:  # every step, not only the last
+            psi = u @ psi
+            expected = [np.vdot(psi, n0 @ psi).real, np.vdot(psi, n1 @ psi).real]
+            got = [step_map.values[r, c] for r, c in map(lat.rowcol_of, range(2))]
+            assert np.abs(np.array(got) - expected).max() < 1e-10
 
     def test_omega_zero_leaves_state_unchanged(self):
         lat, params, v = paper_setup(2, 2)
@@ -78,8 +79,6 @@ class TestTwoSiteExactness:
 
 class TestAgainstOracle:
     def test_3x3_100_steps(self, setup_3x3, tdvp_3x3_100ns):
-        from quench_bench import oracle
-
         lat, params, v = setup_3x3
         traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
         result = tdvp_3x3_100ns.at(64)
@@ -96,8 +95,6 @@ class TestAgainstOracle:
             assert tighter <= looser + 1e-6
 
     def test_full_rank_equivalence_2x2(self):
-        from quench_bench import oracle
-
         lat, params, v = paper_setup(2, 2)
         traj = oracle.evolve_exact(lat, params, v, t=200e-9, dt=1e-9)
         result = run_quench(lat, params, t_pulse=200e-9, dt=1e-9, max_chi=4)
@@ -148,7 +145,7 @@ class TestMechanics:
             run_quench(lat, params, 1e-9, 1e-9, max_chi=64, memory_budget_bytes=1e6)
 
     def test_single_site_lattice(self):
-        lat, params, _ = paper_setup(1, 1)
+        lat, params, v = paper_setup(1, 1)
         result = run_quench(lat, params, t_pulse=10e-9, dt=1e-9, max_chi=2)
         # single two-level system driven at Omega with Delta detuning:
         # Rabi formula for the excited-state population
@@ -156,6 +153,48 @@ class TestMechanics:
         omega_eff = np.sqrt(params.omega**2 + params.delta**2)
         expected = (params.omega / omega_eff) ** 2 * np.sin(omega_eff * t / 2) ** 2
         assert result.maps[-1].values[0, 0] == pytest.approx(expected, abs=1e-9)
+        exact = oracle.evolve_exact(lat, params, v, t, 1e-9)
+        assert len(result.maps) == len(exact.maps)
+        for got, want in zip(result.maps, exact.maps):  # every step, not only the last
+            assert np.abs(got.values - want.values).max() < 1e-9
+
+    def test_lanczos_full_krylov_space_is_converged(self):
+        """A basis that spans the whole space gives exp(cH) v exactly, even
+        when neither early stop fires (forced here with a zero tolerance)."""
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        h = (m + m.conj().T) * (0.3e8 / np.linalg.norm(m + m.conj().T, 2))
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        coeff = -1j * 1e-8  # ||coeff H|| = 0.6
+        res = expm_lanczos(lambda x: h @ x, v, coeff, k_max=50, tol=0.0)
+        assert res.iterations == 8 and res.converged
+        want = expm(coeff * h) @ v
+        assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n, listing", [
+        (1, "site 0 F -"),
+        (2, "pair 0 F <"),
+        (3, "pair 0 h >, site 1 b >, pair 1 F <, site 1 b <, pair 0 h <"),
+        (4, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 F <, "
+            "site 2 b <, pair 1 h <, site 1 b <, pair 0 h <"),
+        (5, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 h >, site 3 b >, "
+            "pair 3 F <, site 3 b <, pair 2 h <, site 2 b <, pair 1 h <, site 1 b <, "
+            "pair 0 h <"),
+        (6, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 h >, site 3 b >, "
+            "pair 3 h >, site 4 b >, pair 4 F <, site 4 b <, pair 3 h <, site 3 b <, "
+            "pair 2 h <, site 2 b <, pair 1 h <, site 1 b <, pair 0 h <"),
+    ])
+    def test_sweep_schedule(self, n, listing):
+        """h: forward half step, b: backward half step, F: forward full step;
+        > / <: split (and release) toward the right / left, -: neither."""
+        dt = 2.0
+        coeff = {"h": -1j, "b": 1j, "F": -2j}
+        direction = {">": "right", "<": "left", "-": None}
+        expected = [
+            (kind, int(i), coeff[c], direction[d])
+            for kind, i, c, d in (op.split() for op in listing.split(", "))
+        ]
+        assert sweep_ops(n, dt) == expected
 
     def test_energy_expectation_matches_full_contraction(self, setup_3x3):
         lat, params, v = setup_3x3
@@ -301,8 +340,6 @@ class TestSiteExpectations:
 
 class TestRectangularLattice:
     def test_2x3_matches_oracle(self):
-        from quench_bench import oracle
-
         lat, params, v = paper_setup(3, 2)
         traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
         result = run_quench(lat, params, t_pulse=100e-9, dt=1e-9, max_chi=16)
