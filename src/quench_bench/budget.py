@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidConfig, Unsatisfiable
 from .register import DefectProbabilities, defect_free_analytic, expected_counts
 from .units import watt_seconds_to_kwh
@@ -59,8 +61,10 @@ def attempts_for_usable(m: int, p_df: float, confidence: float) -> int:
 
     n - m is the number of failures before the m-th success, which is
     negative-binomial, so n is m plus that distribution's confidence quantile.
+    The quantile and the CDF are Boost's, from the ``scipy.special`` ufuncs
+    that ``scipy.stats.nbinom`` wraps, so ``scipy.stats`` is never loaded.
     Counts above 2^53, which a float cannot hold exactly, raise Unsatisfiable;
-    they are refused before the quantile is asked for, because scipy's root
+    they are refused before the quantile is asked for, because Boost's root
     search for it stalls once the answer passes about 1e125 (scipy 1.17).
     """
     if m < 0:
@@ -73,13 +77,21 @@ def attempts_for_usable(m: int, p_df: float, confidence: float) -> int:
         raise InvalidConfig(f"p_df = {p_df} outside (0, 1]")
     if m == 0:
         return 0
-    from scipy.stats import nbinom  # ~1 s to import; only this function needs it
+    # imported here so that commands without a budget skip scipy.special's start-up
+    from scipy.special._ufuncs import _nbinom_cdf, _nbinom_ppf
 
-    if nbinom.cdf(MAX_ATTEMPTS - m, m, p_df) < confidence:
+    if m > MAX_ATTEMPTS or _nbinom_cdf(MAX_ATTEMPTS - m, m, p_df) < confidence:
         raise Unsatisfiable(
             f"{m} usable shots at p_df = {p_df:.3g} need more than 2^53 attempts"
         )
-    return m + int(nbinom.ppf(confidence, m, p_df))
+    with np.errstate(over="ignore"):
+        failures = _nbinom_ppf(confidence, m, p_df)
+    if not math.isfinite(failures):
+        raise Unsatisfiable(
+            f"no negative-binomial quantile for m = {m}, p_df = {p_df:.3g}, "
+            f"confidence = {confidence}"
+        )
+    return m + int(failures)
 
 
 def qpu_schedule(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -110,9 +111,25 @@ class CrossoverResult:
     at_boundary_energy: bool = False
 
 
-def _nnls_fit(samples, basis_fn):
-    from scipy.optimize import nnls  # imported here to keep the CLI's start-up short
+def _nnls(a_mat, b_vec):
+    """argmin ||a_mat x - b_vec|| over x >= 0, exactly, for a full-rank matrix
+    of a few columns.  The optimum is the unconstrained least-squares fit on
+    its own support, so it is the best of the fits on the column subsets whose
+    coefficients are all >= 0 (x = 0 when none is)."""
+    n_cols = a_mat.shape[1]
+    best, best_norm = np.zeros(n_cols), np.linalg.norm(b_vec)
+    for size in range(1, n_cols + 1):
+        for cols in map(list, combinations(range(n_cols), size)):
+            x = np.linalg.lstsq(a_mat[:, cols], b_vec, rcond=None)[0]
+            if np.all(x >= 0.0):
+                norm = np.linalg.norm(a_mat[:, cols] @ x - b_vec)
+                if norm < best_norm:
+                    best, best_norm = np.zeros(n_cols), norm
+                    best[cols] = x
+    return best
 
+
+def _nnls_fit(samples, basis_fn):
     times = np.array([s.seconds_per_step for s in samples], dtype=float)
     design = np.array([basis_fn(s) for s in samples], dtype=float)
     if len(samples) < 4:
@@ -124,7 +141,7 @@ def _nnls_fit(samples, basis_fn):
     b_vec = times * weights
     if np.linalg.matrix_rank(a_mat) < design.shape[1]:
         raise UnderdeterminedFit("design matrix is rank-deficient for the sampled (N, chi)")
-    coeffs, _ = nnls(a_mat, b_vec)
+    coeffs = _nnls(a_mat, b_vec)
     pred = design @ coeffs
     residual = float(np.sqrt(np.mean(((pred - times) / times) ** 2)))
     return coeffs, residual

@@ -1,9 +1,15 @@
 import math
 
+import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, nbinom
 
-from quench_bench.budget import attempts_for_usable, qpu_schedule, shots_for_precision
+from quench_bench.budget import (
+    MAX_ATTEMPTS,
+    attempts_for_usable,
+    qpu_schedule,
+    shots_for_precision,
+)
 from quench_bench.errors import InvalidConfig, Unsatisfiable
 from quench_bench.register import DefectProbabilities, defect_free_analytic, expected_counts
 
@@ -105,6 +111,32 @@ class TestAttemptsForUsable:
     def test_counts_beyond_2_53_unsatisfiable(self, m, p):
         with pytest.raises(Unsatisfiable, match="2\\^53"):
             attempts_for_usable(m, p, 0.95)
+
+    def test_matches_scipy_stats_up_to_2_53(self):
+        """A seeded grid whose answers run log-uniformly from 1 to 2^53: the
+        count is m plus ``nbinom.ppf``, and Unsatisfiable exactly where
+        ``nbinom.cdf`` says 2^53 attempts fall short."""
+        rng = np.random.default_rng(2024)
+        m = np.floor(10.0 ** rng.uniform(0.0, 5.0, 2400)).astype(np.int64)
+        p = 10.0 ** rng.uniform(-13.0, 0.0, m.size)
+        conf = rng.uniform(0.01, 0.999, m.size)
+        fits = nbinom.cdf(MAX_ATTEMPTS - m, m, p) >= conf
+        want = m[fits] + nbinom.ppf(conf[fits], m[fits], p[fits])
+        assert fits.sum() >= 2000 and want.max() > 2**52
+        got = [attempts_for_usable(*point) for point in zip(m[fits].tolist(), p[fits], conf[fits])]
+        assert got == want.astype(np.int64).tolist()
+        for point in zip(m[~fits].tolist(), p[~fits], conf[~fits]):
+            with pytest.raises(Unsatisfiable, match="2\\^53"):
+                attempts_for_usable(*point)
+
+    def test_above_5e8_matches_the_exact_quantile(self):
+        # a bisection on scipy.special.betainc answers 1368148027 here
+        assert attempts_for_usable(5, 5.419678895494589e-09, 0.8616103985984296) == 1368148042
+
+    def test_non_finite_quantile_raises(self, monkeypatch):
+        monkeypatch.setattr("scipy.special._ufuncs._nbinom_ppf", lambda q, m, p: math.nan)
+        with pytest.raises(Unsatisfiable, match="quantile"):
+            attempts_for_usable(16, 0.3, 0.9)
 
 
 class TestQpuSchedule:

@@ -41,19 +41,35 @@ def test_dump_json_refuses_non_finite():
             dump_json({"x": value})
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
+def test_import_leaves_out_scipy_stats_and_optimize(tmp_path):
     # a fresh interpreter, since this one may have imported them already
     package_root = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
+    mps_csv = write_synthetic_timing(tmp_path / "mps.csv")
+    nqs_csv = write_nqs_timing(tmp_path / "nqs.csv")
+    commands = [
+        ["estimate", "qpu", "--register", "15x15", "--json"],
+        ["estimate", "crossover", "--samples", mps_csv, "--chi", "1000", "--json"],
+        ["fit", "mps", "--samples", mps_csv],
+        ["fit", "nqs", "--samples", nqs_csv],
+    ]
     code = (
-        "import sys, quench_bench.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+        "import sys\n"
+        "from quench_bench.cli import main\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+        f"for args in {commands!r}:\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exit:\n"
+        "        assert exit.code in (0, None), (args, exit.code)\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]", done.stdout
 
 
 def write_config(path: Path, text: str) -> str:

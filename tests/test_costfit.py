@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from quench_bench.costfit import (
     CostModelMPS,
+    _nnls,
     RuntimeSample,
     crossover,
     extrapolate,
@@ -105,6 +106,26 @@ class TestFitMps:
     def test_residual_reported(self):
         model = fit_mps(synthetic_mps(seed=12))
         assert 0.0 < model.fit_residual < 0.15
+
+
+def test_nnls_matches_scipy_optimize():
+    """Seeded 3-column problems, about a third each with 1 and with 2
+    coefficients pinned at 0: the subset search agrees with scipy's NNLS."""
+    from scipy.optimize import nnls
+
+    rng = np.random.default_rng(17)
+    pinned = []
+    for _ in range(400):
+        rows = int(rng.integers(4, 30))
+        a_mat = rng.standard_normal((rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, 3)
+        b_vec = a_mat @ rng.standard_normal(3)
+        b_vec += 0.1 * np.linalg.norm(b_vec) / np.sqrt(rows) * rng.standard_normal(rows)
+        want = nnls(a_mat, b_vec)[0]
+        got = _nnls(a_mat, b_vec)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.all(got >= 0.0) and np.array_equal(got == 0.0, want == 0.0)
+        pinned.append(int((want == 0.0).sum()))
+    assert pinned.count(1) >= 50 and pinned.count(2) >= 50
 
 
 def _log_uniform_or_zero(lo: float, hi: float):
