@@ -2,7 +2,11 @@
 
 Computes w = exp(coeff * H) v without materializing H, via the Lanczos
 recursion with full reorthogonalization (done as two BLAS-level products per
-iteration, cheap at the basis sizes used here).  Used for the dense
+iteration, cheap at the basis sizes used here), in the scheme of Saad, SIAM
+J. Numer. Anal. 29, 209 (1992) and Hochbruck & Lubich, SIAM J. Numer. Anal.
+34, 1911 (1997).  The small exponential exp(coeff T) e_1 of the tridiagonal
+projection T comes from numpy's ``eigh`` (LAPACK syevd) on T with its lower
+triangle filled, so the module needs numpy only.  Used for the dense
 statevector propagator as well as for the local effective Hamiltonians
 inside two-site TDVP.
 """
@@ -15,11 +19,14 @@ from typing import Callable
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+
+# The gufunc that np.linalg.eigh calls for a float64 matrix (LAPACK syevd on
+# the lower triangle), called directly: inside a TDVP step the wrapper's
+# argument checks and error-state context cost as much as the solve itself.
+# On failure it returns NaNs instead of raising.
+from numpy.linalg._umath_linalg import eigh_lo as _eigh_lower
 
 from .errors import InvalidConfig
-
-_stev = get_lapack_funcs("stev", (np.empty(0, dtype=np.float64),))
 
 
 @dataclass
@@ -39,11 +46,12 @@ def expm_lanczos(
     """Approximate exp(coeff * H) v for Hermitian H given through ``matvec``.
 
     Builds an orthonormal Krylov basis V_k and the real tridiagonal projection
-    T_k, then returns ||v|| * V_k exp(coeff T_k) e_1.  Iteration stops on a
-    happy breakdown (the Krylov space is invariant, so the result is exact) or
-    once the coefficient vector exp(coeff T_k) e_1 moves by less than ``tol``
-    between iterations.  A basis that spans the whole space also gives the
-    exact result, so it reports converged.
+    T_k, then returns ||v|| * V_k exp(coeff T_k) e_1, with exp(coeff T_k) e_1
+    from the eigendecomposition of T_k by numpy's ``eigh``.  Iteration stops
+    on a happy breakdown (the Krylov space is invariant, so the result is
+    exact) or once the coefficient vector exp(coeff T_k) e_1 moves by less
+    than ``tol`` between iterations.  A basis that spans the whole space also
+    gives the exact result, so it reports converged.
 
     Args:
         matvec: action of the Hermitian operator on a flat complex vector.
@@ -86,7 +94,7 @@ def expm_lanczos(
             # exp(T_k) e1 cannot have settled with a growing 2-vector basis;
             # skip the spectral solve until the basis can resolve it
             betas[k] = beta
-            basis[k + 1] = w / beta
+            np.divide(w, beta, out=basis[k + 1])
             continue
 
         y = _expm_tridiag_e1(alphas[: k + 1], betas[:k], coeff)
@@ -102,7 +110,7 @@ def expm_lanczos(
         y_prev = y
         betas[k] = beta
         if k + 1 < k_max:
-            basis[k + 1] = w / beta
+            np.divide(w, beta, out=basis[k + 1])
 
     return LanczosResult(vector=norm_v * (y @ basis), iterations=k_max, converged=k_max == dim)
 
@@ -113,10 +121,19 @@ def _update_size(y: np.ndarray, y_prev: np.ndarray) -> float:
 
 
 def _expm_tridiag_e1(alphas: np.ndarray, betas: np.ndarray, coeff: complex) -> np.ndarray:
-    """exp(coeff * T) e_1 for the real symmetric tridiagonal T (LAPACK stev)."""
-    if len(alphas) == 1:
+    """exp(coeff * T) e_1 for the real symmetric tridiagonal T.
+
+    T has ``alphas`` on its diagonal and ``betas`` off it.  numpy's ``eigh``
+    reads only the lower triangle of its dense input, so the betas go on the
+    subdiagonal; the upper triangle stays zero.
+    """
+    k = len(alphas)
+    if k == 1:
         return np.array([np.exp(coeff * alphas[0])])
-    eigvals, eigvecs, info = _stev(alphas, betas, compute_v=1)
-    if info != 0:  # pragma: no cover - stev failure on a tiny tridiagonal
-        raise np.linalg.LinAlgError(f"stev failed with info={info}")
+    t = np.zeros((k, k))
+    t.flat[:: k + 1] = alphas
+    t.flat[k :: k + 1] = betas
+    eigvals, eigvecs = _eigh_lower(t)
+    if math.isnan(eigvals[0]):  # pragma: no cover - syevd failure on a tiny tridiagonal
+        raise np.linalg.LinAlgError("eigh did not converge on the Lanczos projection")
     return eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0, :])

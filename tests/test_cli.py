@@ -41,35 +41,47 @@ def test_dump_json_refuses_non_finite():
             dump_json({"x": value})
 
 
-def test_import_leaves_out_scipy_stats_and_optimize(tmp_path):
-    # a fresh interpreter, since this one may have imported them already
+def scipy_modules_after(commands: list[list[str]]) -> list[str]:
+    """The scipy modules loaded once ``commands`` ran in a fresh interpreter."""
     package_root = str(Path(cli.__file__).parents[1])
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path)
-    mps_csv = write_synthetic_timing(tmp_path / "mps.csv")
-    nqs_csv = write_nqs_timing(tmp_path / "nqs.csv")
-    commands = [
-        ["estimate", "qpu", "--register", "15x15", "--json"],
-        ["estimate", "crossover", "--samples", mps_csv, "--chi", "1000", "--json"],
-        ["fit", "mps", "--samples", mps_csv],
-        ["fit", "nqs", "--samples", nqs_csv],
-    ]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from quench_bench.cli import main\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
         f"for args in {commands!r}:\n"
         "    try:\n"
         "        main(args)\n"
         "    except SystemExit as exit:\n"
         "        assert exit.code in (0, None), (args, exit.code)\n"
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    lines = done.stdout.strip().splitlines()
-    assert lines[0] == lines[-1] == "[]", done.stdout
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_only_the_attempt_count_loads_scipy(tmp_path):
+    mps_csv = write_synthetic_timing(tmp_path / "mps.csv")
+    nqs_csv = write_nqs_timing(tmp_path / "nqs.csv")
+    quench = ["--size", "2x2", "--t-pulse", "4ns", "--out"]
+    assert scipy_modules_after([
+        ["simulate", "exact", *quench, str(tmp_path / "exact")],
+        ["simulate", "tdvp", *quench, str(tmp_path / "tdvp")],
+        ["rearrange", "--register-size", "6", "--trials", "20"],
+        ["fit", "mps", "--samples", mps_csv],
+        ["fit", "nqs", "--samples", nqs_csv],
+        ["estimate", "shots", "--p", "0.5", "--alpha", "0.05"],
+        ["estimate", "classical", "--samples", mps_csv, "--size", "15x15", "--chi", "1000"],
+    ]) == []
+    loaded = scipy_modules_after([
+        ["estimate", "qpu", "--register", "15x15", "--json"],
+        ["estimate", "crossover", "--samples", mps_csv, "--chi", "1000", "--json"],
+    ])
+    assert "scipy.special" in loaded
+    never = ("scipy.linalg", "scipy.stats", "scipy.optimize")
+    assert [m for m in loaded if m.startswith(never)] == []
 
 
 def write_config(path: Path, text: str) -> str:

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from quench_bench import model, oracle
 from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
-from quench_bench.lanczos import expm_lanczos
+from quench_bench.lanczos import _expm_tridiag_e1, expm_lanczos
 from quench_bench.mps import (
     TdvpEngine,
     build_mpo,
@@ -16,7 +16,13 @@ from quench_bench.mps import (
     run_quench,
     site_expectations,
 )
-from quench_bench.mps.evolve import _LocalApply, _merge_mpo_pair, _split_blocks, sweep_ops
+from quench_bench.mps.evolve import (
+    _LocalApply,
+    _merge_mpo_pair,
+    _split_blocks,
+    _split_theta,
+    sweep_ops,
+)
 from quench_bench.mps.state import product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
 
@@ -203,6 +209,57 @@ class TestMechanics:
         state = random_state(9, chi=8, rng=rng)
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
+
+
+def _seeded_tridiagonal(k):
+    """alphas ~ 3e7 and betas ~ 1e7: the scale of a TDVP local projection."""
+    rng = np.random.default_rng(k)
+    return 3e7 * rng.standard_normal(k), 1e7 * rng.uniform(0.5, 1.5, k - 1)
+
+
+class TestLanczosKernels:
+    COEFF = -0.5j * 1e-9
+
+    def test_tridiagonal_exponential_matches_dense_expm(self):
+        for k in range(1, 51):
+            alphas, betas = _seeded_tridiagonal(k)
+            t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            want = expm(self.COEFF * t)[:, 0]
+            got = _expm_tridiag_e1(alphas, betas, self.COEFF)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), k
+
+    def test_tridiagonal_exponential_uses_the_off_diagonal(self):
+        """A solve that lost the betas (say, by filling the triangle eigh does
+        not read) is off by far more than the tolerance above."""
+        alphas, betas = _seeded_tridiagonal(7)
+        want = _expm_tridiag_e1(alphas, betas, self.COEFF)
+        dropped = _expm_tridiag_e1(alphas, np.zeros_like(betas), self.COEFF)
+        assert np.linalg.norm(dropped - want) > 1e-3 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    @pytest.mark.parametrize("max_chi", [3, 64])
+    def test_svd_fallback_matches_gesdd_split(self, monkeypatch, direction, max_chi):
+        """When numpy's gesdd raises, scipy's gesvd gives the same split."""
+        theta = _random_complex(np.random.default_rng(5), (6, 2, 2, 5))
+        gesdd = _split_theta(theta, max_chi, direction)
+        svd, failed = np.linalg.svd, []
+
+        def fails_once(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        left, right, discarded, keep = _split_theta(theta, max_chi, direction)
+        assert failed
+        assert keep == gesdd[3] == min(max_chi, 10)
+        assert discarded == pytest.approx(gesdd[2], rel=1e-12, abs=1e-15)
+        rebuilt = np.tensordot(left, right, axes=1)
+        want = np.tensordot(gesdd[0], gesdd[1], axes=1)
+        assert np.abs(rebuilt - want).max() <= 1e-12 * np.abs(want).max()
+        if max_chi >= 10:
+            assert np.abs(rebuilt - theta).max() <= 1e-12 * np.abs(theta).max()
 
 
 class TestFullRankConservation:
