@@ -251,6 +251,7 @@ class TdvpEngine:
             converged = converged and res.converged
             a_dim, s_dim, b_dim = x.shape
             y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
+            del res  # it holds the Krylov basis: free that before the split and the next solve
             if kind == "site":
                 a[i] = y
                 if direction is not None:  # release the environment the sweep has left

@@ -4,7 +4,10 @@ Ground truth for MPS validation and convergence-gate calibration.  The
 Hamiltonian is never materialized: its diagonal (interaction + detuning) part
 is precomputed as a 2^N vector and the transverse drive is applied as one
 in-place half-swap per bit, so one application costs O(N 2^N) and allocates
-two 2^N vectors whatever N is.
+two 2^N vectors whatever N is.  Time stepping reuses one Krylov space for as
+many output times as it resolves, so the propagator holds at most 40 vectors
+of 2^N amplitudes (real in the first space, which starts from the real
+|00...0>) besides the one state being recorded.
 
 Basis convention: bit k of the computational-basis index is the occupation of
 snake site k, with 0 = ground state.  The initial product state |00...0> is
@@ -86,10 +89,13 @@ def evolve_exact(
 ) -> Trajectory:
     """Evolve |00...0> under the quench Hamiltonian for time t in steps of dt.
 
-    Each step applies exp(-i H dt) through an adaptive Lanczos expansion (at
-    most 40 vectors, tolerance 1e-12); the per-site occupation map and <H>
-    are recorded after every step.  The trajectory's ``lanczos_converged``
-    is false when any step's expansion stopped at 40 vectors unconverged.
+    One Lanczos space (at most 40 vectors, tolerance 1e-12 on every step)
+    gives exp(-i H j dt) psi for every step j it resolves; the next space
+    starts from the last of them.  The per-site occupation map and <H> (a
+    Hamiltonian apply on the state, not the Krylov projection) are recorded
+    after every step, forming one state at a time.  The trajectory's
+    ``lanczos_converged`` is false when a space of 40 vectors did not
+    resolve even its first step.
 
     Raises:
         TooLargeForOracle: when N exceeds ``N_MAX_DENSE``.
@@ -104,16 +110,26 @@ def evolve_exact(
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
     n_steps = step_count(t, dt)
     traj = Trajectory(lattice)
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    for step in range(n_steps + 1):
-        if step > 0:
-            solve = expm_lanczos(ham.apply, psi, -1j * dt, k_max=40, tol=1e-12)
-            psi = solve.vector
-            traj.lanczos_converged &= solve.converged
+
+    def record(step: int, psi: np.ndarray) -> None:
         traj.maps.append(
             ObservableMap.from_site_values(lattice, occupations(psi), time=step * dt)
         )
         traj.energies.append(ham.expectation(psi))
-    traj.final_state = psi
+
+    psi = np.zeros(1 << n)  # real, so the first Krylov space is real
+    psi[0] = 1.0
+    record(0, psi)
+    step = 0
+    while step < n_steps:
+        solve = expm_lanczos(
+            ham.apply, psi, -1j * dt, k_max=40, tol=1e-12, steps=n_steps - step
+        )
+        traj.lanczos_converged &= solve.converged
+        for j in range(solve.steps):
+            psi = solve.state(j)
+            step += 1
+            record(step, psi)
+        del solve  # build the next space without this one's basis alive
+    traj.final_state = psi.astype(complex, copy=False)
     return traj

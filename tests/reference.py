@@ -3,7 +3,7 @@
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
 the dense drive as one flipped copy of the state per site, fixed-step RK4
-integration, a minimal-distance move assignment, direct binomial tail
+integration, a dense propagator applied step by step, a minimal-distance move assignment, direct binomial tail
 summation, a single-load draw, and a defect-free Monte Carlo that plans every
 load.
 """
@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import exp, lgamma, log, sqrt
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from quench_bench.errors import NotEnoughAtoms
@@ -157,6 +158,21 @@ def rk4_evolve(h: np.ndarray, psi: np.ndarray, t: float, steps: int) -> np.ndarr
         k4 = f(psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return psi
+
+
+def propagator_trajectory(h: np.ndarray, psi: np.ndarray, dt: float, steps: int):
+    """(occupations, energies) of psi and of U^j psi for j = 1 ... steps,
+    with the dense propagator U = expm(-i H dt) built once; occupations has
+    one row per recorded state, site k in column k."""
+    u = expm(-1j * h * dt)
+    n = len(psi).bit_length() - 1
+    occupations, energies = [], []
+    for step in range(steps + 1):
+        if step > 0:
+            psi = u @ psi
+        occupations.append(occupations_from_state(psi, n))
+        energies.append(float(np.vdot(psi, h @ psi).real))
+    return np.array(occupations), np.array(energies)
 
 
 def occupations_from_state(psi: np.ndarray, n: int) -> np.ndarray:

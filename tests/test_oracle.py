@@ -8,7 +8,8 @@ from scipy.linalg import expm
 
 from quench_bench import model, oracle
 from quench_bench.convergence import d8_error, energy_drift, energy_scale
-from quench_bench.errors import TooLargeForOracle
+from quench_bench.errors import InvalidConfig, TooLargeForOracle
+from quench_bench.lanczos import expm_lanczos
 import reference
 from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
 
@@ -72,6 +73,96 @@ class TestAgainstIndependentIntegrators:
         ref_n = reference.occupations_from_state(psi, 9)
         got = np.array([traj.maps[-1].values[r, c] for r, c in map(lat.rowcol_of, range(9))])
         assert np.abs(got - ref_n).max() < 1e-6
+
+    def test_3x3_at_400ns_vs_dense_propagator(self, setup_3x3, oracle_3x3_400ns):
+        """Every recorded map and energy against expm(-i H dt) applied step by
+        step: a reference that shares no code with the Krylov propagator."""
+        lat, params, v = setup_3x3
+        psi0 = np.zeros(512, dtype=complex)
+        psi0[0] = 1.0
+        ref_n, ref_e = reference.propagator_trajectory(
+            reference.dense_hamiltonian(params, v.v), psi0, 1e-9, 400
+        )
+        traj = oracle_3x3_400ns
+        sites = list(map(lat.rowcol_of, range(9)))
+        got_n = np.array([[m.values[r, c] for r, c in sites] for m in traj.maps])
+        assert got_n.shape == ref_n.shape
+        assert np.abs(got_n - ref_n).max() < 1e-12
+        scale = energy_scale(lat, params)
+        assert np.abs(np.array(traj.energies) - ref_e).max() < 1e-12 * scale
+
+
+def _hermitian(rng, dim, norm, real=False):
+    m = rng.standard_normal((dim, dim))
+    if not real:
+        m = m + 1j * rng.standard_normal((dim, dim))
+    h = m + m.conj().T
+    return h * (norm / np.linalg.norm(h, 2))
+
+
+class TestKrylovTimeStepping:
+    """expm_lanczos(..., steps=n) against scipy's expm at every output time."""
+
+    DT = 1e-9
+
+    def _check_states(self, h, v, solve, first_step=1):
+        for j in range(solve.steps):
+            want = expm(-1j * (first_step + j) * self.DT * h) @ v
+            assert np.linalg.norm(solve.state(j) - want) <= 1e-12 * np.linalg.norm(v), j
+
+    @pytest.mark.parametrize("real_start", [False, True])
+    def test_complex_hermitian(self, real_start):
+        rng = np.random.default_rng(11)
+        h = _hermitian(rng, 64, 2e8)  # ||H dt|| = 0.2 per step
+        v = rng.standard_normal(64) + (0 if real_start else 1j * rng.standard_normal(64))
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12, steps=12)
+        assert solve.converged and solve.steps == 12
+        assert solve.basis.dtype == complex
+        self._check_states(h, v, solve)
+
+    def test_real_symmetric_keeps_a_real_basis(self):
+        rng = np.random.default_rng(12)
+        h = _hermitian(rng, 64, 2e8, real=True)
+        v = rng.standard_normal(64)
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12, steps=12)
+        assert solve.converged and solve.steps == 12
+        assert solve.basis.dtype == np.float64 and solve.vector.dtype == complex
+        self._check_states(h, v, solve)
+
+    def test_small_basis_restarts_reach_every_step(self):
+        rng = np.random.default_rng(13)
+        h = _hermitian(rng, 64, 2e8)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        psi, done, resolved = v, 0, []
+        while done < 30:
+            # 12 vectors resolve 4 steps of this H, so the 30 steps take 8 spaces
+            solve = expm_lanczos(lambda x: h @ x, psi, -1j * self.DT, k_max=12, tol=1e-12,
+                                 steps=30 - done)
+            assert solve.converged and 1 <= solve.steps <= 30 - done
+            self._check_states(h, v, solve, first_step=done + 1)
+            psi, done = solve.vector, done + solve.steps
+            resolved.append(solve.steps)
+        assert done == 30 and len(resolved) > 1 and max(resolved) > 1
+
+    def test_basis_too_small_for_one_step(self):
+        rng = np.random.default_rng(14)
+        h = _hermitian(rng, 64, 2e10)  # ||H dt|| = 20
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=5, tol=1e-12, steps=4)
+        assert solve.steps == 1 and not solve.converged and solve.iterations == 5
+
+    def test_basis_that_fills_the_space_resolves_every_step(self):
+        rng = np.random.default_rng(15)
+        h = _hermitian(rng, 8, 3e8)
+        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        # a zero tolerance keeps the update test from ever passing
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=50, tol=0.0, steps=6)
+        assert solve.converged and solve.steps == 6 and solve.iterations == 8
+        self._check_states(h, v, solve)
+
+    def test_steps_below_one_rejected(self):
+        with pytest.raises(InvalidConfig, match="steps"):
+            expm_lanczos(lambda x: x, np.ones(4), -1j, k_max=4, tol=1e-12, steps=0)
 
 
 class TestKernels:

@@ -225,15 +225,15 @@ class TestLanczosKernels:
             alphas, betas = _seeded_tridiagonal(k)
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             want = expm(self.COEFF * t)[:, 0]
-            got = _expm_tridiag_e1(alphas, betas, self.COEFF)
+            got = _expm_tridiag_e1(alphas, betas, self.COEFF)[0]
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), k
 
     def test_tridiagonal_exponential_uses_the_off_diagonal(self):
         """A solve that lost the betas (say, by filling the triangle eigh does
         not read) is off by far more than the tolerance above."""
         alphas, betas = _seeded_tridiagonal(7)
-        want = _expm_tridiag_e1(alphas, betas, self.COEFF)
-        dropped = _expm_tridiag_e1(alphas, np.zeros_like(betas), self.COEFF)
+        want = _expm_tridiag_e1(alphas, betas, self.COEFF)[0]
+        dropped = _expm_tridiag_e1(alphas, np.zeros_like(betas), self.COEFF)[0]
         assert np.linalg.norm(dropped - want) > 1e-3 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("direction", ["left", "right"])
