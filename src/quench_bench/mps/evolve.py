@@ -65,6 +65,7 @@ class TdvpStepRecord:
     energy: float
     lanczos_iters_max: int
     live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
+    apply_madds: int  # complex multiply-adds of the sweep's effective-Hamiltonian applies
     lanczos_converged: bool = True
 
 
@@ -80,7 +81,8 @@ def _split_blocks(wop: np.ndarray) -> tuple[np.ndarray, list]:
 
     Returns ``diag``, the (t, w, w') array of W[w, t, t, w'] over every block
     that is diagonal in the physical index (the automaton's identity
-    pass-throughs, ``n`` openings and ``V n`` closings) and zero elsewhere,
+    pass-throughs, ``n`` openings and closings, and ``V I`` source-to-
+    destination switches) and zero elsewhere,
     and the list of (w, w', block) for the other nonzero blocks: only the
     onsite ready -> done term, or none when Omega = 0.
     """
@@ -104,7 +106,8 @@ class _LocalApply:
     matrix R_t[w*b, b'] = sum_w' W[w, t, t, w'] R[b, w', b'].  One
     application is then one GEMM through the left environment into a reused
     (s, a', w, b) buffer, one batched GEMM through R_t, and two small GEMMs
-    for each non-diagonal block (only the onsite term).
+    for each non-diagonal block (only the onsite term).  ``madds`` counts the
+    complex multiply-adds of these GEMMs in one application.
     """
 
     __slots__ = ("dims", "left", "right_t", "full", "z")
@@ -123,6 +126,12 @@ class _LocalApply:
         self.right_t = right_t.view(complex).reshape(s, w * b, b_bra)
         self.full = [(i, right[:, j, :], m) for i, j, m in full]
         self.z = np.empty((s, a_bra * w, b), dtype=complex)
+
+    @property
+    def madds(self) -> int:
+        s, a, b, a_bra, w, b_bra = self.dims
+        per_full_block = s * a_bra * b * b_bra + s * s * a_bra * b_bra
+        return s * a_bra * w * b * (a + b_bra) + len(self.full) * per_full_block
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         s, a, b, a_bra, w, b_bra = self.dims
@@ -229,7 +238,7 @@ class TdvpEngine:
     def step(self, dt: float) -> TdvpStepRecord:
         """One symmetric two-site TDVP sweep by dt: the local solves of
         ``sweep_ops(n, dt)``, run in order by one loop."""
-        iters_max = 0
+        iters_max = madds = 0
         converged = True
         trunc = 0.0
         a, w = self.state.tensors, self.mpo.tensors
@@ -245,9 +254,11 @@ class TdvpEngine:
             else:
                 x, right, blocks = a[i], rights[i], self._site_blocks[i]
             # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
-            res = expm_lanczos(_LocalApply(lefts[i], right, blocks), x.transpose(1, 0, 2).ravel(),
+            apply_h = _LocalApply(lefts[i], right, blocks)
+            res = expm_lanczos(apply_h, x.transpose(1, 0, 2).ravel(),
                                coeff, k_max=self.k_max, tol=LANCZOS_TOL)
             iters_max = max(iters_max, res.iterations)
+            madds += apply_h.madds * res.iterations  # one apply per Lanczos iteration
             converged = converged and res.converged
             a_dim, s_dim, b_dim = x.shape
             y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
@@ -275,6 +286,7 @@ class TdvpEngine:
             energy=self.energy(),
             lanczos_iters_max=iters_max,
             live_bytes=live,
+            apply_madds=madds,
             lanczos_converged=converged,
         )
 

@@ -9,10 +9,13 @@ k = KRYLOV_K_MAX = 50 Krylov vectors, h = peak MPO bond dimension
     M_krylov       = k s d chi^2
     M_intermediate = 3 s h d^2 chi^2
 
-The bath term is the trapezoid area under the linear-growth-then-saturation
-bond profile and dominates at scale; its leading part 3 s chi^2 N^{3/2}
-(48 chi^2 N^{3/2} for complex doubles) is reported separately.  It bounds the
-N + 1 environments the TDVP engine holds at once; the tests check the engine's
+The bath term is the paper's trapezoid area under a linear-growth-then-
+saturation bond profile and dominates at scale; its leading part
+3 s chi^2 N^{3/2} (48 chi^2 N^{3/2} for complex doubles) is reported
+separately.  It stays an upper bound: the engine's MPO bond is
+2 + min(open sources, owed destinations), which ramps back down over the last
+sites instead of holding its peak, so the N + 1 environments the TDVP engine
+holds at once sit further below it.  The tests check the engine's
 ``TdvpStepRecord.live_bytes`` against ``total`` on saturated (N, chi).
 """
 

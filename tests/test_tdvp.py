@@ -16,6 +16,7 @@ from quench_bench.mps import (
     run_quench,
     site_expectations,
 )
+from quench_bench.mps import evolve
 from quench_bench.mps.evolve import (
     _LocalApply,
     _merge_mpo_pair,
@@ -201,6 +202,33 @@ class TestMechanics:
             for kind, i, c, d in (op.split() for op in listing.split(", "))
         ]
         assert sweep_ops(n, dt) == expected
+
+    def test_apply_madds_hand_count(self, setup_3x3, monkeypatch):
+        """One saturated 3x3 chi=4 step: per apply, the GEMM through the left
+        environment, the one through the folded right environments and the
+        onsite block's two, times the applies each solve makes."""
+        lat, params, v = setup_3x3
+        mpo = build_mpo(lat, params, v)
+        state = random_state(9, chi=4, rng=np.random.default_rng(5))
+        chi, h = state.bond_dims, mpo.bond_profile
+        applies = []
+
+        def counting_lanczos(matvec, x, coeff, **kwargs):
+            calls = []
+            res = expm_lanczos(lambda y: calls.append(1) or matvec(y), x, coeff, **kwargs)
+            applies.append(len(calls))
+            return res
+
+        monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
+        record = TdvpEngine(state, mpo, max_chi=4).step(1e-9)
+        assert state.bond_dims == chi == [1, 2, 4, 4, 4, 4, 4, 4, 2, 1]
+        expected = 0
+        for (kind, i, _, _), n_applies in zip(sweep_ops(9, 1e-9), applies, strict=True):
+            width = 2 if kind == "pair" else 1
+            s, a, b, w = 2**width, chi[i], chi[i + width], h[i]
+            per_apply = s * a * w * a * b + s * a * w * b * b + s * a * b * b + s * s * a * b
+            expected += n_applies * per_apply
+        assert record.apply_madds == expected > 0
 
     def test_energy_expectation_matches_full_contraction(self, setup_3x3):
         lat, params, v = setup_3x3
