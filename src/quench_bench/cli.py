@@ -40,7 +40,7 @@ from .config import (
 )
 from .costfit import step_sample, write_timing_csv
 from .errors import InvalidConfig, QuenchBenchError
-from .model import interactions, write_trajectory_csv
+from .model import write_trajectory_csv
 from .mps import memory_estimate, run_quench
 from .units import format_duration, parse_duration
 
@@ -166,8 +166,7 @@ def _judge_run(out_dir, manifest: dict, traj, params, run: dict) -> tuple[dict, 
 def simulate_exact(config_path, out_dir, t_pulse, dt, size):
     """Dense-statevector evolution (ground truth for small lattices)."""
     _, lattice, params, manifest, cutoff = _prepare_run(config_path, t_pulse, dt, size)
-    v = interactions(lattice, params, cutoff)
-    traj = oracle.evolve_exact(lattice, params, v, params.t_pulse, params.dt)
+    traj = oracle.evolve_exact(lattice, params, cutoff)
     run = {"lanczos_converged": traj.lanczos_converged}
     return _judge_run(out_dir, manifest, traj, params, run)
 
@@ -194,9 +193,7 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
     traj = run_quench(
         lattice,
         params,
-        params.t_pulse,
-        params.dt,
-        max_chi=mps_cfg["max_chi"],
+        mps_cfg["max_chi"],
         cutoff=cutoff,
         memory_budget_bytes=None if budget_gb is None else budget_gb * 1e9,
     )

@@ -22,21 +22,17 @@ from .model import LatticeSpec, ObservableMap, QuenchParams, Trajectory
 ENERGY_DRIFT_GATE = 0.05
 D8_ERROR_GATE = 0.40
 
+#: The dihedral group of the square; its first four elements are the
+#: subgroup a rectangle keeps.
 _SQUARE_GROUP = (
     lambda m: m,
-    lambda m: np.rot90(m, 1),
     lambda m: np.rot90(m, 2),
-    lambda m: np.rot90(m, 3),
     np.flipud,
     np.fliplr,
+    lambda m: np.rot90(m, 1),
+    lambda m: np.rot90(m, 3),
     lambda m: m.T,
     lambda m: np.rot90(m.T, 2),
-)
-_RECT_GROUP = (
-    lambda m: m,
-    lambda m: np.rot90(m, 2),
-    np.flipud,
-    np.fliplr,
 )
 
 
@@ -56,8 +52,8 @@ class ChiSearchResult:
     """Outcome of ``min_converged_chi``.
 
     ``chi_min`` is the first grid chi whose run passed (None if none did) and
-    ``run_seconds`` that run's ``wall_seconds_total``.  ``verdicts`` maps each
-    chi whose run was judged to its verdict; a chi whose run raised
+    ``run_seconds`` the summed step wall seconds of that run.  ``verdicts``
+    maps each chi whose run was judged to its verdict; a chi whose run raised
     MemoryBudgetExceeded has none.  ``cause`` is None on success, else
     "MemoryBudgetExceeded" when every run was refused and "NoChiPassed"
     otherwise.
@@ -106,7 +102,7 @@ def d8_error(obs: ObservableMap) -> float:
     value_range = float(m.max() - m.min())
     if value_range <= 1e-6 * max(1.0, float(np.abs(m).max())):
         return 0.0
-    group = _SQUARE_GROUP if m.shape[0] == m.shape[1] else _RECT_GROUP
+    group = _SQUARE_GROUP if m.shape[0] == m.shape[1] else _SQUARE_GROUP[:4]
     return max(float(np.abs(m - g(m)).max()) for g in group) / value_range
 
 
@@ -153,8 +149,7 @@ def min_converged_chi(
         verdict = evaluate_run(result, params)
         verdicts[chi] = verdict
         if verdict.passed:
-            return ChiSearchResult(
-                chi_min=chi, run_seconds=result.wall_seconds_total, verdicts=verdicts
-            )
+            run_seconds = sum(r.wall_seconds for r in result.records)
+            return ChiSearchResult(chi_min=chi, run_seconds=run_seconds, verdicts=verdicts)
     cause = "MemoryBudgetExceeded" if budget_blocked == len(chi_grid) else "NoChiPassed"
     return ChiSearchResult(chi_min=None, run_seconds=None, verdicts=verdicts, cause=cause)

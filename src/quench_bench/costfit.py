@@ -319,8 +319,10 @@ def write_timing_csv(path, samples: list[RuntimeSample], dt: float, header: str)
 def read_timing_csv(path) -> list[RuntimeSample]:
     """Read the timing CSV (N, chi, dt_ns, seconds_per_step, hardware_tag,
     n_workers); chi = 0 rows are NQS samples.  ``dt_ns`` must be positive and
-    finite."""
+    finite, and the same in every row: the fits pool all rows as the cost of
+    one step length."""
     samples = []
+    first_dt = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -330,6 +332,10 @@ def read_timing_csv(path) -> list[RuntimeSample]:
                 n, chi, dt_ns, sec, tag, workers = line.split(",")
                 if not 0 < float(dt_ns) < math.inf:
                     raise ValueError(f"dt_ns must be positive and finite, got {dt_ns}")
+                if first_dt is None:
+                    first_dt = dt_ns
+                elif float(dt_ns) != float(first_dt):
+                    raise ValueError(f"dt_ns {dt_ns} differs from the first row's {first_dt}")
                 samples.append(
                     RuntimeSample(
                         n=int(n),

@@ -2,7 +2,7 @@
 
 Every deliberate raise in the toolkit is a QuenchBenchError subclass, so the
 CLI can map it to a machine-readable error object and a nonzero exit code.
-Any malformed or out-of-range value is an InvalidConfig; the other five
+Any malformed or out-of-range value is an InvalidConfig; the other four
 types name an outcome a caller handles differently.
 """
 
@@ -21,10 +21,6 @@ class TooLargeForOracle(QuenchBenchError):
 
 class MemoryBudgetExceeded(QuenchBenchError):
     """Estimated memory for a run exceeds the configured budget."""
-
-
-class NotEnoughAtoms(QuenchBenchError):
-    """Loaded atoms cannot fill the register."""
 
 
 class Unsatisfiable(QuenchBenchError):

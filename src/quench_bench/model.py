@@ -56,15 +56,6 @@ class LatticeSpec:
     def n_sites(self) -> int:
         return self.lx * self.ly
 
-    def site_of(self, row: int, col: int) -> int:
-        """Snake index of lattice coordinate (row, col)."""
-        if not (0 <= row < self.ly and 0 <= col < self.lx):
-            raise InvalidConfig(f"(row={row}, col={col}) outside {self.lx}x{self.ly} lattice")
-        return row * self.lx + (col if row % 2 == 0 else self.lx - 1 - col)
-
-    def rowcol_of(self, site: int) -> tuple[int, int]:
-        return int(self.rowcol[site, 0]), int(self.rowcol[site, 1])
-
     def central_site(self) -> int:
         """Site closest to the centroid; ties broken by smallest snake index."""
         centroid = self.positions.mean(axis=0)
@@ -139,10 +130,6 @@ class Trajectory:
     records: list[TdvpStepRecord] = field(default_factory=list)
     final_state: np.ndarray | None = None
     lanczos_converged: bool = True
-
-    @property
-    def wall_seconds_total(self) -> float:
-        return sum(r.wall_seconds for r in self.records)
 
 
 def step_count(t_pulse: float, dt: float) -> int:

@@ -294,17 +294,18 @@ class TdvpEngine:
 def run_quench(
     lattice: LatticeSpec,
     params: QuenchParams,
-    t_pulse: float,
-    dt: float,
     max_chi: int,
     *,
     cutoff: float | None = None,
     memory_budget_bytes: float | None = None,
 ) -> Trajectory:
-    """Evolve |00...0> for t_pulse, recording observables and step timings.
+    """Evolve |00...0> for ``params.t_pulse`` in steps of ``params.dt``,
+    recording observables and step timings.
 
     Refuses to start when the Appendix-style memory estimate for (N, max_chi)
-    exceeds ``memory_budget_bytes``, which must be a finite number >= 0.
+    exceeds ``memory_budget_bytes``, which must be a finite number >= 0; the
+    couplings of ``model.interactions`` at ``cutoff`` (um) are built only
+    after that check.
     """
     n = lattice.n_sites
     if memory_budget_bytes is not None:
@@ -328,8 +329,9 @@ def run_quench(
             lattice, site_expectations(state, _NUMBER_OP), time=t
         )
 
+    dt = params.dt
     traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
-    for step in range(1, step_count(t_pulse, dt) + 1):
+    for step in range(1, step_count(params.t_pulse, dt) + 1):
         record = engine.step(dt)
         traj.records.append(record)
         traj.maps.append(measure(step * dt))

@@ -21,11 +21,11 @@ import numpy as np
 from .errors import InvalidConfig, TooLargeForOracle
 from .lanczos import expm_lanczos
 from .model import (
-    InteractionMatrix,
     LatticeSpec,
     ObservableMap,
     QuenchParams,
     Trajectory,
+    interactions,
     step_count,
 )
 
@@ -81,13 +81,11 @@ def occupations(psi: np.ndarray) -> np.ndarray:
 
 
 def evolve_exact(
-    lattice: LatticeSpec,
-    params: QuenchParams,
-    v: InteractionMatrix,
-    t: float,
-    dt: float,
+    lattice: LatticeSpec, params: QuenchParams, cutoff: float | None = None
 ) -> Trajectory:
-    """Evolve |00...0> under the quench Hamiltonian for time t in steps of dt.
+    """Evolve |00...0> under the quench Hamiltonian for ``params.t_pulse`` in
+    steps of ``params.dt``, with the couplings of ``model.interactions`` at
+    ``cutoff`` (um), which are built only once the size check has passed.
 
     One Lanczos space (at most 40 vectors, tolerance 1e-12 on every step)
     gives exp(-i H j dt) psi for every step j it resolves; the next space
@@ -99,16 +97,19 @@ def evolve_exact(
 
     Raises:
         TooLargeForOracle: when N exceeds ``N_MAX_DENSE``.
-        InvalidConfig: when t is not a whole number of steps dt.
+        InvalidConfig: when the pulse is negative or not a whole number of
+            steps.
     """
     n = lattice.n_sites
     if n > N_MAX_DENSE:
         raise TooLargeForOracle(f"N = {n} exceeds the dense oracle limit {N_MAX_DENSE}")
-    if t < 0:
+    if params.t_pulse < 0:
         raise InvalidConfig("evolution time must be non-negative")
 
+    dt = params.dt
+    n_steps = step_count(params.t_pulse, dt)
+    v = interactions(lattice, params, cutoff)
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
-    n_steps = step_count(t, dt)
     traj = Trajectory(lattice)
 
     def record(step: int, psi: np.ndarray) -> None:

@@ -12,8 +12,11 @@ The analytic defect-free probability is
 
 and the Monte Carlo applies exactly those four channels per trial, so the
 two agree by construction up to sampling noise and count fluctuations.  The
-counts depend only on the load (``event_counts``), not on which atom moves
-where, so no move assignment is ever solved.
+counts depend only on the load, not on which atom moves where: each empty
+register site takes one surplus atom (N_transf = empty sites), the surplus
+left over is dumped (N_dump = surplus - empty) and every other trap stays
+idle, so no move assignment is ever solved.  A load with fewer surplus atoms
+than empty sites cannot fill the register.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvalidConfig, NotEnoughAtoms
+from .errors import InvalidConfig
 
 #: Loads that cannot fill the register are redrawn up to this many times per
 #: trial (the hardware reloads until rearrangement is feasible).  Trials still
@@ -128,26 +131,6 @@ def _load_counts(register_mask: np.ndarray, occupancy: np.ndarray):
     return n_empty, n_surplus
 
 
-def event_counts(layout: TrapLayout, occupancy: np.ndarray) -> tuple[int, int, int]:
-    """(N_transf, N_dump, N_idle) of filling the register from one load.
-
-    Each empty register site takes one surplus atom, the surplus left over is
-    dumped and every other trap stays idle, so the counts depend only on the
-    load, not on which atom goes where.
-
-    Raises:
-        NotEnoughAtoms: fewer surplus atoms than empty register sites.
-    """
-    occupancy = np.asarray(occupancy, dtype=bool)
-    (n_empty,), (n_surplus,) = _load_counts(layout.register_mask, occupancy[None])
-    n_empty, n_surplus = int(n_empty), int(n_surplus)
-    if n_surplus < n_empty:
-        raise NotEnoughAtoms(
-            f"{n_surplus} surplus atoms cannot fill {n_empty} empty register sites"
-        )
-    return n_empty, n_surplus - n_empty, layout.n_traps - n_surplus
-
-
 def defect_free_analytic(counts: dict, probs: DefectProbabilities) -> float:
     """Analytic defect-free probability for the given event counts.
 
@@ -239,11 +222,11 @@ def simulate_defect_free(
 
     Each trial draws a load (redrawing up to ``MAX_RELOADS`` times when the
     register cannot be filled, as the hardware would reload), takes the event
-    counts of that load by the rule of ``event_counts``, then applies the four
-    failure channels as independent Bernoulli events.  A trial is defect-free
-    iff every transfer and dump succeeded, no idle trap loaded accidentally,
-    and no unmoved register atom was lost.  Trials that stay infeasible after
-    all redraws count as defective.
+    counts of that load by the count rule of the module docstring, then
+    applies the four failure channels as independent Bernoulli events.  A
+    trial is defect-free iff every transfer and dump succeeded, no idle trap
+    loaded accidentally, and no unmoved register atom was lost.  Trials that
+    stay infeasible after all redraws count as defective.
 
     Trials run in blocks of ``BLOCK``; block j (trials BLOCK*j onwards, the
     last block may be shorter) draws from ``default_rng([rng_seed, j])``, so

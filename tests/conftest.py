@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from quench_bench import model, oracle
@@ -9,12 +11,13 @@ PAPER_OMEGA = mhz_to_angular(2.0)
 PAPER_HX = 2.5
 
 
-def paper_setup(lx: int, ly: int, cutoff_factor: float | None = None):
-    """Lattice, derived quench parameters and interaction matrix at the
-    canonical quench point (Omega/2pi = 2 MHz, h_x = 2.5)."""
+def paper_setup(lx: int, ly: int, cutoff_factor: float | None = None, *, t_pulse: float = 4e-6):
+    """Lattice, derived quench parameters (pulse ``t_pulse``, dt = 1 ns) and
+    interaction matrix at the canonical quench point (Omega/2pi = 2 MHz,
+    h_x = 2.5)."""
     lattice = model.lattice_for_quench(lx, ly, PAPER_OMEGA, PAPER_HX)
     params = model.derive_quench(
-        PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lattice, t_pulse=4e-6, dt=1e-9
+        PAPER_OMEGA, PAPER_HX, model.DEFAULT_C6, lattice, t_pulse=t_pulse, dt=1e-9
     )
     cutoff = None if cutoff_factor is None else cutoff_factor * params.spacing
     v = model.interactions(lattice, params, cutoff)
@@ -23,33 +26,34 @@ def paper_setup(lx: int, ly: int, cutoff_factor: float | None = None):
 
 @pytest.fixture(scope="session")
 def setup_3x3():
-    return paper_setup(3, 3)
+    """The canonical 3x3 quench with a 400 ns pulse."""
+    return paper_setup(3, 3, t_pulse=400e-9)
 
 
 @pytest.fixture(scope="session")
 def oracle_3x3_400ns(setup_3x3):
-    lattice, params, v = setup_3x3
-    return oracle.evolve_exact(lattice, params, v, t=400e-9, dt=1e-9)
+    lattice, params, _ = setup_3x3
+    return oracle.evolve_exact(lattice, params)
 
 
 class QuenchRuns(dict):
-    """TDVP runs (dt = 1 ns) of one quench from |0...0>, made on first use and
-    keyed by the bond cap that can bind.
+    """TDVP runs of one quench from |0...0>, made on first use and keyed by
+    the bond cap that can bind.
 
     No bond of an N-site MPS exceeds 2^(N//2), so a larger cap gives the run
     at that bound bit for bit (``test_cap_above_bond_bound_changes_nothing``
     checks this) and is served from it.
     """
 
-    def __init__(self, lattice, params, t_pulse):
+    def __init__(self, lattice, params):
         super().__init__()
-        self.lattice, self.params, self.t_pulse = lattice, params, t_pulse
+        self.lattice, self.params = lattice, params
         self.bond_bound = 2 ** (lattice.n_sites // 2)
 
     def at(self, chi):
         key = min(chi, self.bond_bound)
         if key not in self:
-            self[key] = run_quench(self.lattice, self.params, self.t_pulse, 1e-9, max_chi=key)
+            self[key] = run_quench(self.lattice, self.params, key)
         return self[key]
 
 
@@ -57,14 +61,14 @@ class QuenchRuns(dict):
 def tdvp_3x3_400ns(setup_3x3):
     """TDVP runs of the canonical 3x3 quench at 400 ns, by bond-dimension cap."""
     lattice, params, _ = setup_3x3
-    return QuenchRuns(lattice, params, 400e-9)
+    return QuenchRuns(lattice, params)
 
 
 @pytest.fixture(scope="session")
 def tdvp_3x3_100ns(setup_3x3):
     """TDVP runs of the canonical 3x3 quench at 100 ns, by bond-dimension cap."""
     lattice, params, _ = setup_3x3
-    return QuenchRuns(lattice, params, 100e-9)
+    return QuenchRuns(lattice, replace(params, t_pulse=100e-9))
 
 
 @pytest.fixture(scope="session")

@@ -3,9 +3,9 @@
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
 the dense drive as one flipped copy of the state per site, fixed-step RK4
-integration, a dense propagator applied step by step, a minimal-distance move assignment, direct binomial tail
-summation, a single-load draw, and a defect-free Monte Carlo that plans every
-load.
+integration, a dense propagator applied step by step, a minimal-distance move
+assignment, direct binomial tail summation, and a defect-free Monte Carlo
+that plans every load.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from math import exp, lgamma, log, sqrt
 import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
-
-from quench_bench.errors import NotEnoughAtoms
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 NUMBER_OP = np.diag([0.0, 1.0])
@@ -181,25 +179,24 @@ def occupations_from_state(psi: np.ndarray, n: int) -> np.ndarray:
     return np.array([prob[((idx >> k) & 1) == 1].sum() for k in range(n)])
 
 
+class InfeasibleLoad(Exception):
+    """A load with fewer surplus atoms than empty register sites."""
+
+
 def assign_moves(layout, occupancy):
     """(moves, dumps) filling the empty register sites from surplus atoms at
     minimal total distance: moves are (source, target) trap pairs, dumps the
-    surplus left over.  Raises NotEnoughAtoms when the surplus is too small."""
+    surplus left over.  Raises InfeasibleLoad when the surplus is too small."""
     empty = np.flatnonzero(layout.register_mask & ~occupancy)
     outside = np.flatnonzero(~layout.register_mask & occupancy)
     if len(outside) < len(empty):
-        raise NotEnoughAtoms(f"{len(outside)} surplus atoms for {len(empty)} empty sites")
+        raise InfeasibleLoad(f"{len(outside)} surplus atoms for {len(empty)} empty sites")
     pos = layout.trap_positions
     rows, cols = linear_sum_assignment(
         np.linalg.norm(pos[empty][:, None] - pos[outside][None], axis=2)
     )
     moves = list(zip(outside[cols].tolist(), empty[rows].tolist()))
     return moves, np.delete(outside, cols).tolist()
-
-
-def load_stochastic(layout, fill_p=0.5, rng_seed=0):
-    """Independent Bernoulli(fill_p) occupancy per trap, seed-deterministic."""
-    return np.random.default_rng(rng_seed).random(layout.n_traps) < fill_p
 
 
 def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_reloads=25,
@@ -231,7 +228,7 @@ def planned_defect_free_mc(layout, probs, trials, rng_seed=0, fill_p=0.5, max_re
             for row, load in zip(pending, loads):
                 try:
                     moves, dumps = assign_moves(layout, load)
-                except NotEnoughAtoms:
+                except InfeasibleLoad:
                     still_pending.append(row)
                     continue
                 plans[row] = (len(moves), len(dumps))

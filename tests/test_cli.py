@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from quench_bench import cli
+from quench_bench import cli, oracle
 from quench_bench.cli import main
 from quench_bench.config import default_config, dump_json, load_config
-from quench_bench.mps import memory_estimate
+from quench_bench.mps import evolve, memory_estimate
 
 REPO = Path(__file__).parents[1]
 
@@ -24,6 +24,15 @@ def runner():
 
 def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def forbid_couplings(monkeypatch, module):
+    """Make ``interactions`` fail where ``module`` looks it up."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("couplings built before the refusal check")
+
+    monkeypatch.setattr(module, "interactions", forbidden)
 
 
 def _refuse_constant(name):
@@ -243,7 +252,15 @@ class TestSimulate:
         assert err["type"] == "InvalidConfig" and named in err["message"]
         assert not out.exists()
 
-    def test_memory_budget_error(self, runner, tmp_path):
+    def test_exact_refuses_before_couplings(self, runner, tmp_path, monkeypatch):
+        forbid_couplings(monkeypatch, oracle)
+        args = ["simulate", "exact", "--size", "6x3", "--out", str(tmp_path / "x"), "--json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert loads(result.stderr)["error"]["type"] == "TooLargeForOracle"
+
+    def test_memory_budget_error(self, runner, tmp_path, monkeypatch):
+        forbid_couplings(monkeypatch, evolve)
         result = runner.invoke(
             main,
             [

@@ -156,7 +156,7 @@ class TestMinConvergedChi:
         result = min_converged_chi(
             params,
             [8, 16],
-            lambda chi: run_quench(lat, params, 10e-9, 1e-9, max_chi=chi, memory_budget_bytes=1e3),
+            lambda chi: run_quench(lat, params, chi, memory_budget_bytes=1e3),
         )
         assert not result.converged
         assert result.cause == "MemoryBudgetExceeded"

@@ -356,6 +356,18 @@ class TestFileInterfaces:
         with pytest.raises(InvalidConfig, match=re.escape(f"{path}, line 2")):
             read_timing_csv(path)
 
+    def test_timing_csv_mixed_dt_names_both_values(self, tmp_path):
+        path = tmp_path / "timing.csv"
+        path.write_text(
+            "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n"
+            "36,64,1.0,5.5,cpu-x,1\n"
+            "36,32,1,1.5,cpu-x,1\n"
+            "36,16,2.0,0.5,cpu-x,1\n"
+        )
+        message = f"{path}, line 4: dt_ns 2.0 differs from the first row's 1.0"
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            read_timing_csv(path)
+
     def test_table_formatting(self):
         model = fit_mps(synthetic_mps(seed=12))
         text = format_resource_report(extrapolate(model, 400, 1000, 4e-6, 1e-9))

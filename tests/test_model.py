@@ -11,6 +11,11 @@ import reference
 from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
 
 
+def snake_site(lat, row: int, col: int) -> int:
+    """Snake index of (row, col): even rows run left to right, odd rows back."""
+    return row * lat.lx + (col if row % 2 == 0 else lat.lx - 1 - col)
+
+
 class TestBuildLattice:
     def test_single_site(self):
         lat = model.build_lattice(1, 1, 5.0)
@@ -20,7 +25,7 @@ class TestBuildLattice:
     def test_3x3_snake_order_by_hand(self):
         lat = model.build_lattice(3, 3, 5.0)
         expected = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (0, 1), (0, 2), (1, 2), (2, 2)]
-        got = [(col, row) for row, col in (lat.rowcol_of(k) for k in range(9))]
+        got = [(col, row) for row, col in lat.rowcol.tolist()]
         assert got == expected
 
     def test_10x10(self):
@@ -37,15 +42,10 @@ class TestBuildLattice:
     @settings(max_examples=30, deadline=None)
     def test_snake_bijection(self, lx, ly):
         lat = model.build_lattice(lx, ly, 5.0)
-        seen = set()
-        for k in range(lat.n_sites):
-            row, col = lat.rowcol_of(k)
-            assert lat.site_of(row, col) == k
-            seen.add((row, col))
-        assert len(seen) == lat.n_sites
-        assert reference.snake_by_hand(lx, ly) == [
-            (col, row) for row, col in map(lat.rowcol_of, range(lat.n_sites))
-        ]
+        rowcol = lat.rowcol.tolist()
+        assert [snake_site(lat, row, col) for row, col in rowcol] == list(range(lat.n_sites))
+        assert len(set(map(tuple, rowcol))) == lat.n_sites
+        assert reference.snake_by_hand(lx, ly) == [(col, row) for row, col in rowcol]
 
     def test_min_pairwise_distance(self):
         lat = model.build_lattice(4, 3, 6.0)
@@ -128,13 +128,13 @@ class TestInteractions:
     def test_default_cutoff_reaches_three_rows(self):
         lat, params, v = paper_setup(2, 5)
         # vertical coupling across three rows retained, four rows dropped
-        assert v.v[lat.site_of(0, 0), lat.site_of(3, 0)] > 0.0
-        assert v.v[lat.site_of(0, 0), lat.site_of(4, 0)] == 0.0
+        assert v.v[snake_site(lat, 0, 0), snake_site(lat, 3, 0)] > 0.0
+        assert v.v[snake_site(lat, 0, 0), snake_site(lat, 4, 0)] == 0.0
 
     def test_d8_relabeling_invariance(self):
         lat, params, v = paper_setup(3, 3)
         # 90-degree rotation of the square composed with the snake bijection
-        perm = [lat.site_of(col, lat.ly - 1 - row) for row, col in map(lat.rowcol_of, range(9))]
+        perm = [snake_site(lat, col, lat.ly - 1 - row) for row, col in lat.rowcol.tolist()]
         permuted = v.v[np.ix_(perm, perm)]
         assert np.allclose(permuted, v.v, rtol=1e-12, atol=0)
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,57 +22,47 @@ RK4_2X2_100NS_N = 0.320596934530
 
 class TestInitialState:
     def test_t_zero_snapshot(self):
-        lat, params, v = paper_setup(2, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=0.0, dt=1e-9)
+        lat, params, _ = paper_setup(2, 2, t_pulse=0.0)
+        traj = oracle.evolve_exact(lat, params)
         assert len(traj.maps) == 1
         assert np.all(traj.maps[0].values == 0.0)
         assert traj.energies[0] == 0.0
 
     def test_omega_zero_is_stationary(self):
-        lat, params, v = paper_setup(2, 2)
-        frozen = model.QuenchParams(
-            omega=0.0,
-            delta=params.delta,
-            c6=params.c6,
-            h_x=params.h_x,
-            spacing=params.spacing,
-            j_scale=params.j_scale,
-            t_pulse=params.t_pulse,
-            dt=params.dt,
-        )
-        traj = oracle.evolve_exact(lat, frozen, v, t=50e-9, dt=1e-9)
+        lat, params, _ = paper_setup(2, 2, t_pulse=50e-9)
+        traj = oracle.evolve_exact(lat, replace(params, omega=0.0))
         assert np.abs(traj.final_state[0] - 1.0) < 1e-12
         assert np.abs(traj.maps[-1].values).max() < 1e-12
 
 
 class TestAgainstIndependentIntegrators:
     def test_2x2_at_100ns_vs_frozen_rk4(self):
-        lat, params, v = paper_setup(2, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
+        lat, params, _ = paper_setup(2, 2, t_pulse=100e-9)
+        traj = oracle.evolve_exact(lat, params)
         final = traj.maps[-1].values.ravel()
         assert np.allclose(final, RK4_2X2_100NS_N, atol=1e-6)
         assert final.std() < 1e-9  # equal on all four sites by symmetry
 
     def test_2x2_vs_live_rk4(self):
-        lat, params, v = paper_setup(2, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
+        lat, params, v = paper_setup(2, 2, t_pulse=100e-9)
+        traj = oracle.evolve_exact(lat, params)
         h = reference.dense_hamiltonian(params, v.v)
         psi0 = np.zeros(16, dtype=complex)
         psi0[0] = 1.0
         psi = reference.rk4_evolve(h, psi0, 100e-9, 8000)
         ref_n = reference.occupations_from_state(psi, 4)
-        got = np.array([traj.maps[-1].values[r, c] for r, c in map(lat.rowcol_of, range(4))])
+        got = np.array([traj.maps[-1].values[r, c] for r, c in lat.rowcol])
         assert np.abs(got - ref_n).max() < 1e-6
 
     def test_3x3_vs_dense_expm(self):
-        lat, params, v = paper_setup(3, 3)
-        traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
+        lat, params, v = paper_setup(3, 3, t_pulse=100e-9)
+        traj = oracle.evolve_exact(lat, params)
         h = reference.dense_hamiltonian(params, v.v)
         psi0 = np.zeros(512, dtype=complex)
         psi0[0] = 1.0
         psi = expm(-1j * h * 100e-9) @ psi0
         ref_n = reference.occupations_from_state(psi, 9)
-        got = np.array([traj.maps[-1].values[r, c] for r, c in map(lat.rowcol_of, range(9))])
+        got = np.array([traj.maps[-1].values[r, c] for r, c in lat.rowcol])
         assert np.abs(got - ref_n).max() < 1e-6
 
     def test_3x3_at_400ns_vs_dense_propagator(self, setup_3x3, oracle_3x3_400ns):
@@ -84,8 +75,7 @@ class TestAgainstIndependentIntegrators:
             reference.dense_hamiltonian(params, v.v), psi0, 1e-9, 400
         )
         traj = oracle_3x3_400ns
-        sites = list(map(lat.rowcol_of, range(9)))
-        got_n = np.array([[m.values[r, c] for r, c in sites] for m in traj.maps])
+        got_n = np.array([[m.values[r, c] for r, c in lat.rowcol] for m in traj.maps])
         assert got_n.shape == ref_n.shape
         assert np.abs(got_n - ref_n).max() < 1e-12
         scale = energy_scale(lat, params)
@@ -208,22 +198,21 @@ class TestConservation:
         runs = []
         for c6 in (model.DEFAULT_C6, 2.0 * model.DEFAULT_C6):
             lat = model.lattice_for_quench(2, 2, omega, PAPER_HX, c6)
-            params = model.derive_quench(omega, PAPER_HX, c6, lat, t_pulse=4e-6, dt=1e-9)
-            v = model.interactions(lat, params)
-            traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
+            params = model.derive_quench(omega, PAPER_HX, c6, lat, t_pulse=100e-9, dt=1e-9)
+            traj = oracle.evolve_exact(lat, params)
             runs.append(traj.maps[-1].values)
         assert np.allclose(runs[0], runs[1], atol=1e-9)
 
 
 class TestLimits:
     def test_too_large(self):
-        lat, params, v = paper_setup(6, 3)  # 18 sites
+        lat, params, _ = paper_setup(6, 3, t_pulse=1e-9)  # 18 sites
         with pytest.raises(TooLargeForOracle):
-            oracle.evolve_exact(lat, params, v, t=1e-9, dt=1e-9)
+            oracle.evolve_exact(lat, params)
 
     def test_export_csv(self, tmp_path):
-        lat, params, v = paper_setup(2, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=2e-9, dt=1e-9)
+        lat, params, _ = paper_setup(2, 2, t_pulse=2e-9)
+        traj = oracle.evolve_exact(lat, params)
         path = tmp_path / "traj.csv"
         model.write_trajectory_csv(traj, path, "manifest_sha256=abc")
         lines = path.read_text().splitlines()

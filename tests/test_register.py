@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quench_bench.errors import InvalidConfig, NotEnoughAtoms
+from quench_bench.errors import InvalidConfig
 from quench_bench.register import (
     BLOCK,
     DefectProbabilities,
     TrapLayout,
     defect_free_analytic,
-    event_counts,
     expected_counts,
     make_layout,
     simulate_defect_free,
@@ -79,23 +78,26 @@ class TestLoading:
 
 
 class TestPlanning:
+    """The count rule of ``register`` (each empty register site takes one
+    surplus atom, the rest of the surplus is dumped, every other trap idles)
+    against the minimal-distance move assignment of the reference."""
+
     def test_no_moves_when_register_full(self):
         layout = make_layout(6, 12)
-        assert event_counts(layout, layout.register_mask.copy()) == (0, 0, 12)
+        assert reference.assign_moves(layout, layout.register_mask.copy()) == ([], [])
 
     def test_not_enough_atoms(self):
         layout = make_layout(4, 8)
-        with pytest.raises(NotEnoughAtoms):
-            event_counts(layout, np.zeros(8, dtype=bool))
+        with pytest.raises(reference.InfeasibleLoad):
+            reference.assign_moves(layout, np.zeros(8, dtype=bool))
 
     def test_counts_identity(self):
         layout = make_layout(12, 30)
-        occupancy = reference.load_stochastic(layout, 0.5, rng_seed=3)
-        try:
-            n_transf, n_dump, n_idle = event_counts(layout, occupancy)
-        except NotEnoughAtoms:
-            pytest.skip("unlucky draw")
-        assert n_idle == layout.n_traps - n_transf - n_dump
+        est = simulate_defect_free(layout, PAPER_PROBS, trials=300, rng_seed=3, fill_p=0.5)
+        counts = est.counts_mean
+        assert counts["N_idle"] == pytest.approx(
+            counts["N_traps"] - counts["N_transf"] - counts["N_dump"], rel=1e-12
+        )
 
     @given(data=st.data(), n_traps=st.integers(1, 10))
     @settings(max_examples=80, deadline=None)
@@ -111,19 +113,16 @@ class TestPlanning:
         empty = set(np.flatnonzero(layout.register_mask & ~occupancy).tolist())
         surplus = set(np.flatnonzero(~layout.register_mask & occupancy).tolist())
         if len(surplus) < len(empty):
-            with pytest.raises(NotEnoughAtoms):
-                event_counts(layout, occupancy)
-            with pytest.raises(NotEnoughAtoms):
+            with pytest.raises(reference.InfeasibleLoad):
                 reference.assign_moves(layout, occupancy)
             return
-        n_transf, n_dump, n_idle = event_counts(layout, occupancy)
+        n_transf, n_dump, n_idle = len(empty), len(surplus) - len(empty), n_traps - len(surplus)
         moves, dumps = reference.assign_moves(layout, occupancy)
         assert n_idle == n_traps - len(moves) - len(dumps)
         sources = [src for src, _ in moves]
         assert sorted(dst for _, dst in moves) == sorted(empty)
         assert sorted(sources + dumps) == sorted(surplus)
         assert (len(moves), len(dumps)) == (n_transf, n_dump)
-        assert n_idle == n_traps - len(surplus)
 
 
 class TestAnalyticModel:

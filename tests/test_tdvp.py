@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from quench_bench import model, oracle
+from quench_bench import oracle
 from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
 from quench_bench.lanczos import _expm_tridiag_e1, expm_lanczos
 from quench_bench.mps import (
@@ -45,13 +45,12 @@ SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 class TestTwoSiteExactness:
     def test_matches_dense_propagator(self):
-        lat, params, v = paper_setup(2, 1)
+        lat, params, v = paper_setup(2, 1, t_pulse=30e-9)
         h = dense_hamiltonian(params, v.v[::-1, ::-1])
-        dt = 1e-9
-        u = expm(-1j * h * dt)
+        u = expm(-1j * h * params.dt)
         psi = np.zeros(4, dtype=complex)
         psi[0] = 1.0
-        result = run_quench(lat, params, t_pulse=30e-9, dt=dt, max_chi=8)
+        result = run_quench(lat, params, max_chi=8)
         # site 0 is the slow index in the dense convention
         n0 = np.kron(NUMBER_OP, np.eye(2))
         n1 = np.kron(np.eye(2), NUMBER_OP)
@@ -59,22 +58,12 @@ class TestTwoSiteExactness:
         for step_map in result.maps[1:]:  # every step, not only the last
             psi = u @ psi
             expected = [np.vdot(psi, n0 @ psi).real, np.vdot(psi, n1 @ psi).real]
-            got = [step_map.values[r, c] for r, c in map(lat.rowcol_of, range(2))]
+            got = [step_map.values[r, c] for r, c in lat.rowcol]
             assert np.abs(np.array(got) - expected).max() < 1e-10
 
     def test_omega_zero_leaves_state_unchanged(self):
         lat, params, v = paper_setup(2, 2)
-        frozen = model.QuenchParams(
-            omega=0.0,
-            delta=params.delta,
-            c6=params.c6,
-            h_x=params.h_x,
-            spacing=params.spacing,
-            j_scale=params.j_scale,
-            t_pulse=params.t_pulse,
-            dt=params.dt,
-        )
-        mpo = build_mpo(lat, frozen, v)
+        mpo = build_mpo(lat, dataclasses.replace(params, omega=0.0), v)
         state = product_all_ground(4, max_chi=8)
         record = TdvpEngine(state, mpo, max_chi=8).step(1e-9)
         assert record.truncation_weight_step == 0.0
@@ -85,9 +74,8 @@ class TestTwoSiteExactness:
 
 
 class TestAgainstOracle:
-    def test_3x3_100_steps(self, setup_3x3, tdvp_3x3_100ns):
-        lat, params, v = setup_3x3
-        traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
+    def test_3x3_100_steps(self, tdvp_3x3_100ns):
+        traj = oracle.evolve_exact(tdvp_3x3_100ns.lattice, tdvp_3x3_100ns.params)
         result = tdvp_3x3_100ns.at(64)
         err = np.abs(result.maps[-1].values - traj.maps[-1].values).max()
         assert err <= 1e-3
@@ -102,9 +90,9 @@ class TestAgainstOracle:
             assert tighter <= looser + 1e-6
 
     def test_full_rank_equivalence_2x2(self):
-        lat, params, v = paper_setup(2, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=200e-9, dt=1e-9)
-        result = run_quench(lat, params, t_pulse=200e-9, dt=1e-9, max_chi=4)
+        lat, params, _ = paper_setup(2, 2, t_pulse=200e-9)
+        traj = oracle.evolve_exact(lat, params)
+        result = run_quench(lat, params, max_chi=4)
         assert np.abs(result.maps[-1].values - traj.maps[-1].values).max() <= 1e-3
 
 
@@ -121,7 +109,7 @@ class TestMechanics:
 
     def test_records_fields(self, setup_3x3):
         lat, params, _ = setup_3x3
-        result = run_quench(lat, params, t_pulse=5e-9, dt=1e-9, max_chi=8)
+        result = run_quench(lat, dataclasses.replace(params, t_pulse=5e-9), max_chi=8)
         assert len(result.records) == 5
         for rec in result.records:
             assert rec.wall_seconds > 0.0
@@ -136,31 +124,35 @@ class TestMechanics:
         with pytest.raises(InvalidConfig, match=f"{key}={value}"):
             TdvpEngine(product_all_ground(9), mpo, max_chi=value)
 
+    def test_state_and_mpo_site_counts_must_agree(self, setup_3x3):
+        lat, params, v = setup_3x3
+        with pytest.raises(InvalidConfig, match="site counts differ"):
+            TdvpEngine(product_all_ground(4), build_mpo(lat, params, v), max_chi=8)
+
     def test_lanczos_rejects_empty_basis(self):
         with pytest.raises(InvalidConfig, match="k_max"):
             expm_lanczos(lambda x: x, np.ones(4, dtype=complex), -1j, k_max=0, tol=1e-12)
 
     def test_zero_pulse(self, setup_3x3):
         lat, params, _ = setup_3x3
-        result = run_quench(lat, params, t_pulse=0.0, dt=1e-9, max_chi=8)
+        result = run_quench(lat, dataclasses.replace(params, t_pulse=0.0), max_chi=8)
         assert len(result.maps) == 1
         assert result.records == []
 
     def test_memory_budget_refusal(self, setup_3x3):
         lat, params, _ = setup_3x3
         with pytest.raises(MemoryBudgetExceeded):
-            run_quench(lat, params, 1e-9, 1e-9, max_chi=64, memory_budget_bytes=1e6)
+            run_quench(lat, params, max_chi=64, memory_budget_bytes=1e6)
 
     def test_single_site_lattice(self):
-        lat, params, v = paper_setup(1, 1)
-        result = run_quench(lat, params, t_pulse=10e-9, dt=1e-9, max_chi=2)
+        lat, params, _ = paper_setup(1, 1, t_pulse=10e-9)
+        result = run_quench(lat, params, max_chi=2)
         # single two-level system driven at Omega with Delta detuning:
         # Rabi formula for the excited-state population
-        t = 10e-9
         omega_eff = np.sqrt(params.omega**2 + params.delta**2)
-        expected = (params.omega / omega_eff) ** 2 * np.sin(omega_eff * t / 2) ** 2
+        expected = (params.omega / omega_eff) ** 2 * np.sin(omega_eff * params.t_pulse / 2) ** 2
         assert result.maps[-1].values[0, 0] == pytest.approx(expected, abs=1e-9)
-        exact = oracle.evolve_exact(lat, params, v, t, 1e-9)
+        exact = oracle.evolve_exact(lat, params)
         assert len(result.maps) == len(exact.maps)
         for got, want in zip(result.maps, exact.maps):  # every step, not only the last
             assert np.abs(got.values - want.values).max() < 1e-9
@@ -425,9 +417,9 @@ class TestSiteExpectations:
 
 class TestRectangularLattice:
     def test_2x3_matches_oracle(self):
-        lat, params, v = paper_setup(3, 2)
-        traj = oracle.evolve_exact(lat, params, v, t=100e-9, dt=1e-9)
-        result = run_quench(lat, params, t_pulse=100e-9, dt=1e-9, max_chi=16)
+        lat, params, _ = paper_setup(3, 2, t_pulse=100e-9)
+        traj = oracle.evolve_exact(lat, params)
+        result = run_quench(lat, params, max_chi=16)
         assert result.maps[-1].values.shape == (2, 3)
         assert np.abs(result.maps[-1].values - traj.maps[-1].values).max() <= 1e-3
 
@@ -481,8 +473,9 @@ class TestBenchmark:
         """The quench caches in conftest serve every cap above 2^(N//2) from
         the run at that bound; this holds only if the runs are bit-identical."""
         lat, params, _ = setup_3x3
-        at_bound = run_quench(lat, params, t_pulse=40e-9, dt=1e-9, max_chi=16)
-        above = run_quench(lat, params, t_pulse=40e-9, dt=1e-9, max_chi=64)
+        params = dataclasses.replace(params, t_pulse=40e-9)
+        at_bound = run_quench(lat, params, max_chi=16)
+        above = run_quench(lat, params, max_chi=64)
         assert max(r.max_chi_used for r in at_bound.records) == 16
         assert len(above.maps) == len(at_bound.maps)
         for a, b in zip(above.maps, at_bound.maps):
