@@ -181,7 +181,8 @@ def simulate_exact(config_path, out_dir, t_pulse, dt, size):
 @click.option("--memory-budget-gb", type=float, default=None)
 @emits_output
 def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budget_gb):
-    """Two-site TDVP evolution with timing instrumentation."""
+    """TDVP evolution (two-site, one-site once every bond is saturated) with
+    timing instrumentation."""
     mps_overrides = {"max_chi": max_chi, "memory_budget_gb": memory_budget_gb}
     config, lattice, params, manifest, cutoff = _prepare_run(
         config_path, t_pulse, dt, size, mps=mps_overrides
@@ -202,6 +203,7 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
     run = {
         "max_chi_used": max((r.max_chi_used for r in traj.records), default=1),
         "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
+        "one_site_steps": sum(r.one_site for r in traj.records),
         "lanczos_converged": traj.lanczos_converged,
         "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
         "memory_model_bytes": model_bytes,

@@ -9,7 +9,7 @@ J. Numer. Anal. 29, 209 (1992) and Hochbruck & Lubich, SIAM J. Numer. Anal.
 projection T comes from numpy's ``eigh`` (LAPACK syevd) on T with its lower
 triangle filled, so the module needs numpy only.  Used for the dense
 statevector propagator as well as for the local effective Hamiltonians
-inside two-site TDVP.
+inside TDVP.
 """
 
 from __future__ import annotations

@@ -136,9 +136,15 @@ def step_count(t_pulse: float, dt: float) -> int:
     """Number of steps of length dt that make up t_pulse (seconds).
 
     Raises:
-        InvalidConfig: when t_pulse/dt is not within 1e-9 relative of a whole
-            number, since the run would then stop short of or past the pulse.
+        InvalidConfig: when t_pulse is negative or not finite, when dt is not
+            finite and positive, or when t_pulse/dt is not within 1e-9
+            relative of a whole number, since the run would then stop short
+            of or past the pulse.
     """
+    if not 0.0 <= t_pulse < math.inf:
+        raise InvalidConfig(f"t_pulse must be finite and non-negative, got {t_pulse} s")
+    if not 0.0 < dt < math.inf:
+        raise InvalidConfig(f"dt must be finite and positive, got {dt} s")
     ratio = t_pulse / dt
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * abs(ratio):

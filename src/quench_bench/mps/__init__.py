@@ -1,4 +1,4 @@
-"""Matrix-product-state machinery: long-range MPO, two-site TDVP, memory model."""
+"""Matrix-product-state machinery: long-range MPO, TDVP, memory model."""
 
 from .memory import MemoryBreakdown, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo

@@ -1,14 +1,21 @@
-"""Two-site TDVP time evolution with Lanczos exponentiation and cached baths.
+"""TDVP time evolution with Lanczos exponentiation and cached baths.
 
-One ``step`` is a symmetric left-right-left sweep (second order in dt): every
-neighboring pair is evolved forward by dt/2 per sweep direction with the
+One ``step`` is a symmetric left-right-left sweep (second order in dt).  While
+some bond is below its bound min(max_chi, 2^j, 2^(N-j)) the sweep is two-site:
+every neighboring pair is evolved forward by dt/2 per sweep direction with the
 intervening single sites evolved backward, the rightmost pair taking a single
-full-dt solve at the turning point.  ``sweep_ops`` lists these local solves
-as one schedule and ``step`` runs it with one loop.  Left and right
-environments ("baths") are updated incrementally during the sweep and
-released once it has passed them, so N + 1 are held at any moment (between
-steps ``left_envs[0]`` and every right bath); the only full environment
-build happens at engine construction.
+full-dt solve at the turning point, and the SVD split lets the bonds grow.
+Once every bond sits at its bound the sweep is one-site (Haegeman et al., PRB
+94, 165116 (2016)): every site is evolved forward by dt/2 per direction, split
+off its bond matrix by a QR (LQ on the way back) and the bond matrix evolved
+backward by dt/2, the rightmost site taking a single full-dt solve.  It stays
+on the same fixed-bond manifold with d-sized instead of d^2-sized local
+solves, so its Krylov vectors hold d chi^2 amplitudes, the k s d chi^2 term of
+the memory model.  ``sweep_ops`` lists both schedules and ``step`` runs either
+with one loop.  Left and right environments ("baths") are updated
+incrementally during the sweep and released once it has passed them, so N + 1
+are held at any moment (between steps ``left_envs[0]`` and every right bath);
+the only full environment build happens at engine construction.
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -66,6 +73,7 @@ class TdvpStepRecord:
     lanczos_iters_max: int
     live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
     apply_madds: int  # complex multiply-adds of the sweep's effective-Hamiltonian applies
+    one_site: bool  # the sweep ran the one-site schedule: no bond could grow, nothing truncated
     lanczos_converged: bool = True
 
 
@@ -168,20 +176,33 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     return left, right, discarded, keep
 
 
-def sweep_ops(n: int, dt: float) -> list[tuple[str, int, complex, str | None]]:
+def sweep_ops(n: int, dt: float, one_site: bool) -> list[tuple[str, int, complex, str | None]]:
     """The local solves of one symmetric sweep by dt over n sites, in order.
 
     Entries are (kind, i, coeff, direction).  A "pair" entry evolves sites
     i, i+1 by exp(coeff H_eff) and splits toward ``direction``, building left
-    environment i+1 ("right") or right environment i ("left").  A "site" entry
-    is the backward half step of site i between two pair solves, after which
-    its right ("right") or left ("left") environment is released.  The
-    turning pair n-2 takes the full dt; a single site takes one full-dt solve.
+    environment i+1 ("right") or right environment i ("left").  A "site"
+    entry evolves site i; with a direction it is the two-site schedule's
+    backward half step between two pair solves, after which its right
+    ("right") or left ("left") environment is released.  A "bond" entry first
+    splits the bond matrix between sites i and i+1 off site i by a QR
+    ("right", building left environment i+1) or off site i+1 by an LQ
+    ("left", building right environment i), evolves it and multiplies it into
+    the next site, then releases right environment i or left environment i+1.
+    The turning pair n-2 (one-site: site n-1) takes the full dt; a single
+    site takes one full-dt solve.
     """
     if n == 1:
         return [("site", 0, -1j * dt, None)]
     half = 0.5 * dt
     ops = []
+    if one_site:
+        for i in range(n - 1):
+            ops += [("site", i, -1j * half, None), ("bond", i, +1j * half, "right")]
+        ops.append(("site", n - 1, -1j * dt, None))
+        for i in range(n - 2, -1, -1):
+            ops += [("bond", i, +1j * half, "left"), ("site", i, -1j * half, None)]
+        return ops
     for i in range(n - 2):
         ops += [("pair", i, -1j * half, "right"), ("site", i + 1, +1j * half, "right")]
     ops.append(("pair", n - 2, -1j * dt, "left"))
@@ -223,6 +244,11 @@ class TdvpEngine:
             _split_blocks(_merge_mpo_pair(mpo.tensors[i], mpo.tensors[i + 1]))
             for i in range(n - 1)
         ]
+        # a bond matrix is a one-dimensional "site" under the identity MPO block
+        self._bond_blocks = [
+            _split_blocks(np.eye(h)[:, None, None, :]) for h in mpo.bond_profile[1:-1]
+        ]
+        self._bond_bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
 
     def energy(self) -> float:
         """<H> from the cached environments at the center (site 0)."""
@@ -236,25 +262,42 @@ class TdvpEngine:
         return sum(x.nbytes for x in arrays)
 
     def step(self, dt: float) -> TdvpStepRecord:
-        """One symmetric two-site TDVP sweep by dt: the local solves of
-        ``sweep_ops(n, dt)``, run in order by one loop."""
+        """One symmetric TDVP sweep by dt: the local solves of
+        ``sweep_ops(n, dt, one_site)``, run in order by one loop, one-site
+        when every interior bond of the state sits at its bound
+        min(max_chi, 2^j, 2^(N-j)) and two-site otherwise."""
         iters_max = madds = 0
         converged = True
         trunc = 0.0
         a, w = self.state.tensors, self.mpo.tensors
         lefts, rights = self.left_envs, self.right_envs
+        one_site = self.state.bond_dims[1:-1] == self._bond_bounds
         live = self._held_bytes()
         t0 = time.perf_counter()
-        for kind, i, coeff, direction in sweep_ops(self.state.n_sites, dt):
+        for kind, i, coeff, direction in sweep_ops(self.state.n_sites, dt, one_site):
+            left = lefts[i]
             if kind == "pair":
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
                 x = theta.reshape(al.shape[0], -1, ar.shape[2])
                 right, blocks = rights[i + 1], self._pair_blocks[i]
+            elif kind == "bond":
+                # every bond sits at its bound, so the QR (LQ) keeps the whole bond
+                if direction == "right":
+                    q, c = np.linalg.qr(a[i].reshape(-1, a[i].shape[2]))
+                    a[i] = q.reshape(a[i].shape)
+                    lefts[i + 1] = update_left_env(lefts[i], a[i], w[i])
+                else:
+                    q, c = np.linalg.qr(a[i + 1].reshape(a[i + 1].shape[0], -1).T)
+                    a[i + 1], c = q.T.reshape(a[i + 1].shape), c.T
+                    rights[i] = update_right_env(rights[i + 1], a[i + 1], w[i + 1])
+                live = max(live, self._held_bytes())
+                x = c[:, None, :]
+                left, right, blocks = lefts[i + 1], rights[i], self._bond_blocks[i]
             else:
                 x, right, blocks = a[i], rights[i], self._site_blocks[i]
             # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
-            apply_h = _LocalApply(lefts[i], right, blocks)
+            apply_h = _LocalApply(left, right, blocks)
             res = expm_lanczos(apply_h, x.transpose(1, 0, 2).ravel(),
                                coeff, k_max=self.k_max, tol=LANCZOS_TOL)
             iters_max = max(iters_max, res.iterations)
@@ -267,6 +310,15 @@ class TdvpEngine:
                 a[i] = y
                 if direction is not None:  # release the environment the sweep has left
                     (rights if direction == "right" else lefts)[i] = _RELEASED
+                continue
+            if kind == "bond":
+                c = y[:, 0, :]
+                if direction == "right":
+                    a[i + 1] = np.tensordot(c, a[i + 1], axes=1)
+                    rights[i] = _RELEASED
+                else:
+                    a[i] = np.tensordot(a[i], c, axes=1)
+                    lefts[i + 1] = _RELEASED
                 continue
             theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
             a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, direction)
@@ -287,6 +339,7 @@ class TdvpEngine:
             lanczos_iters_max=iters_max,
             live_bytes=live,
             apply_madds=madds,
+            one_site=one_site,
             lanczos_converged=converged,
         )
 
@@ -303,9 +356,10 @@ def run_quench(
     recording observables and step timings.
 
     Refuses to start when the Appendix-style memory estimate for (N, max_chi)
-    exceeds ``memory_budget_bytes``, which must be a finite number >= 0; the
-    couplings of ``model.interactions`` at ``cutoff`` (um) are built only
-    after that check.
+    exceeds ``memory_budget_bytes``, which must be a finite number >= 0, or
+    when ``model.step_count`` refuses the pulse and the step; the couplings of
+    ``model.interactions`` at ``cutoff`` (um) are built only after these
+    checks.
     """
     n = lattice.n_sites
     if memory_budget_bytes is not None:
@@ -319,6 +373,8 @@ def run_quench(
                 f"estimated {estimate.total:.3e} B for N={n}, chi={max_chi} "
                 f"exceeds budget {memory_budget_bytes:.3e} B"
             )
+    dt = params.dt
+    n_steps = step_count(params.t_pulse, dt)
     v = interactions(lattice, params, cutoff)
     mpo = build_mpo(lattice, params, v)
     state = product_all_ground(n, max_chi=max_chi)
@@ -329,9 +385,8 @@ def run_quench(
             lattice, site_expectations(state, _NUMBER_OP), time=t
         )
 
-    dt = params.dt
     traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
-    for step in range(1, step_count(params.t_pulse, dt) + 1):
+    for step in range(1, n_steps + 1):
         record = engine.step(dt)
         traj.records.append(record)
         traj.maps.append(measure(step * dt))

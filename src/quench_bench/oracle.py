@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, TooLargeForOracle
+from .errors import TooLargeForOracle
 from .lanczos import expm_lanczos
 from .model import (
     LatticeSpec,
@@ -97,14 +97,12 @@ def evolve_exact(
 
     Raises:
         TooLargeForOracle: when N exceeds ``N_MAX_DENSE``.
-        InvalidConfig: when the pulse is negative or not a whole number of
-            steps.
+        InvalidConfig: from ``model.step_count``, when the pulse or the
+            step is invalid or the pulse is not a whole number of steps.
     """
     n = lattice.n_sites
     if n > N_MAX_DENSE:
         raise TooLargeForOracle(f"N = {n} exceeds the dense oracle limit {N_MAX_DENSE}")
-    if params.t_pulse < 0:
-        raise InvalidConfig("evolution time must be non-negative")
 
     dt = params.dt
     n_steps = step_count(params.t_pulse, dt)

@@ -99,6 +99,15 @@ def mps_norm(state) -> float:
     return float(np.sqrt(np.real(left[0, 0])))
 
 
+def mps_to_vector(state) -> np.ndarray:
+    """The 2^N amplitudes of an MPS by contracting its tensors left to
+    right, site 0 the slowest index (the layout of ``mpo_dense_matrix``)."""
+    psi = np.ones((1, 1), dtype=complex)  # (amplitudes so far, bond)
+    for a in state.tensors:
+        psi = np.einsum("pl,ldr->pdr", psi, a).reshape(-1, a.shape[2])
+    return psi[:, 0]
+
+
 def check_canonical(state, tol: float = 1e-10) -> bool:
     """Isometry check left and right of the orthogonality center."""
     for i, a in enumerate(state.tensors):

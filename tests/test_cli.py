@@ -200,6 +200,7 @@ class TestSimulate:
         run = loads((out / "verdict.json").read_text())["run"]
         assert 0 < run["live_bytes_peak"] <= run["memory_model_bytes"]
         assert run["memory_model_bytes"] == memory_estimate(9, 64).total
+        assert run["one_site_steps"] == 9  # every bond reaches its bound at step 32 of 40
 
     def test_tdvp_reports_truncation(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -753,8 +754,8 @@ PAYLOAD_KEYS = {
             "": {"verdict", "manifest", "run"},
             "verdict": VERDICT_KEYS,
             "manifest": MANIFEST_KEYS,
-            "run": {"lanczos_converged", "max_chi_used", "truncation_weight", "live_bytes_peak",
-                    "memory_model_bytes"},
+            "run": {"lanczos_converged", "max_chi_used", "truncation_weight", "one_site_steps",
+                    "live_bytes_peak", "memory_model_bytes"},
         }),
     "error": (["estimate", "shots", "--alpha", "-1"], {
         "": {"error"},

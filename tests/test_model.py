@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,14 @@ class TestStepCount:
     def test_partial_step_names_both_values(self, t_ns):
         with pytest.raises(InvalidConfig, match=f"t_pulse = {t_ns} ns .* dt = 1 ns"):
             model.step_count(t_ns * 1e-9, 1e-9)
+
+    @pytest.mark.parametrize("t_pulse, dt, named", [
+        (-5e-9, 1e-9, "t_pulse"), (math.inf, 1e-9, "t_pulse"), (math.nan, 1e-9, "t_pulse"),
+        (10e-9, 0.0, "dt"), (10e-9, -1e-9, "dt"), (10e-9, math.inf, "dt"), (10e-9, math.nan, "dt"),
+    ])
+    def test_bad_pulse_or_step_refused(self, t_pulse, dt, named):
+        with pytest.raises(InvalidConfig, match=f"{named} must be finite"):
+            model.step_count(t_pulse, dt)
 
 
 class TestObservableMap:
