@@ -1,21 +1,22 @@
 """TDVP time evolution with Lanczos exponentiation and cached baths.
 
-One ``step`` is a symmetric left-right-left sweep (second order in dt).  While
-some bond is below its bound min(max_chi, 2^j, 2^(N-j)) the sweep is two-site:
-every neighboring pair is evolved forward by dt/2 per sweep direction with the
-intervening single sites evolved backward, the rightmost pair taking a single
-full-dt solve at the turning point, and the SVD split lets the bonds grow.
-Once every bond sits at its bound the sweep is one-site (Haegeman et al., PRB
-94, 165116 (2016)): every site is evolved forward by dt/2 per direction, split
-off its bond matrix by a QR (LQ on the way back) and the bond matrix evolved
-backward by dt/2, the rightmost site taking a single full-dt solve.  It stays
-on the same fixed-bond manifold with d-sized instead of d^2-sized local
-solves, so its Krylov vectors hold d chi^2 amplitudes, the k s d chi^2 term of
-the memory model.  ``sweep_ops`` lists both schedules and ``step`` runs either
-with one loop.  Left and right environments ("baths") are updated
-incrementally during the sweep and released once it has passed them, so N + 1
-are held at any moment (between steps ``left_envs[0]`` and every right bath);
-the only full environment build happens at engine construction.
+One ``step`` is a symmetric left-right-left projector-splitting sweep (second
+order in dt) over windows of w sites (Haegeman et al., PRB 94, 165116 (2016);
+Paeckel et al., Ann. Phys. 411, 167998 (2019)).  Each window is evolved
+forward by dt/2 per sweep direction and split toward the sweep, and the
+w - 1 sites the split leaves behind are evolved backward by dt/2; the
+rightmost window takes a single full-dt solve at the turning point.  While
+some bond is below its bound min(max_chi, 2^j, 2^(N-j)) the sweep is
+two-site (w = 2): the SVD split lets the bonds grow.  Once every bond sits at
+its bound it is one-site (w = 1): a QR (LQ on the way back) splits off the
+bond matrix, the zero-site window that is evolved backward.  It stays on the
+same fixed-bond manifold with d-sized instead of d^2-sized local solves, so
+its Krylov vectors hold d chi^2 amplitudes, the k s d chi^2 term of the
+memory model.  ``sweep_ops`` lists the windows of either width and ``step``
+runs them with one loop.  Left and right environments ("baths") are updated
+incrementally during the sweep and released once it has passed them, so at
+most N + 2 are held at any solve (between steps ``left_envs[0]`` and every
+right bath); the only full environment build happens at engine construction.
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -74,7 +75,7 @@ class TdvpStepRecord:
     live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
     apply_madds: int  # complex multiply-adds of the sweep's effective-Hamiltonian applies
     one_site: bool  # the sweep ran the one-site schedule: no bond could grow, nothing truncated
-    lanczos_converged: bool = True
+    lanczos_converged: bool
 
 
 def _merge_mpo_pair(w1, w2):
@@ -154,7 +155,7 @@ class _LocalApply:
 
 
 def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
-    """SVD split of a two-site tensor; returns (left, right, discarded, kept)."""
+    """SVD split of a two-site tensor; returns (left, right, discarded weight)."""
     chi_l, d1, d2, chi_r = theta.shape
     m = theta.reshape(chi_l * d1, d2 * chi_r)
     try:
@@ -173,41 +174,30 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     else:
         left = (u[:, :keep] * s[:keep]).reshape(chi_l, d1, keep)
         right = vh[:keep].reshape(keep, d2, chi_r)
-    return left, right, discarded, keep
+    return left, right, discarded
 
 
-def sweep_ops(n: int, dt: float, one_site: bool) -> list[tuple[str, int, complex, str | None]]:
-    """The local solves of one symmetric sweep by dt over n sites, in order.
+def sweep_ops(n: int, dt: float, width: int) -> list[tuple[int, int, complex, str | None]]:
+    """The windows of one symmetric sweep by dt over n sites, in order.
 
-    Entries are (kind, i, coeff, direction).  A "pair" entry evolves sites
-    i, i+1 by exp(coeff H_eff) and splits toward ``direction``, building left
-    environment i+1 ("right") or right environment i ("left").  A "site"
-    entry evolves site i; with a direction it is the two-site schedule's
-    backward half step between two pair solves, after which its right
-    ("right") or left ("left") environment is released.  A "bond" entry first
-    splits the bond matrix between sites i and i+1 off site i by a QR
-    ("right", building left environment i+1) or off site i+1 by an LQ
-    ("left", building right environment i), evolves it and multiplies it into
-    the next site, then releases right environment i or left environment i+1.
-    The turning pair n-2 (one-site: site n-1) takes the full dt; a single
-    site takes one full-dt solve.
+    Entries are (i, w, coeff, direction): evolve the w sites from site i by
+    exp(coeff H_eff); the window w = 0 at i is the bond matrix between sites
+    i-1 and i.  A ``width``-site window is a forward solve, split toward
+    ``direction`` afterwards; the (width-1)-site window that follows it is
+    the backward solve of what the split left, after which the environment
+    behind the sweep is released.  The turning window n - width takes the
+    full dt.  At width 1 the last window (site 0) has no bond to split off,
+    so its direction is None.
     """
-    if n == 1:
-        return [("site", 0, -1j * dt, None)]
     half = 0.5 * dt
-    ops = []
-    if one_site:
-        for i in range(n - 1):
-            ops += [("site", i, -1j * half, None), ("bond", i, +1j * half, "right")]
-        ops.append(("site", n - 1, -1j * dt, None))
-        for i in range(n - 2, -1, -1):
-            ops += [("bond", i, +1j * half, "left"), ("site", i, -1j * half, None)]
-        return ops
-    for i in range(n - 2):
-        ops += [("pair", i, -1j * half, "right"), ("site", i + 1, +1j * half, "right")]
-    ops.append(("pair", n - 2, -1j * dt, "left"))
-    for i in range(n - 3, -1, -1):
-        ops += [("site", i + 1, +1j * half, "left"), ("pair", i, -1j * half, "left")]
+    turn = n - width
+    up = []
+    for i in range(turn):
+        up += [(i, width, -1j * half, "right"), (i + 1, width - 1, +1j * half, "right")]
+    down = [(i, w, coeff, "left") for i, w, coeff, _ in reversed(up)]
+    ops = up + [(turn, width, -1j * dt, "left")] + down
+    if width == 1:
+        ops[-1] = (*ops[-1][:3], None)
     return ops
 
 
@@ -239,21 +229,19 @@ class TdvpEngine:
             self.right_envs[i] = update_right_env(
                 self.right_envs[i + 1], state.tensors[i + 1], mpo.tensors[i + 1]
             )
-        self._site_blocks = [_split_blocks(w) for w in mpo.tensors]
-        self._pair_blocks = [
-            _split_blocks(_merge_mpo_pair(mpo.tensors[i], mpo.tensors[i + 1]))
-            for i in range(n - 1)
-        ]
-        # a bond matrix is a one-dimensional "site" under the identity MPO block
-        self._bond_blocks = [
-            _split_blocks(np.eye(h)[:, None, None, :]) for h in mpo.bond_profile[1:-1]
+        # _blocks[w][i]: the MPO of the w-site window from site i; a bond
+        # matrix is a one-dimensional "site" under the identity MPO block
+        self._blocks = [
+            [_split_blocks(np.eye(h)[:, None, None, :]) for h in mpo.bond_profile[:-1]],
+            [_split_blocks(w) for w in mpo.tensors],
+            [_split_blocks(_merge_mpo_pair(*pair)) for pair in zip(mpo.tensors, mpo.tensors[1:])],
         ]
         self._bond_bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
 
     def energy(self) -> float:
         """<H> from the cached environments at the center (site 0)."""
         x = self.state.tensors[0].transpose(1, 0, 2).ravel()
-        apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._site_blocks[0])
+        apply_h = _LocalApply(self.left_envs[0], self.right_envs[0], self._blocks[1][0])
         return float(np.real(np.vdot(x, apply_h(x)) / np.vdot(x, x)))
 
     def _held_bytes(self) -> int:
@@ -262,42 +250,33 @@ class TdvpEngine:
         return sum(x.nbytes for x in arrays)
 
     def step(self, dt: float) -> TdvpStepRecord:
-        """One symmetric TDVP sweep by dt: the local solves of
-        ``sweep_ops(n, dt, one_site)``, run in order by one loop, one-site
-        when every interior bond of the state sits at its bound
-        min(max_chi, 2^j, 2^(N-j)) and two-site otherwise."""
+        """One symmetric TDVP sweep by dt: the windows of
+        ``sweep_ops(n, dt, width)``, run in order by one loop, one-site when
+        every interior bond of the state sits at its bound
+        min(max_chi, 2^j, 2^(N-j)) and two-site otherwise.  Each window's
+        tensor is the merged pair, the site, or the bond matrix the last
+        split left, solved between ``left_envs[i]`` and
+        ``right_envs[i + w - 1]``."""
         iters_max = madds = 0
         converged = True
         trunc = 0.0
-        a, w = self.state.tensors, self.mpo.tensors
+        a, mpo = self.state.tensors, self.mpo.tensors
         lefts, rights = self.left_envs, self.right_envs
         one_site = self.state.bond_dims[1:-1] == self._bond_bounds
+        width = 1 if one_site else 2
         live = self._held_bytes()
         t0 = time.perf_counter()
-        for kind, i, coeff, direction in sweep_ops(self.state.n_sites, dt, one_site):
-            left = lefts[i]
-            if kind == "pair":
+        for i, w, coeff, direction in sweep_ops(self.state.n_sites, dt, width):
+            if w == 2:
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
                 x = theta.reshape(al.shape[0], -1, ar.shape[2])
-                right, blocks = rights[i + 1], self._pair_blocks[i]
-            elif kind == "bond":
-                # every bond sits at its bound, so the QR (LQ) keeps the whole bond
-                if direction == "right":
-                    q, c = np.linalg.qr(a[i].reshape(-1, a[i].shape[2]))
-                    a[i] = q.reshape(a[i].shape)
-                    lefts[i + 1] = update_left_env(lefts[i], a[i], w[i])
-                else:
-                    q, c = np.linalg.qr(a[i + 1].reshape(a[i + 1].shape[0], -1).T)
-                    a[i + 1], c = q.T.reshape(a[i + 1].shape), c.T
-                    rights[i] = update_right_env(rights[i + 1], a[i + 1], w[i + 1])
-                live = max(live, self._held_bytes())
-                x = c[:, None, :]
-                left, right, blocks = lefts[i + 1], rights[i], self._bond_blocks[i]
+            elif w == 1:
+                x = a[i]
             else:
-                x, right, blocks = a[i], rights[i], self._site_blocks[i]
+                x = bond[:, None, :]
             # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
-            apply_h = _LocalApply(left, right, blocks)
+            apply_h = _LocalApply(lefts[i], rights[i + w - 1], self._blocks[w][i])
             res = expm_lanczos(apply_h, x.transpose(1, 0, 2).ravel(),
                                coeff, k_max=self.k_max, tol=LANCZOS_TOL)
             iters_max = max(iters_max, res.iterations)
@@ -306,27 +285,36 @@ class TdvpEngine:
             a_dim, s_dim, b_dim = x.shape
             y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
             del res  # it holds the Krylov basis: free that before the split and the next solve
-            if kind == "site":
-                a[i] = y
-                if direction is not None:  # release the environment the sweep has left
-                    (rights if direction == "right" else lefts)[i] = _RELEASED
-                continue
-            if kind == "bond":
-                c = y[:, 0, :]
-                if direction == "right":
-                    a[i + 1] = np.tensordot(c, a[i + 1], axes=1)
-                    rights[i] = _RELEASED
+            if w < width:  # backward: store what the split left, release the env behind
+                if w == 1:
+                    a[i] = y
+                elif direction == "right":
+                    a[i] = np.tensordot(y[:, 0, :], a[i], axes=1)
                 else:
-                    a[i] = np.tensordot(a[i], c, axes=1)
-                    lefts[i + 1] = _RELEASED
+                    a[i - 1] = np.tensordot(a[i - 1], y[:, 0, :], axes=1)
+                if direction == "right":
+                    rights[i + w - 1] = _RELEASED
+                else:
+                    lefts[i] = _RELEASED
                 continue
-            theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-            a[i], a[i + 1], disc, _ = _split_theta(theta, self.max_chi, direction)
-            trunc += disc
-            if direction == "right":
-                lefts[i + 1] = update_left_env(lefts[i], a[i], w[i])
+            if direction is None:
+                a[i] = y
+                continue
+            if w == 2:
+                theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
+                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi, direction)
+                trunc += disc
+            elif direction == "right":  # every bond sits at its bound: the QR (LQ) keeps it whole
+                q, bond = np.linalg.qr(y.reshape(-1, b_dim))
+                a[i] = q.reshape(y.shape)
             else:
-                rights[i] = update_right_env(rights[i + 1], a[i + 1], w[i + 1])
+                q, bond = np.linalg.qr(y.reshape(a_dim, -1).T)
+                a[i], bond = q.T.reshape(y.shape), bond.T
+            if direction == "right":
+                lefts[i + 1] = update_left_env(lefts[i], a[i], mpo[i])
+            else:
+                j = i + w - 1
+                rights[j - 1] = update_right_env(rights[j], a[j], mpo[j])
             live = max(live, self._held_bytes())
 
         wall = time.perf_counter() - t0

@@ -17,8 +17,8 @@ saturation bond profile and dominates at scale; its leading part
 3 s chi^2 N^{3/2} (48 chi^2 N^{3/2} for complex doubles) is reported
 separately.  It stays an upper bound: the engine's MPO bond is
 2 + min(open sources, owed destinations), which ramps back down over the last
-sites instead of holding its peak, so the N + 1 environments the TDVP engine
-holds at once sit further below it.  The tests check the engine's
+sites instead of holding its peak, so the at most N + 2 environments the TDVP
+engine holds at any solve sit further below it.  The tests check the engine's
 ``TdvpStepRecord.live_bytes`` against ``total`` on saturated (N, chi).
 """
 

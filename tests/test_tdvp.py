@@ -159,6 +159,7 @@ class TestMechanics:
         assert len(result.maps) == len(exact.maps)
         for got, want in zip(result.maps, exact.maps):  # every step, not only the last
             assert np.abs(got.values - want.values).max() < 1e-9
+        assert all(r.one_site for r in result.records)  # no interior bond to grow
 
     def test_lanczos_full_krylov_space_is_converged(self):
         """A basis that spans the whole space gives exp(cH) v exactly, even
@@ -173,41 +174,40 @@ class TestMechanics:
         want = expm(coeff * h) @ v
         assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("one_site, n, listing", [
-        *(pytest.param(False, n, listing, id=f"{n}-{listing}") for n, listing in [
-            (1, "site 0 F -"),
-            (2, "pair 0 F <"),
-            (3, "pair 0 h >, site 1 b >, pair 1 F <, site 1 b <, pair 0 h <"),
-            (4, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 F <, "
-                "site 2 b <, pair 1 h <, site 1 b <, pair 0 h <"),
-            (5, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 h >, site 3 b >, "
-                "pair 3 F <, site 3 b <, pair 2 h <, site 2 b <, pair 1 h <, site 1 b <, "
-                "pair 0 h <"),
-            (6, "pair 0 h >, site 1 b >, pair 1 h >, site 2 b >, pair 2 h >, site 3 b >, "
-                "pair 3 h >, site 4 b >, pair 4 F <, site 4 b <, pair 3 h <, site 3 b <, "
-                "pair 2 h <, site 2 b <, pair 1 h <, site 1 b <, pair 0 h <"),
+    @pytest.mark.parametrize("width, n, listing", [
+        *(pytest.param(2, n, listing, id=f"two-site-{n}") for n, listing in [
+            (2, "0:2 F <"),
+            (3, "0:2 h >, 1:1 b >, 1:2 F <, 1:1 b <, 0:2 h <"),
+            (4, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 F <, 2:1 b <, 1:2 h <, 1:1 b <, "
+                "0:2 h <"),
+            (5, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 h >, 3:1 b >, 3:2 F <, 3:1 b <, "
+                "2:2 h <, 2:1 b <, 1:2 h <, 1:1 b <, 0:2 h <"),
+            (6, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 h >, 3:1 b >, 3:2 h >, 4:1 b >, "
+                "4:2 F <, 4:1 b <, 3:2 h <, 3:1 b <, 2:2 h <, 2:1 b <, 1:2 h <, 1:1 b <, "
+                "0:2 h <"),
         ]),
-        *(pytest.param(True, n, listing, id=f"one-site-{n}") for n, listing in [
-            (1, "site 0 F -"),
-            (2, "site 0 h -, bond 0 b >, site 1 F -, bond 0 b <, site 0 h -"),
-            (3, "site 0 h -, bond 0 b >, site 1 h -, bond 1 b >, site 2 F -, "
-                "bond 1 b <, site 1 h -, bond 0 b <, site 0 h -"),
-            (4, "site 0 h -, bond 0 b >, site 1 h -, bond 1 b >, site 2 h -, bond 2 b >, "
-                "site 3 F -, bond 2 b <, site 2 h -, bond 1 b <, site 1 h -, bond 0 b <, "
-                "site 0 h -"),
+        *(pytest.param(1, n, listing, id=f"one-site-{n}") for n, listing in [
+            (1, "0:1 F -"),
+            (2, "0:1 h >, 1:0 b >, 1:1 F <, 1:0 b <, 0:1 h -"),
+            (3, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 F <, 2:0 b <, 1:1 h <, 1:0 b <, "
+                "0:1 h -"),
+            (4, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, "
+                "2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h -"),
         ]),
     ])
-    def test_sweep_schedule(self, one_site, n, listing):
-        """h: forward half step, b: backward half step, F: forward full step;
+    def test_sweep_schedule(self, width, n, listing):
+        """i:w: the w-site window from site i (w = 0: the bond left of site i);
+        h: forward half step, b: backward half step, F: forward full step;
         > / <: split (and release) toward the right / left, -: neither."""
         dt = 2.0
         coeff = {"h": -1j, "b": 1j, "F": -2j}
         direction = {">": "right", "<": "left", "-": None}
-        expected = [
-            (kind, int(i), coeff[c], direction[d])
-            for kind, i, c, d in (op.split() for op in listing.split(", "))
-        ]
-        assert sweep_ops(n, dt, one_site) == expected
+        expected = []
+        for op in listing.split(", "):
+            window, c, d = op.split()
+            i, w = map(int, window.split(":"))
+            expected.append((i, w, coeff[c], direction[d]))
+        assert sweep_ops(n, dt, width) == expected
 
     @staticmethod
     def _hand_counted_step(state, mpo, max_chi, monkeypatch):
@@ -226,12 +226,10 @@ class TestMechanics:
 
         monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
         record = TdvpEngine(state, mpo, max_chi=max_chi).step(1e-9)
-        ops = sweep_ops(state.n_sites, 1e-9, record.one_site)
+        ops = sweep_ops(state.n_sites, 1e-9, 1 if record.one_site else 2)
         expected = 0
-        for (kind, i, _, _), (chi, n_applies) in zip(ops, solves, strict=True):
-            width = {"bond": 0, "site": 1, "pair": 2}[kind]
-            j = i + 1 if kind == "bond" else i  # the cut left of the solved tensor
-            s, a, b, w = 2**width, chi[j], chi[j + width], h[j]
+        for (i, width, _, _), (chi, n_applies) in zip(ops, solves, strict=True):
+            s, a, b, w = 2**width, chi[i], chi[i + width], h[i]
             onsite = s * a * b * b + s * s * a * b if width else 0
             expected += n_applies * (s * a * w * a * b + s * a * w * b * b + onsite)
         return record, expected
@@ -257,6 +255,30 @@ class TestMechanics:
         assert not record.one_site
         assert state.bond_dims == [1, 2, 4, 8, 8, 8, 8, 4, 2, 1]
         assert record.apply_madds == expected > 0
+
+    @pytest.mark.parametrize("max_chi, one_site", [(4, True), (8, False)])
+    def test_environments_released_behind_the_sweep(self, setup_3x3, monkeypatch, max_chi,
+                                                    one_site):
+        """A saturated 3x3 chi=4 state, one-site under cap 4 and two-site
+        under cap 8: at most N + 2 environments are held at any solve, and
+        after each step only left_envs[0] and every right environment."""
+        lat, params, v = setup_3x3
+        state = random_state(9, chi=4, rng=np.random.default_rng(5))
+        engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=max_chi)
+        held = []
+
+        def counting_lanczos(*args, **kwargs):
+            held.append(sum(e.size > 0 for e in engine.left_envs + engine.right_envs))
+            return expm_lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
+        schedules = []
+        for _ in range(2):  # under cap 8 the first step saturates every bond
+            schedules.append(engine.step(1e-9).one_site)
+            assert [e.size > 0 for e in engine.left_envs] == [True] + [False] * 8
+            assert all(e.size > 0 for e in engine.right_envs)
+        assert schedules == [one_site, True]
+        assert max(held) <= 9 + 2
 
     def test_energy_expectation_matches_full_contraction(self, setup_3x3):
         lat, params, v = setup_3x3
@@ -307,9 +329,9 @@ class TestLanczosKernels:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fails_once)
-        left, right, discarded, keep = _split_theta(theta, max_chi, direction)
+        left, right, discarded = _split_theta(theta, max_chi, direction)
         assert failed
-        assert keep == gesdd[3] == min(max_chi, 10)
+        assert left.shape[2] == gesdd[0].shape[2] == min(max_chi, 10)
         assert discarded == pytest.approx(gesdd[2], rel=1e-12, abs=1e-15)
         rebuilt = np.tensordot(left, right, axes=1)
         want = np.tensordot(gesdd[0], gesdd[1], axes=1)
