@@ -124,7 +124,7 @@ def _prepare_run(config_path, t_pulse, dt, size, **sections):
     lattice = lattice_from_config(config)
     params = params_from_config(config, lattice)
     inputs = [config_path] if config_path else []
-    manifest = build_manifest(config, config["run"]["seed"], inputs)
+    manifest = build_manifest(config, inputs)
     cutoff = config["physics"]["cutoff_factor"] * params.spacing
     return config, lattice, params, manifest, cutoff
 

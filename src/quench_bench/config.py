@@ -2,9 +2,12 @@
 
 Config files are INI-style key-value text; every value has a typed default
 so a missing file or section is fine.  CLI flags override file values, which
-override defaults.  A RunManifest (config snapshot, seed, tool version,
-input digests, timestamps) accompanies every output artifact; the timestamp
-lives only in manifest.json so all other artifacts are byte-reproducible.
+override defaults; ``apply_overrides`` coerces and checks both, so every
+command refuses a malformed or non-finite value anywhere in its config.  Range
+checks stay with the code that reads a value.  A RunManifest (config snapshot,
+seed, tool version, input digests, timestamps) accompanies every output
+artifact; the timestamp lives only in manifest.json so all other artifacts are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -66,33 +69,26 @@ def default_config() -> dict:
 
 
 def load_config(path: str | Path | None) -> dict:
-    """Defaults overlaid with the INI file at ``path`` (if given)."""
+    """Defaults overlaid, by ``apply_overrides``, with the INI file at ``path``."""
     config = default_config()
     if path is None:
         return config
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
+    if not parser.read(str(path)):
         raise InvalidConfig(f"config file not found: {path}")
+    values = {}
     for section in parser.sections():
         if section not in SCHEMA:
             raise InvalidConfig(f"unknown config section [{section}]")
         # configparser lower-cases keys; match the schema case-insensitively
         cased = {k.lower(): k for k in SCHEMA[section]}
-        for key, raw in parser.items(section):
-            key = cased.get(key.lower(), key)
-            if key not in SCHEMA[section]:
-                raise InvalidConfig(f"unknown config key {section}.{key}")
-            typ, _ = SCHEMA[section][key]
-            try:
-                config[section][key] = typ(raw)
-            except ValueError as exc:
-                raise InvalidConfig(f"bad value for {section}.{key}: {raw!r}") from exc
-    return config
+        values[section] = {cased.get(key, key): raw for key, raw in parser.items(section)}
+    return apply_overrides(config, values)
 
 
 def apply_overrides(config: dict, overrides: dict) -> dict:
-    """Overlay non-None `{section: {key: value}}` overrides on a config."""
+    """Overlay non-None `{section: {key: value}}` overrides on a config, each
+    coerced to its schema type and, as a float, required to be finite."""
     out = copy.deepcopy(config)
     for section, keys in overrides.items():
         for key, value in keys.items():
@@ -100,33 +96,29 @@ def apply_overrides(config: dict, overrides: dict) -> dict:
                 continue
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise InvalidConfig(f"unknown config key {section}.{key}")
-            out[section][key] = SCHEMA[section][key][0](value)
+            try:
+                coerced = SCHEMA[section][key][0](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidConfig(f"bad value for {section}.{key}: {value!r}") from exc
+            if isinstance(coerced, float) and not math.isfinite(coerced):
+                raise InvalidConfig(f"{section}.{key} must be finite, got {coerced}")
+            out[section][key] = coerced
     return out
 
 
 def _physics(config: dict) -> tuple[float, float, float]:
-    """(omega, h_x, c6) in internal units; every physics value must be finite
-    and all but cutoff_factor positive."""
+    """(omega, h_x, c6) in internal units; all three must be positive."""
     phys = config["physics"]
-    for key, value in phys.items():
-        if not math.isfinite(value):
-            raise InvalidConfig(f"physics.{key} must be finite, got {value}")
-        if key != "cutoff_factor" and not value > 0:
-            raise InvalidConfig(f"physics.{key} must be positive, got {value}")
+    for key in ("omega_mhz", "h_x", "c6_ghz_um6"):
+        if not phys[key] > 0:
+            raise InvalidConfig(f"physics.{key} must be positive, got {phys[key]}")
     return mhz_to_angular(phys["omega_mhz"]), phys["h_x"], ghz_um6_to_angular(phys["c6_ghz_um6"])
 
 
 def durations_from_config(config: dict) -> tuple[float, float]:
-    """(t_pulse, dt) in seconds; both must be finite, t_pulse non-negative,
-    dt positive and t_pulse a whole number of dt steps."""
+    """(t_pulse, dt) in seconds, refused by ``model.step_count`` unless dt is
+    positive and t_pulse a non-negative whole number of dt steps."""
     quench = config["quench"]
-    if not quench["t_pulse_ns"] >= 0:
-        raise InvalidConfig(f"quench.t_pulse_ns must be non-negative, got {quench['t_pulse_ns']}")
-    if not quench["dt_ns"] > 0:
-        raise InvalidConfig(f"quench.dt_ns must be positive, got {quench['dt_ns']}")
-    for key, value in quench.items():
-        if not math.isfinite(value):
-            raise InvalidConfig(f"quench.{key} must be finite, got {value}")
     t_pulse, dt = quench["t_pulse_ns"] * 1e-9, quench["dt_ns"] * 1e-9
     step_count(t_pulse, dt)
     return t_pulse, dt
@@ -166,18 +158,13 @@ def sha256_of_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def build_manifest(config: dict, seed: int | None, input_paths: list = ()) -> dict:
-    """Manifest core (timestamp-free) plus a created_utc stamp.  A non-finite
-    float anywhere in ``config`` raises InvalidConfig naming its key."""
-    for section, keys in config.items():
-        for key, value in keys.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidConfig(f"{section}.{key} must be finite, got {value}")
+def build_manifest(config: dict, input_paths: list = ()) -> dict:
+    """Manifest core (timestamp-free) plus a created_utc stamp."""
     return {
         "tool": "quench-bench",
         "tool_version": __version__,
         "config": config,
-        "seed": seed,
+        "seed": config["run"]["seed"],
         "inputs": {str(p): sha256_of_file(p) for p in input_paths},
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }

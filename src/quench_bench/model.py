@@ -142,9 +142,9 @@ def step_count(t_pulse: float, dt: float) -> int:
             of or past the pulse.
     """
     if not 0.0 <= t_pulse < math.inf:
-        raise InvalidConfig(f"t_pulse must be finite and non-negative, got {t_pulse} s")
+        raise InvalidConfig(f"t_pulse must be finite and non-negative, got {t_pulse * 1e9:.10g} ns")
     if not 0.0 < dt < math.inf:
-        raise InvalidConfig(f"dt must be finite and positive, got {dt} s")
+        raise InvalidConfig(f"dt must be finite and positive, got {dt * 1e9:.10g} ns")
     ratio = t_pulse / dt
     n_steps = round(ratio)
     if abs(ratio - n_steps) > 1e-9 * abs(ratio):
@@ -231,8 +231,10 @@ def derive_quench(
 
 def quench_spacing(omega: float, h_x: float, c6: float) -> float:
     """The lattice spacing R = (c6 h_x / 2 omega)^(1/6) of the quench condition."""
-    if not (omega > 0 and h_x > 0 and c6 > 0):
-        raise InvalidConfig(f"omega, h_x and c6 must all be positive, got {omega}, {h_x}, {c6}")
+    if not all(0.0 < x < math.inf for x in (omega, h_x, c6)):
+        raise InvalidConfig(
+            f"omega, h_x and c6 must be finite and positive, got {omega}, {h_x}, {c6}"
+        )
     return (c6 * h_x / (2.0 * omega)) ** (1.0 / 6.0)
 
 
@@ -248,15 +250,15 @@ def interactions(
 ) -> InteractionMatrix:
     """Pairwise couplings V_ij = c6 / r_ij^6 for r_ij <= cutoff, else zero.
 
-    ``cutoff`` defaults to DEFAULT_CUTOFF_FACTOR * R.  A cutoff below the
-    lattice spacing would remove nearest-neighbor couplings entirely and is
-    rejected.
+    ``cutoff`` defaults to DEFAULT_CUTOFF_FACTOR * R.  A cutoff that is not
+    at least the lattice spacing (NaN included) would remove nearest-neighbor
+    couplings entirely and is rejected.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF_FACTOR * params.spacing
-    if cutoff < params.spacing:
+    if not cutoff >= params.spacing:
         raise InvalidConfig(
-            f"cutoff {cutoff} um is below the lattice spacing {params.spacing} um"
+            f"cutoff {cutoff} um is not at least the lattice spacing {params.spacing} um"
         )
     delta_r = lattice.positions[:, None, :] - lattice.positions[None, :, :]
     dist = np.linalg.norm(delta_r, axis=2)

@@ -187,8 +187,10 @@ def sweep_ops(n: int, dt: float, width: int) -> list[tuple[int, int, complex, st
     the backward solve of what the split left, after which the environment
     behind the sweep is released.  The turning window n - width takes the
     full dt.  At width 1 the last window (site 0) has no bond to split off,
-    so its direction is None.
+    so its direction is None.  ``width`` must be 1 or 2 and at most n.
     """
+    if width not in (1, 2) or width > n:
+        raise InvalidConfig(f"sweep width must be 1 or 2 and at most n = {n}, got {width}")
     half = 0.5 * dt
     turn = n - width
     up = []

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 
 from quench_bench import cli, oracle
 from quench_bench.cli import main
-from quench_bench.config import default_config, dump_json, load_config
+from quench_bench.config import apply_overrides, default_config, dump_json, load_config
+from quench_bench.errors import InvalidConfig
 from quench_bench.mps import evolve, memory_estimate
 
 REPO = Path(__file__).parents[1]
@@ -518,6 +519,74 @@ class TestConfigHandling:
         )
         assert result.exit_code == 1
         assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
+
+    @pytest.mark.parametrize("command", [["rearrange", "--trials", "5"], ["estimate", "qpu"]])
+    @pytest.mark.parametrize(
+        "section, key",
+        [("mps", "memory_budget_gb = nan"), ("quench", "dt_ns = inf"),
+         ("physics", "cutoff_factor = -inf")],
+    )
+    def test_non_finite_unread_key_rejected(self, runner, tmp_path, command, section, key):
+        """A command refuses a non-finite value even of a key it never reads."""
+        name, raw = key.split(" = ")
+        config = write_config(tmp_path / "bad.ini", f"[{section}]\n{key}\n")
+        result = runner.invoke(main, [*command, "--config", config, "--json"])
+        assert result.exit_code == 1
+        assert loads(result.stderr)["error"] == {
+            "type": "InvalidConfig",
+            "message": f"{section}.{name} must be finite, got {float(raw)}",
+        }
+
+    def test_file_and_flag_values_pass_one_check(self, runner, tmp_path):
+        """A config-file value and the same value given as an override are
+        refused by the same check with the same message."""
+        with pytest.raises(InvalidConfig) as from_file:
+            load_config(write_config(tmp_path / "bad.ini", "[lattice]\nLx = abc\n"))
+        with pytest.raises(InvalidConfig) as from_flag:
+            apply_overrides(default_config(), {"lattice": {"Lx": "abc"}})
+        assert str(from_file.value) == str(from_flag.value) == "bad value for lattice.Lx: 'abc'"
+        messages = []
+        for args in (
+            ["--config", write_config(tmp_path / "nan.ini", "[mps]\nmemory_budget_gb = nan\n")],
+            ["--memory-budget-gb", "nan"],
+        ):
+            result = runner.invoke(
+                main, ["simulate", "tdvp", *args, "--out", str(tmp_path / "x"), "--json"]
+            )
+            assert result.exit_code == 1
+            messages.append(loads(result.stderr)["error"]["message"])
+        assert messages == ["mps.memory_budget_gb must be finite, got nan"] * 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "exact", "--size", "2x2", "--out", "{out}"],
+            ["simulate", "tdvp", "--size", "2x2", "--out", "{out}"],
+            ["estimate", "classical", "--samples", "{timing}", "--size", "3x3", "--chi", "100"],
+            ["estimate", "crossover", "--samples", "{timing}", "--chi", "100"],
+        ],
+        ids=["exact", "tdvp", "classical", "crossover"],
+    )
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--t-pulse=-5ns"], "t_pulse must be finite and non-negative, got -5 ns"),
+            (["--config", "{dt_neg}"], "dt must be finite and positive, got -1 ns"),
+        ],
+        ids=["t-pulse-flag", "dt-config"],
+    )
+    def test_duration_range_checked_by_step_count(self, runner, tmp_path, command, args, message):
+        """A negative pulse or step, from a flag or a file, is refused by
+        ``model.step_count`` with its value in ns."""
+        paths = {
+            "out": tmp_path / "x",
+            "timing": write_synthetic_timing(tmp_path / "timing.csv"),
+            "dt_neg": write_config(tmp_path / "dt.ini", "[quench]\ndt_ns = -1\n"),
+        }
+        result = runner.invoke(main, [*(a.format(**paths) for a in command + args), "--json"])
+        assert result.exit_code == 1
+        assert loads(result.stderr)["error"] == {"type": "InvalidConfig", "message": message}
+        assert not paths["out"].exists()
 
 
 class TestRearrange:

@@ -106,6 +106,16 @@ class TestDeriveQuench:
         with pytest.raises(ValueError):
             model.derive_quench(-1.0, PAPER_HX, model.DEFAULT_C6, lat, t_pulse=4e-6, dt=1e-9)
 
+    @pytest.mark.parametrize("named", ["omega", "h_x", "c6"])
+    def test_quench_spacing_refuses_infinite_input(self, named):
+        """An infinite omega gave spacing 0 and an infinite c6 NaN positions;
+        each of the three must be finite."""
+        values = {"omega": PAPER_OMEGA, "h_x": PAPER_HX, "c6": model.DEFAULT_C6, named: math.inf}
+        with pytest.raises(InvalidConfig, match="must be finite and positive"):
+            model.quench_spacing(**values)
+        with pytest.raises(InvalidConfig, match="must be finite and positive"):
+            model.lattice_for_quench(3, 3, **values)
+
 
 class TestInteractions:
     def test_nearest_neighbor_value(self):
@@ -126,6 +136,12 @@ class TestInteractions:
         lat, params, _ = paper_setup(3, 3)
         with pytest.raises(InvalidConfig):
             model.interactions(lat, params, cutoff=0.5 * params.spacing)
+
+    def test_nan_cutoff_rejected(self):
+        """NaN compares false with every distance, so it would keep no coupling."""
+        lat, params, _ = paper_setup(3, 3)
+        with pytest.raises(InvalidConfig, match="cutoff nan um is not at least"):
+            model.interactions(lat, params, cutoff=math.nan)
 
     def test_default_cutoff_reaches_three_rows(self):
         lat, params, v = paper_setup(2, 5)

@@ -194,11 +194,18 @@ class TestMechanics:
             (4, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, "
                 "2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h -"),
         ]),
+        *(pytest.param(width, n, None, id=f"refused-{width}-{n}")
+          for width, n in [(2, 1), (3, 3), (3, 5), (0, 4), (-1, 4)]),
     ])
     def test_sweep_schedule(self, width, n, listing):
         """i:w: the w-site window from site i (w = 0: the bond left of site i);
         h: forward half step, b: backward half step, F: forward full step;
-        > / <: split (and release) toward the right / left, -: neither."""
+        > / <: split (and release) toward the right / left, -: neither.  A
+        width other than 1 or 2, or wider than the chain, is refused."""
+        if listing is None:
+            with pytest.raises(InvalidConfig, match="sweep width must be 1 or 2"):
+                sweep_ops(n, 2.0, width)
+            return
         dt = 2.0
         coeff = {"h": -1j, "b": 1j, "F": -2j}
         direction = {">": "right", "<": "left", "-": None}
