@@ -203,7 +203,7 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
     run = {
         "max_chi_used": max((r.max_chi_used for r in traj.records), default=1),
         "truncation_weight": math.fsum(r.truncation_weight_step for r in traj.records),
-        "one_site_steps": sum(r.one_site for r in traj.records),
+        "one_site_steps": sum(r.pair_windows == 0 for r in traj.records),
         "lanczos_converged": traj.lanczos_converged,
         "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
         "memory_model_bytes": model_bytes,

@@ -88,7 +88,8 @@ def load_config(path: str | Path | None) -> dict:
 
 def apply_overrides(config: dict, overrides: dict) -> dict:
     """Overlay non-None `{section: {key: value}}` overrides on a config, each
-    coerced to its schema type and, as a float, required to be finite."""
+    coerced to its schema type (a float for an int key only when it is whole)
+    and, as a float, required to be finite."""
     out = copy.deepcopy(config)
     for section, keys in overrides.items():
         for key, value in keys.items():
@@ -96,8 +97,11 @@ def apply_overrides(config: dict, overrides: dict) -> dict:
                 continue
             if section not in SCHEMA or key not in SCHEMA[section]:
                 raise InvalidConfig(f"unknown config key {section}.{key}")
+            kind = SCHEMA[section][key][0]
             try:
-                coerced = SCHEMA[section][key][0](value)
+                coerced = kind(value)
+                if kind is int and isinstance(value, float) and coerced != value:
+                    raise ValueError("int() would truncate it")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise InvalidConfig(f"bad value for {section}.{key}: {value!r}") from exc
             if isinstance(coerced, float) and not math.isfinite(coerced):

@@ -1,22 +1,25 @@
 """TDVP time evolution with Lanczos exponentiation and cached baths.
 
 One ``step`` is a symmetric left-right-left projector-splitting sweep (second
-order in dt) over windows of w sites (Haegeman et al., PRB 94, 165116 (2016);
-Paeckel et al., Ann. Phys. 411, 167998 (2019)).  Each window is evolved
-forward by dt/2 per sweep direction and split toward the sweep, and the
-w - 1 sites the split leaves behind are evolved backward by dt/2; the
-rightmost window takes a single full-dt solve at the turning point.  While
-some bond is below its bound min(max_chi, 2^j, 2^(N-j)) the sweep is
-two-site (w = 2): the SVD split lets the bonds grow.  Once every bond sits at
-its bound it is one-site (w = 1): a QR (LQ on the way back) splits off the
-bond matrix, the zero-site window that is evolved backward.  It stays on the
-same fixed-bond manifold with d-sized instead of d^2-sized local solves, so
-its Krylov vectors hold d chi^2 amplitudes, the k s d chi^2 term of the
-memory model.  ``sweep_ops`` lists the windows of either width and ``step``
-runs them with one loop.  Left and right environments ("baths") are updated
-incrementally during the sweep and released once it has passed them, so at
-most N + 2 are held at any solve (between steps ``left_envs[0]`` and every
-right bath); the only full environment build happens at engine construction.
+order in dt) over windows of one or two sites (Haegeman et al., PRB 94,
+165116 (2016); Paeckel et al., Ann. Phys. 411, 167998 (2019)), chosen per
+bond: a pair {j-1, j} at every bond j below its bound min(max_chi, 2^j,
+2^(N-j)), whose SVD split lets the bond grow, and one site at every site no
+pair covers.  Each window is evolved forward by dt/2 per sweep direction and
+what it shares with the next window is evolved backward by dt/2: a site
+after an SVD split, or the bond matrix that a QR (LQ on the way back) splits
+off the centre site, the zero-site window.  The last window takes a single
+full-dt solve at the turning point.  With every bond growing this is the
+two-site sweep; with every bond at its bound it is the one-site sweep, which
+stays on the fixed-bond manifold with d-sized instead of d^2-sized local
+solves and no SVD.  The Krylov vectors of a one-site window hold d chi^2
+amplitudes, the k s d chi^2 term of the memory model; only pair windows, at
+bonds below their bounds, hold d^2 chi^2.  ``sweep_ops`` lists the windows
+and ``step`` runs them with one loop.  Left and right environments ("baths")
+are updated incrementally during the sweep and released once it has passed
+them, so at most N + 2 are held at any solve (between steps ``left_envs[0]``
+and every right bath); the only full environment build happens at engine
+construction.
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -74,7 +77,7 @@ class TdvpStepRecord:
     lanczos_iters_max: int
     live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
     apply_madds: int  # complex multiply-adds of the sweep's effective-Hamiltonian applies
-    one_site: bool  # the sweep ran the one-site schedule: no bond could grow, nothing truncated
+    pair_windows: int  # two-site windows of the sweep, one per bond below its bound
     lanczos_converged: bool
 
 
@@ -177,30 +180,34 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     return left, right, discarded
 
 
-def sweep_ops(n: int, dt: float, width: int) -> list[tuple[int, int, complex, str | None]]:
-    """The windows of one symmetric sweep by dt over n sites, in order.
+def sweep_ops(growing: list[bool], dt: float) -> list[tuple[int, int, complex, str]]:
+    """The windows of one symmetric sweep by dt over n = len(growing) + 1
+    sites, in order; ``growing[j - 1]`` says whether bond j (between sites
+    j - 1 and j) is below its bound.
 
     Entries are (i, w, coeff, direction): evolve the w sites from site i by
     exp(coeff H_eff); the window w = 0 at i is the bond matrix between sites
-    i-1 and i.  A ``width``-site window is a forward solve, split toward
-    ``direction`` afterwards; the (width-1)-site window that follows it is
-    the backward solve of what the split left, after which the environment
-    behind the sweep is released.  The turning window n - width takes the
-    full dt.  At width 1 the last window (site 0) has no bond to split off,
-    so its direction is None.  ``width`` must be 1 or 2 and at most n.
+    i-1 and i.  The forward windows are a pair {j-1, j} for every growing
+    bond j and one site for every site no pair covers.  Each but the last is
+    evolved forward by dt/2, a pair then split toward ``direction``, and what
+    it shares with the next window, a site (w = 1) or a bond (w = 0),
+    backward by dt/2, after which the environment behind the sweep is
+    released.  The last window takes the full dt and the mirror runs back.
     """
-    if width not in (1, 2) or width > n:
-        raise InvalidConfig(f"sweep width must be 1 or 2 and at most n = {n}, got {width}")
+    n = len(growing) + 1
+    windows = []  # (first site, width), left to right
+    for i in range(n):
+        if i < n - 1 and growing[i]:
+            windows.append((i, 2))
+        elif i == 0 or not growing[i - 1]:
+            windows.append((i, 1))
     half = 0.5 * dt
-    turn = n - width
     up = []
-    for i in range(turn):
-        up += [(i, width, -1j * half, "right"), (i + 1, width - 1, +1j * half, "right")]
+    for (i, w), (nxt, _) in zip(windows, windows[1:]):
+        up += [(i, w, -1j * half, "right"), (nxt, i + w - nxt, +1j * half, "right")]
     down = [(i, w, coeff, "left") for i, w, coeff, _ in reversed(up)]
-    ops = up + [(turn, width, -1j * dt, "left")] + down
-    if width == 1:
-        ops[-1] = (*ops[-1][:3], None)
-    return ops
+    turn, width = windows[-1]
+    return up + [(turn, width, -1j * dt, "left")] + down
 
 
 class TdvpEngine:
@@ -252,30 +259,39 @@ class TdvpEngine:
         return sum(x.nbytes for x in arrays)
 
     def step(self, dt: float) -> TdvpStepRecord:
-        """One symmetric TDVP sweep by dt: the windows of
-        ``sweep_ops(n, dt, width)``, run in order by one loop, one-site when
-        every interior bond of the state sits at its bound
-        min(max_chi, 2^j, 2^(N-j)) and two-site otherwise.  Each window's
-        tensor is the merged pair, the site, or the bond matrix the last
-        split left, solved between ``left_envs[i]`` and
-        ``right_envs[i + w - 1]``."""
+        """One symmetric TDVP sweep by dt: the windows of ``sweep_ops``, run
+        in order by one loop, with a pair window at every bond below its
+        bound min(max_chi, 2^j, 2^(N-j)) and one-site windows elsewhere.  Each
+        window's tensor is the merged pair, the site, or the bond matrix that
+        a QR (LQ on the way back) splits off the centre site just before its
+        solve, solved between ``left_envs[i]`` and ``right_envs[i + w - 1]``."""
         iters_max = madds = 0
         converged = True
         trunc = 0.0
         a, mpo = self.state.tensors, self.mpo.tensors
         lefts, rights = self.left_envs, self.right_envs
-        one_site = self.state.bond_dims[1:-1] == self._bond_bounds
-        width = 1 if one_site else 2
+        growing = [b < bound for b, bound in zip(self.state.bond_dims[1:-1], self._bond_bounds)]
         live = self._held_bytes()
         t0 = time.perf_counter()
-        for i, w, coeff, direction in sweep_ops(self.state.n_sites, dt, width):
+        for i, w, coeff, direction in sweep_ops(growing, dt):
             if w == 2:
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
                 x = theta.reshape(al.shape[0], -1, ar.shape[2])
             elif w == 1:
                 x = a[i]
-            else:
+            else:  # the bond keeps the split's own rank, which may sit below the bond
+                if direction == "right":
+                    c = a[i - 1]
+                    q, bond = np.linalg.qr(c.reshape(-1, c.shape[2]))
+                    a[i - 1] = q.reshape(c.shape[0], c.shape[1], -1)
+                    lefts[i] = update_left_env(lefts[i - 1], a[i - 1], mpo[i - 1])
+                else:
+                    c = a[i]
+                    q, bond = np.linalg.qr(c.reshape(c.shape[0], -1).T)
+                    a[i], bond = q.T.reshape(-1, c.shape[1], c.shape[2]), bond.T
+                    rights[i - 1] = update_right_env(rights[i], a[i], mpo[i])
+                live = max(live, self._held_bytes())
                 x = bond[:, None, :]
             # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
             apply_h = _LocalApply(lefts[i], rights[i + w - 1], self._blocks[w][i])
@@ -287,37 +303,29 @@ class TdvpEngine:
             a_dim, s_dim, b_dim = x.shape
             y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
             del res  # it holds the Krylov basis: free that before the split and the next solve
-            if w < width:  # backward: store what the split left, release the env behind
-                if w == 1:
-                    a[i] = y
-                elif direction == "right":
+            if w == 1:  # the bond back-step that follows, if any, splits the site
+                a[i] = y
+            elif w == 0:  # the bond joins the site ahead of the sweep
+                if direction == "right":
                     a[i] = np.tensordot(y[:, 0, :], a[i], axes=1)
                 else:
                     a[i - 1] = np.tensordot(a[i - 1], y[:, 0, :], axes=1)
+            else:  # split the pair; the environment across it is stale
+                theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
+                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi, direction)
+                trunc += disc
+                if direction == "right":
+                    lefts[i + 1] = update_left_env(lefts[i], a[i], mpo[i])
+                    rights[i] = _RELEASED
+                else:
+                    rights[i] = update_right_env(rights[i + 1], a[i + 1], mpo[i + 1])
+                    lefts[i + 1] = _RELEASED
+                live = max(live, self._held_bytes())
+            if coeff.imag > 0:  # a back-step: release the environment behind the sweep
                 if direction == "right":
                     rights[i + w - 1] = _RELEASED
                 else:
                     lefts[i] = _RELEASED
-                continue
-            if direction is None:
-                a[i] = y
-                continue
-            if w == 2:
-                theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi, direction)
-                trunc += disc
-            elif direction == "right":  # every bond sits at its bound: the QR (LQ) keeps it whole
-                q, bond = np.linalg.qr(y.reshape(-1, b_dim))
-                a[i] = q.reshape(y.shape)
-            else:
-                q, bond = np.linalg.qr(y.reshape(a_dim, -1).T)
-                a[i], bond = q.T.reshape(y.shape), bond.T
-            if direction == "right":
-                lefts[i + 1] = update_left_env(lefts[i], a[i], mpo[i])
-            else:
-                j = i + w - 1
-                rights[j - 1] = update_right_env(rights[j], a[j], mpo[j])
-            live = max(live, self._held_bytes())
 
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0
@@ -329,7 +337,7 @@ class TdvpEngine:
             lanczos_iters_max=iters_max,
             live_bytes=live,
             apply_madds=madds,
-            one_site=one_site,
+            pair_windows=sum(growing),
             lanczos_converged=converged,
         )
 

@@ -10,8 +10,8 @@ k = KRYLOV_K_MAX = 50 Krylov vectors, h = peak MPO bond dimension
     M_intermediate = 3 s h d^2 chi^2
 
 The Krylov term holds one-site vectors: d chi^2 amplitudes each, what the
-engine's one-site sweeps allocate once every bond is saturated (its two-site
-sweeps, which run only while some bond is below its cap, allocate d^2 chi^2).
+engine's one-site windows allocate.  Only its pair windows, which run at the
+bonds still below their caps, allocate d^2 chi^2.
 The bath term is the paper's trapezoid area under a linear-growth-then-
 saturation bond profile and dominates at scale; its leading part
 3 s chi^2 N^{3/2} (48 chi^2 N^{3/2} for complex doubles) is reported

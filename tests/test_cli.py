@@ -557,6 +557,16 @@ class TestConfigHandling:
             messages.append(loads(result.stderr)["error"]["message"])
         assert messages == ["mps.memory_budget_gb must be finite, got nan"] * 2
 
+    @pytest.mark.parametrize("section, key, value", [("lattice", "Lx", 2.5),
+                                                     ("register", "n_traps", 100.5)])
+    def test_fractional_float_for_int_key_refused(self, section, key, value):
+        """int() would truncate it; a whole float is still taken as its int."""
+        with pytest.raises(InvalidConfig) as refused:
+            apply_overrides(default_config(), {section: {key: value}})
+        assert str(refused.value) == f"bad value for {section}.{key}: {value!r}"
+        whole = apply_overrides(default_config(), {section: {key: float(int(value))}})
+        assert whole[section][key] == int(value) and type(whole[section][key]) is int
+
     @pytest.mark.parametrize(
         "command",
         [

@@ -26,7 +26,7 @@ from quench_bench.mps.evolve import (
     _split_theta,
     sweep_ops,
 )
-from quench_bench.mps.state import product_all_ground, random_state
+from quench_bench.mps.state import MpsState, product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
 
 from conftest import paper_setup
@@ -78,8 +78,11 @@ class TestTwoSiteExactness:
 
 class TestAgainstOracle:
     def test_3x3_100_steps(self, tdvp_3x3_100ns):
+        """The bonds reach their bounds one by one, so some steps run pair
+        windows at the bonds still growing next to one-site windows."""
         traj = oracle.evolve_exact(tdvp_3x3_100ns.lattice, tdvp_3x3_100ns.params)
         result = tdvp_3x3_100ns.at(64)
+        assert any(0 < r.pair_windows < 8 for r in result.records)
         err = np.abs(result.maps[-1].values - traj.maps[-1].values).max()
         assert err <= 1e-3
 
@@ -114,7 +117,10 @@ class TestMechanics:
         lat, params, _ = setup_3x3
         result = run_quench(lat, dataclasses.replace(params, t_pulse=5e-9), max_chi=8)
         assert len(result.records) == 5
+        # from |0...0> every bond is below its bound: the first step is all pairs
+        assert result.records[0].pair_windows == 8
         for rec in result.records:
+            assert 0 <= rec.pair_windows <= 8
             assert rec.wall_seconds > 0.0
             assert rec.lanczos_iters_max <= 50
             assert rec.max_chi_used <= 8
@@ -159,7 +165,7 @@ class TestMechanics:
         assert len(result.maps) == len(exact.maps)
         for got, want in zip(result.maps, exact.maps):  # every step, not only the last
             assert np.abs(got.values - want.values).max() < 1e-9
-        assert all(r.one_site for r in result.records)  # no interior bond to grow
+        assert all(r.pair_windows == 0 for r in result.records)  # no interior bond to grow
 
     def test_lanczos_full_krylov_space_is_converged(self):
         """A basis that spans the whole space gives exp(cH) v exactly, even
@@ -174,8 +180,8 @@ class TestMechanics:
         want = expm(coeff * h) @ v
         assert np.linalg.norm(res.vector - want) <= 1e-14 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("width, n, listing", [
-        *(pytest.param(2, n, listing, id=f"two-site-{n}") for n, listing in [
+    @pytest.mark.parametrize("growing, listing", [
+        *(pytest.param("1" * (n - 1), listing, id=f"two-site-{n}") for n, listing in [
             (2, "0:2 F <"),
             (3, "0:2 h >, 1:1 b >, 1:2 F <, 1:1 b <, 0:2 h <"),
             (4, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 F <, 2:1 b <, 1:2 h <, 1:1 b <, "
@@ -186,39 +192,57 @@ class TestMechanics:
                 "4:2 F <, 4:1 b <, 3:2 h <, 3:1 b <, 2:2 h <, 2:1 b <, 1:2 h <, 1:1 b <, "
                 "0:2 h <"),
         ]),
-        *(pytest.param(1, n, listing, id=f"one-site-{n}") for n, listing in [
-            (1, "0:1 F -"),
-            (2, "0:1 h >, 1:0 b >, 1:1 F <, 1:0 b <, 0:1 h -"),
+        *(pytest.param("0" * (n - 1), listing, id=f"one-site-{n}") for n, listing in [
+            (1, "0:1 F <"),
+            (2, "0:1 h >, 1:0 b >, 1:1 F <, 1:0 b <, 0:1 h <"),
             (3, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 F <, 2:0 b <, 1:1 h <, 1:0 b <, "
-                "0:1 h -"),
+                "0:1 h <"),
             (4, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, "
-                "2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h -"),
+                "2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h <"),
+            (5, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 h >, 4:0 b >, "
+                "4:1 F <, 4:0 b <, 3:1 h <, 3:0 b <, 2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, "
+                "0:1 h <"),
         ]),
-        *(pytest.param(width, n, None, id=f"refused-{width}-{n}")
-          for width, n in [(2, 1), (3, 3), (3, 5), (0, 4), (-1, 4)]),
+        *(pytest.param(growing, listing, id=f"mixed-{growing}") for growing, listing in [
+            ("100", "0:2 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, 2:1 h <, 2:0 b <, "
+                    "0:2 h <"),
+            ("001", "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:2 F <, 2:0 b <, 1:1 h <, 1:0 b <, "
+                    "0:1 h <"),
+            ("101", "0:2 h >, 2:0 b >, 2:2 F <, 2:0 b <, 0:2 h <"),
+            ("010", "0:1 h >, 1:0 b >, 1:2 h >, 3:0 b >, 3:1 F <, 3:0 b <, 1:2 h <, 1:0 b <, "
+                    "0:1 h <"),
+            ("1100", "0:2 h >, 1:1 b >, 1:2 h >, 3:0 b >, 3:1 h >, 4:0 b >, 4:1 F <, 4:0 b <, "
+                     "3:1 h <, 3:0 b <, 1:2 h <, 1:1 b <, 0:2 h <"),
+            ("0011", "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:2 h >, 3:1 b >, 3:2 F <, 3:1 b <, "
+                     "2:2 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h <"),
+            ("1010", "0:2 h >, 2:0 b >, 2:2 h >, 4:0 b >, 4:1 F <, 4:0 b <, 2:2 h <, 2:0 b <, "
+                     "0:2 h <"),
+            ("0101", "0:1 h >, 1:0 b >, 1:2 h >, 3:0 b >, 3:2 F <, 3:0 b <, 1:2 h <, 1:0 b <, "
+                     "0:1 h <"),
+        ]),
     ])
-    def test_sweep_schedule(self, width, n, listing):
-        """i:w: the w-site window from site i (w = 0: the bond left of site i);
+    def test_sweep_schedule(self, growing, listing):
+        """``growing``: one flag per bond, 1 when it is below its bound.
+        i:w: the w-site window from site i (w = 0: the bond left of site i);
         h: forward half step, b: backward half step, F: forward full step;
-        > / <: split (and release) toward the right / left, -: neither.  A
-        width other than 1 or 2, or wider than the chain, is refused."""
-        if listing is None:
-            with pytest.raises(InvalidConfig, match="sweep width must be 1 or 2"):
-                sweep_ops(n, 2.0, width)
-            return
+        > / <: the sweep's direction (a pair splits toward it; a back-step
+        releases the environment behind it).  A pair covers every growing
+        bond and one-site windows the rest, so all flags set give the
+        two-site sweep and none the one-site sweep."""
         dt = 2.0
         coeff = {"h": -1j, "b": 1j, "F": -2j}
-        direction = {">": "right", "<": "left", "-": None}
+        direction = {">": "right", "<": "left"}
         expected = []
         for op in listing.split(", "):
             window, c, d = op.split()
             i, w = map(int, window.split(":"))
             expected.append((i, w, coeff[c], direction[d]))
-        assert sweep_ops(n, dt, width) == expected
+        assert sweep_ops([flag == "1" for flag in growing], dt) == expected
 
     @staticmethod
     def _hand_counted_step(state, mpo, max_chi, monkeypatch):
-        """One step's record and its apply multiply-adds counted by hand: per
+        """One step's record and its apply multiply-adds counted by hand over
+        the windows ``sweep_ops`` lists for the bonds below their bounds: per
         apply, the GEMM through the left environment, the one through the
         folded right environments and, on a site or pair, the onsite block's
         two, at the bonds each solve sees, times the applies it makes."""
@@ -232,8 +256,10 @@ class TestMechanics:
             return res
 
         monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
+        n = state.n_sites
+        bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
+        ops = sweep_ops([b < bound for b, bound in zip(state.bond_dims[1:-1], bounds)], 1e-9)
         record = TdvpEngine(state, mpo, max_chi=max_chi).step(1e-9)
-        ops = sweep_ops(state.n_sites, 1e-9, 1 if record.one_site else 2)
         expected = 0
         for (i, width, _, _), (chi, n_applies) in zip(ops, solves, strict=True):
             s, a, b, w = 2**width, chi[i], chi[i + width], h[i]
@@ -248,27 +274,29 @@ class TestMechanics:
         chi = state.bond_dims
         record, expected = self._hand_counted_step(state, build_mpo(lat, params, v), 4,
                                                    monkeypatch)
-        assert record.one_site
+        assert record.pair_windows == 0
         assert state.bond_dims == chi == [1, 2, 4, 4, 4, 4, 4, 4, 2, 1]
         assert record.apply_madds == expected > 0
 
     def test_apply_madds_hand_count_two_site(self, setup_3x3, monkeypatch):
         """The same state under a chi cap of 8 is not saturated: the step runs
-        two-site and its splits grow the bonds."""
+        a pair window at each of the four bonds below 8, one-site windows at
+        the four edge sites, and the pair splits grow those bonds."""
         lat, params, v = setup_3x3
         state = random_state(9, chi=4, rng=np.random.default_rng(5))
         record, expected = self._hand_counted_step(state, build_mpo(lat, params, v), 8,
                                                    monkeypatch)
-        assert not record.one_site
+        assert record.pair_windows == 4
         assert state.bond_dims == [1, 2, 4, 8, 8, 8, 8, 4, 2, 1]
         assert record.apply_madds == expected > 0
 
     @pytest.mark.parametrize("max_chi, one_site", [(4, True), (8, False)])
     def test_environments_released_behind_the_sweep(self, setup_3x3, monkeypatch, max_chi,
                                                     one_site):
-        """A saturated 3x3 chi=4 state, one-site under cap 4 and two-site
-        under cap 8: at most N + 2 environments are held at any solve, and
-        after each step only left_envs[0] and every right environment."""
+        """A saturated 3x3 chi=4 state, one-site under cap 4 and with pair
+        windows at the bonds below 8 under cap 8: at most N + 2 environments
+        are held at any solve, and after each step only left_envs[0] and
+        every right environment."""
         lat, params, v = setup_3x3
         state = random_state(9, chi=4, rng=np.random.default_rng(5))
         engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=max_chi)
@@ -281,11 +309,39 @@ class TestMechanics:
         monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
         schedules = []
         for _ in range(2):  # under cap 8 the first step saturates every bond
-            schedules.append(engine.step(1e-9).one_site)
+            schedules.append(engine.step(1e-9).pair_windows == 0)
             assert [e.size > 0 for e in engine.left_envs] == [True] + [False] * 8
             assert all(e.size > 0 for e in engine.right_envs)
         assert schedules == [one_site, True]
         assert max(held) <= 9 + 2
+
+    @pytest.mark.parametrize("omega_zero", [True, False], ids=["omega-0", "omega-paper"])
+    def test_growing_bond_beside_saturated_ones(self, omega_zero):
+        """A 2x2 state with bonds [1, 1, 4, 2, 1] and site 0 in |0>: bond 1 is
+        below its bound 2, bonds 2 and 3 sit at theirs, so the first step runs
+        one pair window next to two one-site windows.  At Omega = 0 site 0
+        stays |0>, the pair splits at rank 1, and the QR that splits bond 2
+        off site 1 has rank 2, below the bond's 4: the bond shrinks to it.
+        Either way every step keeps the state canonical and matches the dense
+        propagator, as the bonds can hold the exact state."""
+        lat, params, v = paper_setup(2, 2)
+        if omega_zero:
+            params = dataclasses.replace(params, omega=0.0)
+        state = _right_canonical_state([1, 1, 4, 2, 1], np.random.default_rng(1))
+        state.tensors[0] = np.array([1.0, 0.0], dtype=complex).reshape(1, 2, 1)
+        engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=8)
+        u = expm(-1j * params.dt * dense_hamiltonian(params, v.v[::-1, ::-1]))
+        psi = mps_to_vector(state)
+        pair_windows = []
+        for _ in range(3):
+            pair_windows.append(engine.step(params.dt).pair_windows)
+            psi = u @ psi
+            assert check_canonical(state, tol=1e-12)
+            assert np.abs(mps_to_vector(state) - psi).max() <= 1e-12
+        if omega_zero:
+            assert pair_windows == [1, 2, 2] and state.bond_dims == [1, 1, 2, 2, 1]
+        else:
+            assert pair_windows == [1, 0, 0] and state.bond_dims == [1, 2, 4, 2, 1]
 
     def test_energy_expectation_matches_full_contraction(self, setup_3x3):
         lat, params, v = setup_3x3
@@ -294,6 +350,19 @@ class TestMechanics:
         state = random_state(9, chi=8, rng=rng)
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
+
+
+def _right_canonical_state(dims, rng):
+    """A random MPS with bond dimensions ``dims`` (boundaries included),
+    right-canonical with its norm-1 center at site 0."""
+    tensors = [_random_complex(rng, (l, 2, r)) for l, r in zip(dims, dims[1:])]
+    for i in range(len(tensors) - 1, 0, -1):
+        l, d, r = tensors[i].shape
+        q, rmat = np.linalg.qr(tensors[i].reshape(l, d * r).conj().T)
+        tensors[i] = q.conj().T.reshape(l, d, r)
+        tensors[i - 1] = np.tensordot(tensors[i - 1], rmat.conj().T, axes=1)
+    tensors[0] /= np.linalg.norm(tensors[0])
+    return MpsState(tensors)
 
 
 def _seeded_tridiagonal(k):
@@ -389,7 +458,7 @@ class TestOneSite:
         for _ in range(5):
             record = engine.step(params.dt)
             psi = u @ psi
-            assert record.one_site
+            assert record.pair_windows == 0
             assert np.abs(mps_to_vector(state) - psi).max() <= 1e-12
 
     @pytest.fixture(scope="class")
@@ -402,7 +471,7 @@ class TestOneSite:
         """The bonds reach their bounds at step 29; every later step is
         one-site, truncates nothing and keeps the energy to rounding."""
         lat, params, traj, _ = quench_4x4
-        one_site = [r.one_site for r in traj.records]
+        one_site = [r.pair_windows == 0 for r in traj.records]
         assert one_site == [False] * 28 + [True] * 72
         assert all(r.truncation_weight_step == 0.0 for r in traj.records[28:])
         assert energy_drift(traj.energies[28:], energy_scale(lat, params)) <= 1e-11
