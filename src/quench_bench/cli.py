@@ -181,8 +181,9 @@ def simulate_exact(config_path, out_dir, t_pulse, dt, size):
 @click.option("--memory-budget-gb", type=float, default=None)
 @emits_output
 def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budget_gb):
-    """TDVP evolution (two-site, one-site once every bond is saturated) with
-    timing instrumentation."""
+    """TDVP evolution with timing instrumentation: each step sweeps a pair
+    window at every bond below its bound, so that the bond can grow, and a
+    one-site window at every other site."""
     mps_overrides = {"max_chi": max_chi, "memory_budget_gb": memory_budget_gb}
     config, lattice, params, manifest, cutoff = _prepare_run(
         config_path, t_pulse, dt, size, mps=mps_overrides
@@ -207,6 +208,7 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
         "lanczos_converged": traj.lanczos_converged,
         "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
         "memory_model_bytes": model_bytes,
+        "apply_madds": sum(r.apply_madds for r in traj.records),
     }
     result = _judge_run(out_dir, manifest, traj, params, run)
     if traj.records:

@@ -45,15 +45,7 @@ from ..model import (
 )
 from .memory import KRYLOV_K_MAX, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
-from .state import (
-    MpsState,
-    product_all_ground,
-    random_state,
-    site_expectations,
-    trivial_env,
-    update_left_env,
-    update_right_env,
-)
+from .state import MpsState, product_all_ground, random_state, site_expectations, trivial_env
 
 _NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -157,6 +149,50 @@ class _LocalApply:
         return out.ravel()
 
 
+def update_left_env(left: np.ndarray, a: np.ndarray, blocks) -> np.ndarray:
+    """Grow the (ket, mpo, bra) environment by one site from the left.
+
+    ``blocks`` is the site's (diag, full) split from ``_split_blocks``.  One
+    GEMM takes the environment through the ket into an (s, w, a', b) array,
+    one real GEMM over its float64 view applies the diagonal blocks for each
+    physical index, one small GEMM per non-diagonal block adds the onsite
+    term, and one GEMM with conj(a) closes the bra side.
+    """
+    diag, full = blocks
+    a_dim, w, a_bra = left.shape
+    s, b = a.shape[1:]
+    wr = diag.shape[2]
+    x = np.matmul(left.reshape(a_dim, w * a_bra).T, a.transpose(1, 0, 2))
+    out = np.matmul(diag.transpose(0, 2, 1), x.view(np.float64).reshape(s, w, 2 * a_bra * b))
+    out = out.view(complex).reshape(s, wr, a_bra * b)
+    x = x.reshape(s, w, a_bra * b)
+    for i, j, m in full:
+        out[:, j] += m @ x[:, i]
+    del x
+    # (t, w', a', b) to (b, w', a', t): the one copy, then the bra GEMM
+    out = out.reshape(s, wr, a_bra, b).transpose(3, 1, 2, 0).reshape(b * wr, a_bra * s)
+    return (out @ a.conj().reshape(a_bra * s, b)).reshape(b, wr, b)
+
+
+def update_right_env(right: np.ndarray, a: np.ndarray, blocks) -> np.ndarray:
+    """Grow the (ket, mpo, bra) environment by one site from the right,
+    with the same four contractions as ``update_left_env``."""
+    diag, full = blocks
+    b, wr, b_bra = right.shape
+    a_dim, s = a.shape[:2]
+    w = diag.shape[1]
+    x = np.matmul(right.reshape(b, wr * b_bra).T, a.transpose(1, 2, 0))
+    out = np.matmul(diag, x.view(np.float64).reshape(s, wr, 2 * b_bra * a_dim))
+    out = out.view(complex).reshape(s, w, b_bra * a_dim)
+    x = x.reshape(s, wr, b_bra * a_dim)
+    for i, j, m in full:
+        out[:, i] += m @ x[:, j]
+    del x
+    # (t, w, b', a) to (a, w, t, b'): the one copy, then the bra GEMM
+    out = out.reshape(s, w, b_bra, a_dim).transpose(3, 1, 0, 2).reshape(a_dim * w, s * b_bra)
+    return (out @ a.conj().reshape(a_dim, s * b_bra).T).reshape(a_dim, w, a_dim)
+
+
 def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     """SVD split of a two-site tensor; returns (left, right, discarded weight)."""
     chi_l, d1, d2, chi_r = theta.shape
@@ -232,12 +268,6 @@ class TdvpEngine:
         self.mpo = mpo
         self.max_chi = max_chi
         n = state.n_sites
-        self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
-        self.right_envs = [_RELEASED] * (n - 1) + [trivial_env()]
-        for i in range(n - 2, -1, -1):
-            self.right_envs[i] = update_right_env(
-                self.right_envs[i + 1], state.tensors[i + 1], mpo.tensors[i + 1]
-            )
         # _blocks[w][i]: the MPO of the w-site window from site i; a bond
         # matrix is a one-dimensional "site" under the identity MPO block
         self._blocks = [
@@ -245,6 +275,13 @@ class TdvpEngine:
             [_split_blocks(w) for w in mpo.tensors],
             [_split_blocks(_merge_mpo_pair(*pair)) for pair in zip(mpo.tensors, mpo.tensors[1:])],
         ]
+        sites = self._blocks[1]
+        self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
+        self.right_envs = [_RELEASED] * (n - 1) + [trivial_env()]
+        for i in range(n - 2, -1, -1):
+            self.right_envs[i] = update_right_env(
+                self.right_envs[i + 1], state.tensors[i + 1], sites[i + 1]
+            )
         self._bond_bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
 
     def energy(self) -> float:
@@ -268,7 +305,7 @@ class TdvpEngine:
         iters_max = madds = 0
         converged = True
         trunc = 0.0
-        a, mpo = self.state.tensors, self.mpo.tensors
+        a, sites = self.state.tensors, self._blocks[1]
         lefts, rights = self.left_envs, self.right_envs
         growing = [b < bound for b, bound in zip(self.state.bond_dims[1:-1], self._bond_bounds)]
         live = self._held_bytes()
@@ -285,12 +322,12 @@ class TdvpEngine:
                     c = a[i - 1]
                     q, bond = np.linalg.qr(c.reshape(-1, c.shape[2]))
                     a[i - 1] = q.reshape(c.shape[0], c.shape[1], -1)
-                    lefts[i] = update_left_env(lefts[i - 1], a[i - 1], mpo[i - 1])
+                    lefts[i] = update_left_env(lefts[i - 1], a[i - 1], sites[i - 1])
                 else:
                     c = a[i]
                     q, bond = np.linalg.qr(c.reshape(c.shape[0], -1).T)
                     a[i], bond = q.T.reshape(-1, c.shape[1], c.shape[2]), bond.T
-                    rights[i - 1] = update_right_env(rights[i], a[i], mpo[i])
+                    rights[i - 1] = update_right_env(rights[i], a[i], sites[i])
                 live = max(live, self._held_bytes())
                 x = bond[:, None, :]
             # exp(coeff H_eff) x for an (a, s, b) tensor, solved in (s, a, b) layout
@@ -315,10 +352,10 @@ class TdvpEngine:
                 a[i], a[i + 1], disc = _split_theta(theta, self.max_chi, direction)
                 trunc += disc
                 if direction == "right":
-                    lefts[i + 1] = update_left_env(lefts[i], a[i], mpo[i])
+                    lefts[i + 1] = update_left_env(lefts[i], a[i], sites[i])
                     rights[i] = _RELEASED
                 else:
-                    rights[i] = update_right_env(rights[i + 1], a[i + 1], mpo[i + 1])
+                    rights[i] = update_right_env(rights[i + 1], a[i + 1], sites[i + 1])
                     lefts[i + 1] = _RELEASED
                 live = max(live, self._held_bytes())
             if coeff.imag > 0:  # a back-step: release the environment behind the sweep

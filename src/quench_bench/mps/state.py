@@ -1,4 +1,4 @@
-"""MPS container, initial states, environment contractions and site observables.
+"""MPS container, initial states, the trivial environment and site observables.
 
 MPS tensors are indexed (chi_left, phys, chi_right).  The orthogonality
 center is tracked explicitly: tensors left of it are left-isometries,
@@ -74,22 +74,8 @@ def random_state(n_sites: int, chi: int, rng: np.random.Generator) -> MpsState:
 
 
 # ---------------------------------------------------------------------------
-# environment contractions of the TDVP engine and site observables
+# the boundary environment of the TDVP engine and site observables
 # ---------------------------------------------------------------------------
-
-def update_left_env(left: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Grow the (ket, mpo, bra) environment by one site from the left."""
-    t = np.tensordot(left, a, axes=([0], [0]))  # (w, bra, s, ket')
-    t = np.tensordot(t, w, axes=([0, 2], [0, 2]))  # (bra, ket', t, w')
-    return np.tensordot(t, a.conj(), axes=([0, 2], [0, 1]))  # (ket', w', bra')
-
-
-def update_right_env(right: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Grow the (ket, mpo, bra) environment by one site from the right."""
-    t = np.tensordot(a, right, axes=([2], [0]))  # (ket, s, w', bra')
-    t = np.tensordot(t, w, axes=([1, 2], [2, 3]))  # (ket, bra', w, t)
-    return np.tensordot(t, a.conj(), axes=([3, 1], [1, 2]))  # (ket, w, bra)
-
 
 def trivial_env() -> np.ndarray:
     return np.ones((1, 1, 1), dtype=complex)

@@ -3,7 +3,9 @@
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
 the dense drive as one flipped copy of the state per site, fixed-step RK4
-integration, a dense propagator applied step by step, a minimal-distance move
+integration, a dense propagator applied step by step, TDVP environments by
+``tensordot`` over dense MPO tensors, a Lanczos loop that takes the
+exponential of its projection at every iteration, a minimal-distance move
 assignment, direct binomial tail summation, and a defect-free Monte Carlo
 that plans every load.
 """
@@ -89,6 +91,86 @@ def dense_local_apply(left, right, wop, x) -> np.ndarray:
     t = t @ wm
     t = t.reshape(a_bra, b, s, wr).transpose(0, 2, 1, 3).reshape(a_bra * s, b * wr)
     return (t @ right.reshape(b * wr, b_bra)).reshape(a_bra, s, b_bra)
+
+
+def dense_left_env(left, a, wop) -> np.ndarray:
+    """Grow a (ket, mpo, bra) environment by one site from the left with
+    three ``tensordot``s over the dense (w, t, s, w') MPO tensor."""
+    t = np.tensordot(left, a, axes=([0], [0]))  # (w, bra, s, ket')
+    t = np.tensordot(t, wop, axes=([0, 2], [0, 2]))  # (bra, ket', t, w')
+    return np.tensordot(t, a.conj(), axes=([0, 2], [0, 1]))  # (ket', w', bra')
+
+
+def dense_right_env(right, a, wop) -> np.ndarray:
+    """Grow a (ket, mpo, bra) environment by one site from the right, as
+    ``dense_left_env`` does from the left."""
+    t = np.tensordot(a, right, axes=([2], [0]))  # (ket, s, w', bra')
+    t = np.tensordot(t, wop, axes=([1, 2], [2, 3]))  # (ket, bra', w, t)
+    return np.tensordot(t, a.conj(), axes=([3, 1], [1, 2]))  # (ket, w, bra)
+
+
+def tridiagonal_exp_rows(alphas, betas, coeff, steps):
+    """Rows exp(j coeff T) e_1, j = 1 ... steps, of the symmetric tridiagonal
+    T from ``np.linalg.eigh`` of its lower triangle."""
+    k = len(alphas)
+    if k == 1:
+        return np.exp(coeff * np.arange(1, steps + 1) * alphas[0])[:, None]
+    t = np.zeros((k, k))
+    t.flat[:: k + 1] = alphas
+    t.flat[k :: k + 1] = betas
+    eigvals, eigvecs = np.linalg.eigh(t, UPLO="L")
+    if steps == 1:
+        return (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
+    times = coeff * np.arange(1, steps + 1)
+    return (np.exp(np.multiply.outer(times, eigvals)) * eigvecs[0]) @ eigvecs.T
+
+
+def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1):
+    """The Lanczos recursion and residual test of ``expm_lanczos``, with the
+    exponential of the projection taken at every iteration and each Krylov
+    row divided by ``np.divide``.
+
+    Makes the solver's floating-point operations in the same order, so the
+    two agree bit for bit unless skipping an exponential moves a stop.
+    Returns (iterations, converged, coefficient rows, basis).
+    """
+    norm_v = float(np.linalg.norm(v))
+    dim = v.size
+    k_max = min(k_max, dim)
+    basis = np.empty((k_max, dim), dtype=np.result_type(v, 1.0))
+    basis[0] = np.ravel(v) / norm_v
+    w = np.ravel(matvec(basis[0]))
+    if np.result_type(basis, w) != basis.dtype:
+        start, basis = basis[0], np.empty((k_max, dim), dtype=np.result_type(basis, w))
+        basis[0] = start
+    alphas, betas = np.empty(k_max), np.empty(k_max)
+    resolved = 0
+    for k in range(k_max):
+        if k > 0:
+            w = np.ravel(matvec(basis[k]))
+        alphas[k] = np.real(np.vdot(basis[k], w))
+        active = basis[: k + 1]
+        w -= (active @ w.conj()).conj() @ active
+        beta = sqrt(np.vdot(w, w).real)
+        wanted = min(steps, 2 * (resolved + k + 1))
+        if beta <= tol * max(1.0, abs(alphas[k])):
+            rows = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, steps)
+            return k + 1, True, rows, basis[: k + 1]
+        rows = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, wanted)
+        resolved = 0
+        while resolved < wanted and (
+            (resolved + 1) * abs(coeff) * beta * abs(rows[resolved, -1]) <= tol
+        ):
+            resolved += 1
+        if resolved == steps:
+            return k + 1, True, rows, basis[: k + 1]
+        betas[k] = beta
+        if k + 1 < k_max:
+            np.divide(w, beta, out=basis[k + 1])
+    m, converged = (steps, True) if k_max == dim else (max(resolved, 1), resolved > 0)
+    if len(rows) < m:
+        rows = tridiagonal_exp_rows(alphas, betas[: k_max - 1], coeff, m)
+    return k_max, converged, rows[:m], basis
 
 
 def mps_norm(state) -> float:

@@ -202,6 +202,7 @@ class TestSimulate:
         assert 0 < run["live_bytes_peak"] <= run["memory_model_bytes"]
         assert run["memory_model_bytes"] == memory_estimate(9, 64).total
         assert run["one_site_steps"] == 9  # every bond reaches its bound at step 32 of 40
+        assert type(run["apply_madds"]) is int and run["apply_madds"] > 0
 
     def test_tdvp_reports_truncation(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -834,7 +835,7 @@ PAYLOAD_KEYS = {
             "verdict": VERDICT_KEYS,
             "manifest": MANIFEST_KEYS,
             "run": {"lanczos_converged", "max_chi_used", "truncation_weight", "one_site_steps",
-                    "live_bytes_peak", "memory_model_bytes"},
+                    "live_bytes_peak", "memory_model_bytes", "apply_madds"},
         }),
     "error": (["estimate", "shots", "--alpha", "-1"], {
         "": {"error"},

@@ -10,7 +10,8 @@ from scipy.linalg import expm
 from quench_bench import model, oracle
 from quench_bench.convergence import d8_error, energy_drift, energy_scale
 from quench_bench.errors import InvalidConfig, TooLargeForOracle
-from quench_bench.lanczos import expm_lanczos
+from quench_bench.lanczos import _divide, expm_lanczos
+from quench_bench.mps import evolve, run_quench
 import reference
 from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
 
@@ -90,6 +91,17 @@ def _hermitian(rng, dim, norm, real=False):
     return h * (norm / np.linalg.norm(h, 2))
 
 
+def _assert_same_as_ungated(matvec, v, coeff, **kwargs):
+    """Solve with ``expm_lanczos`` and with ``reference.ungated_lanczos``;
+    assert the same iterations, convergence and bits, and return the solve."""
+    solve = expm_lanczos(matvec, v, coeff, **kwargs)
+    iterations, converged, rows, basis = reference.ungated_lanczos(matvec, v, coeff, **kwargs)
+    assert (solve.iterations, solve.converged) == (iterations, converged)
+    assert np.array_equal(solve.coefficients, rows)
+    assert np.array_equal(solve.basis, basis)
+    return solve
+
+
 class TestKrylovTimeStepping:
     """expm_lanczos(..., steps=n) against scipy's expm at every output time."""
 
@@ -145,10 +157,76 @@ class TestKrylovTimeStepping:
         rng = np.random.default_rng(15)
         h = _hermitian(rng, 8, 3e8)
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        # a zero tolerance keeps the update test from ever passing
+        # a zero tolerance keeps the residual test from ever passing
         solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=50, tol=0.0, steps=6)
         assert solve.converged and solve.steps == 6 and solve.iterations == 8
         self._check_states(h, v, solve)
+
+    @staticmethod
+    def _operator(dim, step_norm, real, seed=16):
+        """A Hermitian H with ||H dt|| = ``step_norm`` and a start vector;
+        real symmetric with a real start (a real basis) or complex."""
+        rng = np.random.default_rng([seed, dim])
+        h = _hermitian(rng, dim, step_norm / TestKrylovTimeStepping.DT, real=real)
+        v = rng.standard_normal(dim)
+        return h, v if real else v + 1j * rng.standard_normal(dim)
+
+    # 0.04 is about the median |coeff| ||T - sigma|| (Gershgorin) at which
+    # the 4x4/40 ns quench's solves stop
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim", [4, 64, 512])
+    @pytest.mark.parametrize("step_norm", [1e-3, 0.04, 0.5, 2.0])
+    def test_single_step_within_tolerance(self, step_norm, dim, real):
+        """The residual estimate stops a single step within tol * ||v||."""
+        h, v = self._operator(dim, step_norm, real)
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12)
+        assert solve.converged and solve.steps == 1
+        want = expm(-1j * self.DT * h) @ v
+        assert np.linalg.norm(solve.vector - want) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("steps", [1, 12])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim", [4, 64, 512])
+    @pytest.mark.parametrize("step_norm", [1e-3, 0.04, 0.5, 2.0])
+    def test_skipped_exponentials_never_move_a_stop(self, step_norm, dim, real, steps):
+        """The solver skips the projection's exponential where its bound
+        says step 1 must fail; a loop that takes it at every iteration stops
+        at the same iteration with the same bits."""
+        h, v = self._operator(dim, step_norm, real)
+        _assert_same_as_ungated(lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12,
+                                steps=steps)
+
+    def test_skipped_exponentials_in_tdvp_solves(self, setup_3x3, monkeypatch):
+        """Every local solve of the first 12 steps of the 3x3 quench stops
+        where the ungated loop stops; the last steps mix pair windows with
+        site and bond windows."""
+        lat, params, _ = setup_3x3
+        solves = []
+
+        def checked(matvec, v, coeff, **kwargs):
+            solves.append(coeff)
+            return _assert_same_as_ungated(matvec, v, coeff, **kwargs)
+
+        monkeypatch.setattr(evolve, "expm_lanczos", checked)
+        traj = run_quench(lat, replace(params, t_pulse=12e-9), max_chi=16)
+        assert len(solves) > 100 and 0 < traj.records[-1].pair_windows < 8
+
+    def test_row_division_matches_numpy_bit_for_bit(self):
+        """The Krylov row w / beta as a multiply by 1 - 0j and a float64-view
+        scale by 1 / beta: the same bits as numpy's complex division, signed
+        zeros and subnormals included."""
+        rng = np.random.default_rng(17)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-310, -3e-320, 1.5, -7e300])
+        parts = rng.standard_normal((2, 4096)) * 10.0 ** rng.integers(-300, 300, (2, 4096))
+        parts[:, : special.size**2] = np.array(np.meshgrid(special, special)).reshape(2, -1)
+        w = np.empty(4096, dtype=complex)
+        w.real, w.imag = parts  # not parts[0] + 1j * parts[1], which loses -0.0 real parts
+        for beta in (1.0, 0.7, 3.0, 1e-200, 1e200, 6.02e23):
+            out = np.empty_like(w)
+            with np.errstate(over="ignore"):  # both overflow to the same infinities
+                _divide(w, beta, out)
+                want = np.divide(w, beta)
+            assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), beta
 
     def test_steps_below_one_rejected(self):
         with pytest.raises(InvalidConfig, match="steps"):

@@ -25,6 +25,8 @@ from quench_bench.mps.evolve import (
     _split_blocks,
     _split_theta,
     sweep_ops,
+    update_left_env,
+    update_right_env,
 )
 from quench_bench.mps.state import MpsState, product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
@@ -33,7 +35,9 @@ from conftest import paper_setup
 from reference import (
     check_canonical,
     dense_hamiltonian,
+    dense_left_env,
     dense_local_apply,
+    dense_right_env,
     merge_mpo_pair,
     mpo_dense_matrix,
     mpo_expectation,
@@ -506,10 +510,17 @@ def _block_apply(left, right, wop, x):
 
 
 def _assert_matches_dense(left, right, wop, ref_wop, rng):
+    """The block apply and both block environment updates on a random
+    (a, s, b) tensor against their dense references."""
     x = _random_complex(rng, (left.shape[0], wop.shape[2], right.shape[0]))
     ref = dense_local_apply(left, right, ref_wop, x)
     got = _block_apply(left, right, wop, x)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    blocks = _split_blocks(wop)
+    for got, ref in ((update_left_env(left, x, blocks), dense_left_env(left, x, ref_wop)),
+                     (update_right_env(right, x, blocks), dense_right_env(right, x, ref_wop))):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestBlockApply:
@@ -540,6 +551,25 @@ class TestBlockApply:
         for i in range(n - 1):
             pair, ref_pair = _merge_mpo_pair(w[i], w[i + 1]), merge_mpo_pair(w[i], w[i + 1])
             _assert_matches_dense(envs[i], envs[i + 2], pair, ref_pair, rng)
+
+    @pytest.mark.parametrize("omega_zero", [False, True], ids=["omega-paper", "omega-0"])
+    @pytest.mark.parametrize("side", [4, 6])
+    def test_first_bulk_and_last_site_match_dense_reference(self, side, omega_zero):
+        """The first, a bulk and the last site of the 4x4 and 6x6 MPOs, with
+        unequal bonds on the two sides; at Omega = 0 the onsite block is
+        diagonal, so no site has a non-diagonal block."""
+        lat, params, v = paper_setup(side, side)
+        if omega_zero:
+            params = dataclasses.replace(params, omega=0.0)
+        mpo = build_mpo(lat, params, v)
+        n, h = lat.n_sites, mpo.bond_profile
+        rng = np.random.default_rng(side)
+        for i in (0, n // 2, n - 1):
+            chi_l, chi_r = (1 if i == 0 else 12), (1 if i == n - 1 else 9)
+            left = _random_complex(rng, (chi_l, h[i], chi_l))
+            right = _random_complex(rng, (chi_r, h[i + 1], chi_r))
+            assert len(_split_blocks(mpo.tensors[i])[1]) == (0 if omega_zero else 1)
+            _assert_matches_dense(left, right, mpo.tensors[i], mpo.tensors[i], rng)
 
     @given(d=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
