@@ -209,6 +209,7 @@ def simulate_tdvp(config_path, out_dir, t_pulse, dt, size, max_chi, memory_budge
         "live_bytes_peak": max((r.live_bytes for r in traj.records), default=0),
         "memory_model_bytes": model_bytes,
         "apply_madds": sum(r.apply_madds for r in traj.records),
+        "lanczos_solves": sum(r.lanczos_solves for r in traj.records),
     }
     result = _judge_run(out_dir, manifest, traj, params, run)
     if traj.records:

@@ -95,10 +95,12 @@ def site_expectations(state: MpsState, op: np.ndarray) -> np.ndarray:
     values = np.empty(state.n_sites, dtype=float)
     left = np.ones((1, 1), dtype=complex)  # (ket, bra)
     for i, a in enumerate(state.tensors):
-        t = np.tensordot(left, a, axes=(0, 0))  # (bra, s, r)
-        rho = np.tensordot(t, a.conj(), axes=([0, 2], [0, 2]))  # (s, s')
+        ket, s, r = a.shape
+        t = (left.T @ a.reshape(ket, s * r)).reshape(-1, s, r)  # (bra, s, r)
+        a_bra = a.conj()
+        rho = t.transpose(1, 0, 2).reshape(s, -1) @ a_bra.transpose(0, 2, 1).reshape(-1, s)  # (s, s')
         if i == 0:
             norm_sq = float(np.real(np.trace(rho)))
         values[i] = float(np.real(np.sum(rho * op.T))) / norm_sq
-        left = np.tensordot(t, a.conj(), axes=([0, 1], [0, 1]))  # (r, r')
+        left = t.transpose(2, 0, 1).reshape(r, -1) @ a_bra.reshape(-1, r)  # (r, r')
     return values

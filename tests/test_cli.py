@@ -203,6 +203,7 @@ class TestSimulate:
         assert run["memory_model_bytes"] == memory_estimate(9, 64).total
         assert run["one_site_steps"] == 9  # every bond reaches its bound at step 32 of 40
         assert type(run["apply_madds"]) is int and run["apply_madds"] > 0
+        assert type(run["lanczos_solves"]) is int and 40 <= run["lanczos_solves"]
 
     def test_tdvp_reports_truncation(self, runner, tmp_path):
         out = tmp_path / "run"
@@ -835,7 +836,7 @@ PAYLOAD_KEYS = {
             "verdict": VERDICT_KEYS,
             "manifest": MANIFEST_KEYS,
             "run": {"lanczos_converged", "max_chi_used", "truncation_weight", "one_site_steps",
-                    "live_bytes_peak", "memory_model_bytes", "apply_madds"},
+                    "live_bytes_peak", "memory_model_bytes", "apply_madds", "lanczos_solves"},
         }),
     "error": (["estimate", "shots", "--alpha", "-1"], {
         "": {"error"},

@@ -121,10 +121,13 @@ class TestMechanics:
         lat, params, _ = setup_3x3
         result = run_quench(lat, dataclasses.replace(params, t_pulse=5e-9), max_chi=8)
         assert len(result.records) == 5
-        # from |0...0> every bond is below its bound: the first step is all pairs
+        # from |0...0> every bond is below its bound: the first step is all
+        # pairs, and no two of its 29 windows are linked
         assert result.records[0].pair_windows == 8
+        assert result.records[0].lanczos_solves == 29
         for rec in result.records:
             assert 0 <= rec.pair_windows <= 8
+            assert 1 <= rec.lanczos_solves <= 33  # the windows of a one-site sweep
             assert rec.wall_seconds > 0.0
             assert rec.lanczos_iters_max <= 50
             assert rec.max_chi_used <= 8
@@ -228,26 +231,33 @@ class TestMechanics:
     def test_sweep_schedule(self, growing, listing):
         """``growing``: one flag per bond, 1 when it is below its bound.
         i:w: the w-site window from site i (w = 0: the bond left of site i);
-        h: forward half step, b: backward half step, F: forward full step;
+        h: forward half step, b: backward half step, F: forward full step,
+        listed as signed half steps of dt;
         > / <: the sweep's direction (a pair splits toward it; a back-step
         releases the environment behind it).  A pair covers every growing
         bond and one-site windows the rest, so all flags set give the
         two-site sweep and none the one-site sweep."""
-        dt = 2.0
-        coeff = {"h": -1j, "b": 1j, "F": -2j}
+        halves = {"h": 1, "b": -1, "F": 2}
         direction = {">": "right", "<": "left"}
         expected = []
         for op in listing.split(", "):
             window, c, d = op.split()
             i, w = map(int, window.split(":"))
-            expected.append((i, w, coeff[c], direction[d]))
-        assert sweep_ops([flag == "1" for flag in growing], dt) == expected
+            expected.append((i, w, halves[c], direction[d]))
+        assert sweep_ops([flag == "1" for flag in growing]) == expected
 
     @staticmethod
     def _hand_counted_step(state, mpo, max_chi, monkeypatch):
-        """One step's record and its apply multiply-adds counted by hand over
-        the windows ``sweep_ops`` lists for the bonds below their bounds: per
-        apply, the GEMM through the left environment, the one through the
+        """One step's record, its apply multiply-adds counted by hand and its
+        solve count.  The windows are the ones ``sweep_ops`` lists for the
+        bonds below their bounds; a window solves when the run of linked
+        windows through it ends there and its half steps do not sum to zero.
+        A site (a, 2, b) and the bond beside it are linked when the site is
+        square toward that bond (2a <= b toward its right bond, 2b <= a
+        toward its left), and a site going right that is not carries its run
+        to its own return when every site beyond it is square toward its
+        left.  Shapes are read from the bond dims the last solve saw.  Per
+        apply: the GEMM through the left environment, the one through the
         folded right environments and, on a site or pair, the onsite block's
         two, at the bonds each solve sees, times the applies it makes."""
         h = mpo.bond_profile
@@ -262,37 +272,66 @@ class TestMechanics:
         monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
         n = state.n_sites
         bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
-        ops = sweep_ops([b < bound for b, bound in zip(state.bond_dims[1:-1], bounds)], 1e-9)
+        ops = sweep_ops([b < bound for b, bound in zip(state.bond_dims[1:-1], bounds)])
+        bonds = state.bond_dims
         record = TdvpEngine(state, mpo, max_chi=max_chi).step(1e-9)
-        expected = 0
-        for (i, width, _, _), (chi, n_applies) in zip(ops, solves, strict=True):
-            s, a, b, w = 2**width, chi[i], chi[i + width], h[i]
+
+        def square(j, side):
+            return 2 * bonds[j] <= bonds[j + 1] if side == "right" else 2 * bonds[j + 1] <= bonds[j]
+
+        expected, pending, carry, seen = 0, 0, 0, iter(solves)
+        for k, (i, width, halves, direction) in enumerate(ops):
+            pending += halves
+            if k >= carry:
+                carry = k
+                nxt, nxt_width = ops[k + 1][:2] if k + 1 < len(ops) else (None, None)
+                if (width, nxt_width) == (1, 0):
+                    if square(i, direction):
+                        carry = k + 1
+                    elif direction == "right" and all(square(j, "left") for j in range(i + 1, n)):
+                        carry = len(ops) - 1 - k
+                elif (width, nxt_width) == (0, 1):
+                    if square(nxt, "left" if direction == "right" else "right"):
+                        carry = k + 1
+            if k < carry or pending == 0:
+                continue
+            pending = 0
+            bonds, n_applies = next(seen)
+            s, a, b, w = 2**width, bonds[i], bonds[i + width], h[i]
             onsite = s * a * b * b + s * s * a * b if width else 0
             expected += n_applies * (s * a * w * a * b + s * a * w * b * b + onsite)
-        return record, expected
+        assert next(seen, None) is None
+        return record, expected, len(solves)
 
     def test_apply_madds_hand_count(self, setup_3x3, monkeypatch):
-        """One saturated 3x3 chi=4 step runs one-site: its bonds never change."""
+        """One saturated 3x3 chi=4 step runs one-site: its bonds never change.
+        Sites 0 and 1 cancel against bonds 1 and 2 both ways, the block of
+        sites 7 and 8 is complete, so site 6 solves once on its return: 17
+        solves of the 33 windows."""
         lat, params, v = setup_3x3
         state = random_state(9, chi=4, rng=np.random.default_rng(5))
         chi = state.bond_dims
-        record, expected = self._hand_counted_step(state, build_mpo(lat, params, v), 4,
-                                                   monkeypatch)
+        record, expected, n_solves = self._hand_counted_step(
+            state, build_mpo(lat, params, v), 4, monkeypatch)
         assert record.pair_windows == 0
         assert state.bond_dims == chi == [1, 2, 4, 4, 4, 4, 4, 4, 2, 1]
         assert record.apply_madds == expected > 0
+        assert record.lanczos_solves == n_solves == 17
 
     def test_apply_madds_hand_count_two_site(self, setup_3x3, monkeypatch):
         """The same state under a chi cap of 8 is not saturated: the step runs
         a pair window at each of the four bonds below 8, one-site windows at
-        the four edge sites, and the pair splits grow those bonds."""
+        the four edge sites, and the pair splits grow those bonds.  The edge
+        windows all cancel, so only the 14 pair and site back-step windows
+        solve."""
         lat, params, v = setup_3x3
         state = random_state(9, chi=4, rng=np.random.default_rng(5))
-        record, expected = self._hand_counted_step(state, build_mpo(lat, params, v), 8,
-                                                   monkeypatch)
+        record, expected, n_solves = self._hand_counted_step(
+            state, build_mpo(lat, params, v), 8, monkeypatch)
         assert record.pair_windows == 4
         assert state.bond_dims == [1, 2, 4, 8, 8, 8, 8, 4, 2, 1]
         assert record.apply_madds == expected > 0
+        assert record.lanczos_solves == n_solves == 14
 
     @pytest.mark.parametrize("max_chi, one_site", [(4, True), (8, False)])
     def test_environments_released_behind_the_sweep(self, setup_3x3, monkeypatch, max_chi,
@@ -451,7 +490,9 @@ class TestOneSite:
     @pytest.mark.parametrize("lx, ly", [(2, 2), (3, 2), (3, 3)])
     def test_full_manifold_steps_match_dense_expm(self, lx, ly):
         """Every bond at 2^min(j, N-j): the one-site projector is the identity,
-        so each step is exp(-i H dt) on the 2^N amplitudes."""
+        so each step is exp(-i H dt) on the 2^N amplitudes, and one solve:
+        every other window belongs to a run of linked windows that sums to
+        zero."""
         lat, params, v = paper_setup(lx, ly)
         n = lat.n_sites
         chi = 2 ** (n // 2)
@@ -463,7 +504,38 @@ class TestOneSite:
             record = engine.step(params.dt)
             psi = u @ psi
             assert record.pair_windows == 0
+            assert record.lanczos_solves == 1
             assert np.abs(mps_to_vector(state) - psi).max() <= 1e-12
+
+    def test_linked_pair_returns_its_input(self):
+        """Site 1 of a 2x2 state with bonds [1, 2, 4, 2, 1] has shape
+        (2, 2, 4): its isometry toward bond 2 is square.  Its forward half
+        step, the QR that splits bond 2 off it and the bond's backward half
+        step, each solved through ``expm_lanczos`` and ``_LocalApply``, give
+        back the site they started from: the pair a sweep skips is the
+        identity."""
+        lat, params, v = paper_setup(2, 2)
+        state = random_state(4, 4, np.random.default_rng(2))
+        engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=4)
+        site_blocks, bond_blocks = engine._blocks[1][1], engine._blocks[0][2]
+        right = engine.right_envs[1]
+        q0, r0 = np.linalg.qr(state.tensors[0].reshape(2, 2))
+        left = update_left_env(engine.left_envs[0], q0.reshape(1, 2, 2), engine._blocks[1][0])
+        x = np.tensordot(r0, state.tensors[1], axes=1)  # the centre on site 1
+
+        def half_step(left, blocks, t, halves):
+            apply_h = _LocalApply(left, right, blocks)
+            res = expm_lanczos(apply_h, t.transpose(1, 0, 2).ravel(), -0.5j * params.dt * halves,
+                               k_max=engine.k_max, tol=evolve.LANCZOS_TOL)
+            assert res.converged
+            return res.vector.reshape(t.shape[1], t.shape[0], t.shape[2]).transpose(1, 0, 2)
+
+        y = half_step(left, site_blocks, x, 1)
+        assert np.abs(y - x).max() > 1e-3  # the half step moves the site
+        q, bond = np.linalg.qr(y.reshape(4, 4))
+        bond_left = update_left_env(left, q.reshape(2, 2, 4), site_blocks)
+        back = half_step(bond_left, bond_blocks, bond[:, None, :], -1)
+        assert np.abs((q @ back[:, 0, :]).reshape(x.shape) - x).max() <= 1e-11
 
     @pytest.fixture(scope="class")
     def quench_4x4(self):
