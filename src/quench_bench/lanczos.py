@@ -23,12 +23,6 @@ import math
 
 import numpy as np
 
-# The gufunc that np.linalg.eigh calls for a float64 matrix (LAPACK syevd on
-# the lower triangle), called directly: inside a TDVP step the wrapper's
-# argument checks and error-state context cost as much as the solve itself.
-# On failure it returns NaNs instead of raising.
-from numpy.linalg._umath_linalg import eigh_lo as _eigh_lower
-
 from .errors import InvalidConfig
 
 #: Allowance for the rounding error of a computed coefficient row (entries of
@@ -234,9 +228,7 @@ def _expm_tridiag_e1(
     t = np.zeros((k, k))
     t.flat[:: k + 1] = alphas
     t.flat[k :: k + 1] = betas
-    eigvals, eigvecs = _eigh_lower(t)
-    if math.isnan(eigvals[0]):  # pragma: no cover - syevd failure on a tiny tridiagonal
-        raise np.linalg.LinAlgError("eigh did not converge on the Lanczos projection")
+    eigvals, eigvecs = np.linalg.eigh(t)
     if steps == 1:  # one matrix-vector product, as every TDVP solve makes
         return (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
     times = coeff * np.arange(1, steps + 1)

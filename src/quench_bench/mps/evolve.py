@@ -1,45 +1,54 @@
 """TDVP time evolution with Lanczos exponentiation and cached baths.
 
-One ``step`` is a symmetric left-right-left projector-splitting sweep (second
-order in dt) over windows of one or two sites (Haegeman et al., PRB 94,
-165116 (2016); Paeckel et al., Ann. Phys. 411, 167998 (2019)), chosen per
-bond: a pair {j-1, j} at every bond j below its bound min(max_chi, 2^j,
-2^(N-j)), whose SVD split lets the bond grow, and one site at every site no
-pair covers.  Each window is evolved forward by dt/2 per sweep direction and
-what it shares with the next window is evolved backward by dt/2: a site
-after an SVD split, or the bond matrix that a QR (LQ on the way back) splits
-off the centre site, the zero-site window.  The last window takes a single
-full-dt solve at the turning point.  With every bond growing this is the
-two-site sweep; with every bond at its bound it is the one-site sweep, which
-stays on the fixed-bond manifold with d-sized instead of d^2-sized local
-solves and no SVD.  The Krylov vectors of a one-site window hold d chi^2
-amplitudes, the k s d chi^2 term of the memory model; only pair windows, at
-bonds below their bounds, hold d^2 chi^2.  ``sweep_ops`` lists the windows
-and ``step`` runs them with one loop.  Left and right environments ("baths")
-are updated incrementally during the sweep and released once it has passed
-them, so at most N + 2 are held at any solve (between steps ``left_envs[0]``
-and every right bath); the only full environment build happens at engine
-construction.
+One ``step`` is a symmetric projector-splitting sweep (second order in dt)
+over windows of one or two sites (Haegeman et al., PRB 94, 165116 (2016);
+Paeckel et al., Ann. Phys. 411, 167998 (2019)), chosen per bond: a pair
+{j-1, j} at every bond j below its bound min(max_chi, 2^j, 2^(N-j)), whose
+SVD split lets the bond grow, and one site at every site no pair covers.
+The sweep's right-to-left half mirrors its left-to-right half, so it is run
+as that half: one left-to-right pass over the chain, a reflection, the same
+pass over the mirrored chain, and a reflection back.  The reflection
+(``TdvpEngine._reflect``) moves no number: site i becomes site N-1-i, each
+(a, d, b) tensor is read as (b, d, a), the left and right environments trade
+places and the MPO blocks are those of the mirrored MPO, so every gauge move
+is written once, for a move to the right.  In a pass each window is
+evolved forward by dt/2 and what it shares with the next window is evolved
+backward by dt/2: a site after an SVD split, which leaves the singular
+values on the right factor, or the bond matrix that a QR splits off the
+centre site, the zero-site window.  The last window of the first pass and the
+first of the second are the same window, the turn: no gauge move happens
+between its two visits, so their half steps make one full-dt solve, and a
+pair there is split only at its second visit.  With every bond growing this
+is the two-site sweep; with every bond at its bound it is the one-site sweep,
+which stays on the fixed-bond manifold with d-sized instead of d^2-sized
+local solves and no SVD.  The Krylov vectors of a one-site window hold
+d chi^2 amplitudes, the k s d chi^2 term of the memory model; only pair
+windows, at bonds below their bounds, hold d^2 chi^2.  ``sweep_ops`` lists
+the windows of one pass and ``step`` runs both passes with one loop.  Left
+and right environments ("baths") are updated incrementally during the sweep
+and released once it has passed them, so at most N + 2 are held at any solve
+(between steps ``left_envs[0]`` and every right bath); the only full
+environment build happens at engine construction.
 
 Solves that cancel are not made.  A one-site window and a neighbouring bond
 window are *linked* when the site's isometry toward their shared bond is
-square (a d <= b toward its right bond, d b <= a toward its left, for a site
-of shape (a, d, b), read when the window runs): the bond then spans the
-whole block on the site's side, so both windows project H onto the same
-space, and a gauge move between them (QR, LQ or absorbing the bond) is a
-unitary change of basis Q of that space, under which exp(c Q^+ H Q) =
-Q^+ exp(c H) Q.  A run of linked windows, the turning window included, is
-therefore one exponential with the run's half steps summed, solved at the
-run's last window, and no solve at all when they sum to zero (a site's
-forward half step and the bond back-step beside it).  When every site right
-of a one-site window is square toward its left bond, the block right of
-that window is complete: every window in it belongs to a run that sums to
-zero, and the window's two visits, on the way out and on the way back, act
-on the same space, so one run carries across the block.  The gauge moves
-and environment updates all still run.  A complete MPS (every bond at
-2^min(j, N-j)) thus steps with one solve, exp(-i H dt) on the whole space,
-which is the exactness of the projector-splitting integrator (Lubich &
-Oseledets, BIT 54, 171 (2014)).
+square (for a site of shape (a, d, b), read when the window runs: a d <= b
+when the bond follows the site, d b <= a when the site follows the bond):
+the bond then spans the whole block on the site's side, so both windows
+project H onto the same space, and a gauge move between them (a QR or
+absorbing the bond) is a unitary change of basis Q of that space, under
+which exp(c Q^+ H Q) = Q^+ exp(c H) Q.  The turn's two visits are linked
+too.  A run of linked windows is therefore one exponential with the run's
+half steps summed, solved at the run's last window, and no solve at all when
+they sum to zero (a site's forward half step and the bond back-step beside
+it).  When every site right of a one-site window of the first pass is square
+toward its left bond, the block right of that window is complete: every
+window in it belongs to a run that sums to zero, and the window's two
+visits, one in each pass, act on the same space, so one run carries across
+the block and the reflection.  The gauge moves and environment updates all
+still run.  A complete MPS (every bond at 2^min(j, N-j)) thus steps with one
+solve, exp(-i H dt) on the whole space, which is the exactness of the
+projector-splitting integrator (Lubich & Oseledets, BIT 54, 171 (2014)).
 
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
@@ -121,6 +130,17 @@ def _split_blocks(wop: np.ndarray) -> tuple[np.ndarray, list]:
     return diag, full
 
 
+def _window_blocks(tensors: list[np.ndarray]) -> list[list]:
+    """``[w][i]``: the (diag, full) split of the MPO of the w-site window from
+    site i of the chain with MPO ``tensors``; a bond matrix is a
+    one-dimensional "site" under the identity MPO block."""
+    return [
+        [_split_blocks(np.eye(w.shape[0])[:, None, None, :]) for w in tensors],
+        [_split_blocks(w) for w in tensors],
+        [_split_blocks(_merge_mpo_pair(*pair)) for pair in zip(tensors, tensors[1:])],
+    ]
+
+
 class _LocalApply:
     """Effective local Hamiltonian applied block by block over the real MPO.
 
@@ -195,27 +215,10 @@ def update_left_env(left: np.ndarray, a: np.ndarray, blocks) -> np.ndarray:
     return (out @ a.conj().reshape(a_bra * s, b)).reshape(b, wr, b)
 
 
-def update_right_env(right: np.ndarray, a: np.ndarray, blocks) -> np.ndarray:
-    """Grow the (ket, mpo, bra) environment by one site from the right,
-    with the same four contractions as ``update_left_env``."""
-    diag, full = blocks
-    b, wr, b_bra = right.shape
-    a_dim, s = a.shape[:2]
-    w = diag.shape[1]
-    x = np.matmul(right.reshape(b, wr * b_bra).T, a.transpose(1, 2, 0))
-    out = np.matmul(diag, x.view(np.float64).reshape(s, wr, 2 * b_bra * a_dim))
-    out = out.view(complex).reshape(s, w, b_bra * a_dim)
-    x = x.reshape(s, wr, b_bra * a_dim)
-    for i, j, m in full:
-        out[:, i] += m @ x[:, j]
-    del x
-    # (t, w, b', a) to (a, w, t, b'): the one copy, then the bra GEMM
-    out = out.reshape(s, w, b_bra, a_dim).transpose(3, 1, 0, 2).reshape(a_dim * w, s * b_bra)
-    return (out @ a.conj().reshape(a_dim, s * b_bra).T).reshape(a_dim, w, a_dim)
-
-
-def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
-    """SVD split of a two-site tensor; returns (left, right, discarded weight)."""
+def _split_theta(theta: np.ndarray, max_chi: int):
+    """SVD split of a two-site tensor into a left isometry and the right
+    factor that keeps the singular values; returns (left, right, discarded
+    weight)."""
     chi_l, d1, d2, chi_r = theta.shape
     m = theta.reshape(chi_l * d1, d2 * chi_r)
     try:
@@ -228,30 +231,27 @@ def _split_theta(theta: np.ndarray, max_chi: int, direction: str):
     keep = min(keep, max_chi)
     total = float(np.sum(s**2))
     discarded = float(np.sum(s[keep:] ** 2) / total) if total > 0 else 0.0
-    if direction == "right":
-        left = u[:, :keep].reshape(chi_l, d1, keep)
-        right = (s[:keep, None] * vh[:keep]).reshape(keep, d2, chi_r)
-    else:
-        left = (u[:, :keep] * s[:keep]).reshape(chi_l, d1, keep)
-        right = vh[:keep].reshape(keep, d2, chi_r)
+    left = u[:, :keep].reshape(chi_l, d1, keep)
+    right = (s[:keep, None] * vh[:keep]).reshape(keep, d2, chi_r)
     return left, right, discarded
 
 
-def sweep_ops(growing: list[bool]) -> list[tuple[int, int, int, str]]:
-    """The windows of one symmetric sweep over n = len(growing) + 1 sites,
-    in order; ``growing[j - 1]`` says whether bond j (between sites j - 1
-    and j) is below its bound.
+def sweep_ops(growing: list[bool]) -> list[tuple[int, int, int]]:
+    """The windows of one left-to-right pass over n = len(growing) + 1
+    sites, in order; ``growing[j - 1]`` says whether bond j (between sites
+    j - 1 and j) is below its bound.
 
-    Entries are (i, w, halves, direction): evolve the w sites from site i by
+    Entries are (i, w, halves): evolve the w sites from site i by
     exp(-i H_eff halves dt / 2); the window w = 0 at i is the bond matrix
     between sites i-1 and i.  The forward windows are a pair {j-1, j} for
-    every growing bond j and one site for every site no pair covers.  Each
-    but the last is evolved forward by dt/2 (halves = 1), a pair then split
-    toward ``direction``, and what it shares with the next window, a site
-    (w = 1) or a bond (w = 0), backward by dt/2 (halves = -1), after which
-    the environment behind the sweep is released.  The last window takes the
-    full dt (halves = 2) and the mirror runs back.  Counting in half steps
-    keeps the sums of linked windows exact.
+    every growing bond j and one site for every site no pair covers.  Each is
+    evolved forward by dt/2 (halves = 1).  Between one window and the next,
+    a pair is split and what the two share, a site (w = 1) or a bond
+    (w = 0), is evolved backward by dt/2 (halves = -1), after which the
+    environment behind the pass is released.  The last window is the turn.
+    The windows of ``growing[::-1]`` mirror those of ``growing``, so the pass
+    over the mirrored chain starts at the same turn and ends at the first
+    window.  Counting in half steps keeps the sums of linked windows exact.
     """
     n = len(growing) + 1
     windows = []  # (first site, width), left to right
@@ -260,12 +260,11 @@ def sweep_ops(growing: list[bool]) -> list[tuple[int, int, int, str]]:
             windows.append((i, 2))
         elif i == 0 or not growing[i - 1]:
             windows.append((i, 1))
-    up = []
+    ops = []
     for (i, w), (nxt, _) in zip(windows, windows[1:]):
-        up += [(i, w, 1, "right"), (nxt, i + w - nxt, -1, "right")]
-    down = [(i, w, halves, "left") for i, w, halves, _ in reversed(up)]
+        ops += [(i, w, 1), (nxt, i + w - nxt, -1)]
     turn, width = windows[-1]
-    return up + [(turn, width, 2, "left")] + down
+    return ops + [(turn, width, 1)]
 
 
 def _square(site: np.ndarray, side: str) -> bool:
@@ -277,23 +276,25 @@ def _square(site: np.ndarray, side: str) -> bool:
 
 
 def _carry_to(a: list[np.ndarray], ops: list, k: int) -> int:
-    """The window up to which the run through window ``k`` of ``ops`` carries
-    its half steps unsolved: k + 1 when the next window is linked to it, the
-    mirror of k when k is a one-site window going right with a complete
-    block beyond it, and k itself when the run ends at k.  ``a`` holds the
-    site tensors as they are when window k runs."""
+    """The window up to which the run through window ``k`` of ``ops``, the
+    two passes of a step, carries its half steps unsolved: k + 1 when the
+    next window is linked to it, the turn's first visit included; k's own
+    visit in the second pass when k is a one-site window of the first pass
+    with a complete block right of it; and k itself when the run ends at k.
+    ``a`` holds the site tensors as they are when window k runs."""
+    if 2 * (k + 1) == len(ops):  # the turn, visited again after the reflection
+        return k + 1
     if k + 1 == len(ops):
         return k
-    i, w, _, direction = ops[k]
-    j, w_next, _, _ = ops[k + 1]
-    if (w, w_next) == (1, 0):  # a site, then its bond toward the sweep
-        if _square(a[i], direction):
+    i, w, _ = ops[k]
+    j, w_next, _ = ops[k + 1]
+    if (w, w_next) == (1, 0):  # a site, then the bond right of it
+        if _square(a[i], "right"):
             return k + 1
-        if direction == "right" and all(_square(t, "left") for t in a[i + 1:]):
+        if 2 * k < len(ops) and all(_square(t, "left") for t in a[i + 1:]):
             return len(ops) - 1 - k
-    elif (w, w_next) == (0, 1):  # a bond, then the site ahead of the sweep
-        if _square(a[j], "left" if direction == "right" else "right"):
-            return k + 1
+    elif (w, w_next) == (0, 1) and _square(a[j], "left"):  # a bond, then the site ahead
+        return k + 1
     return k
 
 
@@ -319,20 +320,16 @@ class TdvpEngine:
         self.mpo = mpo
         self.max_chi = max_chi
         n = state.n_sites
-        # _blocks[w][i]: the MPO of the w-site window from site i; a bond
-        # matrix is a one-dimensional "site" under the identity MPO block
-        self._blocks = [
-            [_split_blocks(np.eye(h)[:, None, None, :]) for h in mpo.bond_profile[:-1]],
-            [_split_blocks(w) for w in mpo.tensors],
-            [_split_blocks(_merge_mpo_pair(*pair)) for pair in zip(mpo.tensors, mpo.tensors[1:])],
-        ]
-        sites = self._blocks[1]
+        self._blocks = _window_blocks(mpo.tensors)
+        self._mirrored_blocks = _window_blocks([w.transpose(3, 1, 2, 0) for w in mpo.tensors[::-1]])
         self.left_envs = [trivial_env()] + [_RELEASED] * (n - 1)
         self.right_envs = [_RELEASED] * (n - 1) + [trivial_env()]
-        for i in range(n - 2, -1, -1):
-            self.right_envs[i] = update_right_env(
-                self.right_envs[i + 1], state.tensors[i + 1], sites[i + 1]
+        self._reflect()  # the right environments are the mirrored chain's left ones
+        for i in range(n - 1):
+            self.left_envs[i + 1] = update_left_env(
+                self.left_envs[i], state.tensors[i], self._blocks[1][i]
             )
+        self._reflect()
         self._bond_bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
 
     def energy(self) -> float:
@@ -346,12 +343,24 @@ class TdvpEngine:
         arrays = self.state.tensors + self.left_envs + self.right_envs
         return sum(x.nbytes for x in arrays)
 
+    def _reflect(self) -> None:
+        """Relabel the chain as its mirror image, in place and without
+        copies: site i becomes site N-1-i, each (a, d, b) tensor the (b, d, a)
+        view of it, the left and right environments trade places, reversed,
+        and the MPO blocks switch to those of the mirrored MPO.  A second
+        reflection restores every tensor, environment and table."""
+        a = self.state.tensors
+        a[:] = [t.transpose(2, 1, 0) for t in a[::-1]]
+        self.left_envs[:], self.right_envs[:] = self.right_envs[::-1], self.left_envs[::-1]
+        self._blocks, self._mirrored_blocks = self._mirrored_blocks, self._blocks
+
     def step(self, dt: float) -> TdvpStepRecord:
-        """One symmetric TDVP sweep by dt: the windows of ``sweep_ops``, run
-        in order by one loop, with a pair window at every bond below its
-        bound min(max_chi, 2^j, 2^(N-j)) and one-site windows elsewhere.  Each
-        window's tensor is the merged pair, the site, or the bond matrix that
-        a QR (LQ on the way back) splits off the centre site just before its
+        """One symmetric TDVP sweep by dt: the pass of ``sweep_ops`` over the
+        chain, a reflection, the same pass over the mirrored chain and a
+        reflection back, run by one loop, with a pair window at every bond
+        below its bound min(max_chi, 2^j, 2^(N-j)) and one-site windows
+        elsewhere.  Each window's tensor is the merged pair, the site, or the
+        bond matrix that a QR splits off the centre site just before its
         solve, solved between ``left_envs[i]`` and ``right_envs[i + w - 1]``.
         A run of linked windows (module docstring) is solved once, at its
         last window, by its summed half steps, or not at all if they sum to
@@ -359,14 +368,17 @@ class TdvpEngine:
         iters_max = madds = solves = 0
         converged = True
         trunc = 0.0
-        a, sites = self.state.tensors, self._blocks[1]
-        lefts, rights = self.left_envs, self.right_envs
+        a, lefts, rights = self.state.tensors, self.left_envs, self.right_envs
         growing = [b < bound for b, bound in zip(self.state.bond_dims[1:-1], self._bond_bounds)]
         ops = sweep_ops(growing)
+        turn = len(ops)  # the second pass starts at the turn's second visit
+        ops += sweep_ops(growing[::-1])
         pending = carry = 0  # the run's half steps so far; it is carried up to window carry
         live = self._held_bytes()
         t0 = time.perf_counter()
-        for k, (i, w, halves, direction) in enumerate(ops):
+        for k, (i, w, halves) in enumerate(ops):
+            if k == turn:
+                self._reflect()
             if w == 2:
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
@@ -374,16 +386,10 @@ class TdvpEngine:
             elif w == 1:
                 x = a[i]
             else:  # the bond keeps the split's own rank, which may sit below the bond
-                if direction == "right":
-                    c = a[i - 1]
-                    q, bond = np.linalg.qr(c.reshape(-1, c.shape[2]))
-                    a[i - 1] = q.reshape(c.shape[0], c.shape[1], -1)
-                    lefts[i] = update_left_env(lefts[i - 1], a[i - 1], sites[i - 1])
-                else:
-                    c = a[i]
-                    q, bond = np.linalg.qr(c.reshape(c.shape[0], -1).T)
-                    a[i], bond = q.T.reshape(-1, c.shape[1], c.shape[2]), bond.T
-                    rights[i - 1] = update_right_env(rights[i], a[i], sites[i])
+                c = a[i - 1]
+                q, bond = np.linalg.qr(c.reshape(-1, c.shape[2]))
+                a[i - 1] = q.reshape(c.shape[0], c.shape[1], -1)
+                lefts[i] = update_left_env(lefts[i - 1], a[i - 1], self._blocks[1][i - 1])
                 live = max(live, self._held_bytes())
                 x = bond[:, None, :]
             pending += halves
@@ -405,30 +411,19 @@ class TdvpEngine:
                 pending = 0
             if w == 1:  # the bond back-step that follows, if any, splits the site
                 a[i] = y
-            elif w == 0:  # the bond joins the site ahead of the sweep
-                bond = y[:, 0, :]
-                if direction == "right":
-                    t = a[i]
-                    a[i] = (bond @ t.reshape(t.shape[0], -1)).reshape(-1, *t.shape[1:])
-                else:
-                    t = a[i - 1]
-                    a[i - 1] = (t.reshape(-1, t.shape[2]) @ bond).reshape(*t.shape[:2], -1)
-            else:  # split the pair; the environment across it is stale
+            elif w == 0:  # the bond joins the site ahead of the pass
+                t = a[i]
+                a[i] = (y[:, 0, :] @ t.reshape(t.shape[0], -1)).reshape(-1, *t.shape[1:])
+            elif k + 1 != turn:  # split the pair, unless the turn comes again after the reflection
                 theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi, direction)
+                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi)
                 trunc += disc
-                if direction == "right":
-                    lefts[i + 1] = update_left_env(lefts[i], a[i], sites[i])
-                    rights[i] = _RELEASED
-                else:
-                    rights[i] = update_right_env(rights[i + 1], a[i + 1], sites[i + 1])
-                    lefts[i + 1] = _RELEASED
+                lefts[i + 1] = update_left_env(lefts[i], a[i], self._blocks[1][i])
+                rights[i] = _RELEASED  # stale across the split
                 live = max(live, self._held_bytes())
-            if halves < 0:  # a back-step: release the environment behind the sweep
-                if direction == "right":
-                    rights[i + w - 1] = _RELEASED
-                else:
-                    lefts[i] = _RELEASED
+            if halves < 0:  # a back-step: release the environment behind the pass
+                rights[i + w - 1] = _RELEASED
+        self._reflect()
 
         wall = time.perf_counter() - t0
         self.state.orthogonality_center = 0

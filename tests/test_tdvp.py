@@ -26,7 +26,6 @@ from quench_bench.mps.evolve import (
     _split_theta,
     sweep_ops,
     update_left_env,
-    update_right_env,
 )
 from quench_bench.mps.state import MpsState, product_all_ground, random_state
 from quench_bench.costfit import read_timing_csv, step_sample, write_timing_csv
@@ -189,77 +188,68 @@ class TestMechanics:
 
     @pytest.mark.parametrize("growing, listing", [
         *(pytest.param("1" * (n - 1), listing, id=f"two-site-{n}") for n, listing in [
-            (2, "0:2 F <"),
-            (3, "0:2 h >, 1:1 b >, 1:2 F <, 1:1 b <, 0:2 h <"),
-            (4, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 F <, 2:1 b <, 1:2 h <, 1:1 b <, "
-                "0:2 h <"),
-            (5, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 h >, 3:1 b >, 3:2 F <, 3:1 b <, "
-                "2:2 h <, 2:1 b <, 1:2 h <, 1:1 b <, 0:2 h <"),
-            (6, "0:2 h >, 1:1 b >, 1:2 h >, 2:1 b >, 2:2 h >, 3:1 b >, 3:2 h >, 4:1 b >, "
-                "4:2 F <, 4:1 b <, 3:2 h <, 3:1 b <, 2:2 h <, 2:1 b <, 1:2 h <, 1:1 b <, "
-                "0:2 h <"),
+            (2, "0:2 h"),
+            (3, "0:2 h, 1:1 b, 1:2 h"),
+            (4, "0:2 h, 1:1 b, 1:2 h, 2:1 b, 2:2 h"),
+            (5, "0:2 h, 1:1 b, 1:2 h, 2:1 b, 2:2 h, 3:1 b, 3:2 h"),
+            (6, "0:2 h, 1:1 b, 1:2 h, 2:1 b, 2:2 h, 3:1 b, 3:2 h, 4:1 b, 4:2 h"),
         ]),
         *(pytest.param("0" * (n - 1), listing, id=f"one-site-{n}") for n, listing in [
-            (1, "0:1 F <"),
-            (2, "0:1 h >, 1:0 b >, 1:1 F <, 1:0 b <, 0:1 h <"),
-            (3, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 F <, 2:0 b <, 1:1 h <, 1:0 b <, "
-                "0:1 h <"),
-            (4, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, "
-                "2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h <"),
-            (5, "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 h >, 4:0 b >, "
-                "4:1 F <, 4:0 b <, 3:1 h <, 3:0 b <, 2:1 h <, 2:0 b <, 1:1 h <, 1:0 b <, "
-                "0:1 h <"),
+            (1, "0:1 h"),
+            (2, "0:1 h, 1:0 b, 1:1 h"),
+            (3, "0:1 h, 1:0 b, 1:1 h, 2:0 b, 2:1 h"),
+            (4, "0:1 h, 1:0 b, 1:1 h, 2:0 b, 2:1 h, 3:0 b, 3:1 h"),
+            (5, "0:1 h, 1:0 b, 1:1 h, 2:0 b, 2:1 h, 3:0 b, 3:1 h, 4:0 b, 4:1 h"),
         ]),
         *(pytest.param(growing, listing, id=f"mixed-{growing}") for growing, listing in [
-            ("100", "0:2 h >, 2:0 b >, 2:1 h >, 3:0 b >, 3:1 F <, 3:0 b <, 2:1 h <, 2:0 b <, "
-                    "0:2 h <"),
-            ("001", "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:2 F <, 2:0 b <, 1:1 h <, 1:0 b <, "
-                    "0:1 h <"),
-            ("101", "0:2 h >, 2:0 b >, 2:2 F <, 2:0 b <, 0:2 h <"),
-            ("010", "0:1 h >, 1:0 b >, 1:2 h >, 3:0 b >, 3:1 F <, 3:0 b <, 1:2 h <, 1:0 b <, "
-                    "0:1 h <"),
-            ("1100", "0:2 h >, 1:1 b >, 1:2 h >, 3:0 b >, 3:1 h >, 4:0 b >, 4:1 F <, 4:0 b <, "
-                     "3:1 h <, 3:0 b <, 1:2 h <, 1:1 b <, 0:2 h <"),
-            ("0011", "0:1 h >, 1:0 b >, 1:1 h >, 2:0 b >, 2:2 h >, 3:1 b >, 3:2 F <, 3:1 b <, "
-                     "2:2 h <, 2:0 b <, 1:1 h <, 1:0 b <, 0:1 h <"),
-            ("1010", "0:2 h >, 2:0 b >, 2:2 h >, 4:0 b >, 4:1 F <, 4:0 b <, 2:2 h <, 2:0 b <, "
-                     "0:2 h <"),
-            ("0101", "0:1 h >, 1:0 b >, 1:2 h >, 3:0 b >, 3:2 F <, 3:0 b <, 1:2 h <, 1:0 b <, "
-                     "0:1 h <"),
+            ("100", "0:2 h, 2:0 b, 2:1 h, 3:0 b, 3:1 h"),
+            ("001", "0:1 h, 1:0 b, 1:1 h, 2:0 b, 2:2 h"),
+            ("101", "0:2 h, 2:0 b, 2:2 h"),
+            ("010", "0:1 h, 1:0 b, 1:2 h, 3:0 b, 3:1 h"),
+            ("1100", "0:2 h, 1:1 b, 1:2 h, 3:0 b, 3:1 h, 4:0 b, 4:1 h"),
+            ("0011", "0:1 h, 1:0 b, 1:1 h, 2:0 b, 2:2 h, 3:1 b, 3:2 h"),
+            ("1010", "0:2 h, 2:0 b, 2:2 h, 4:0 b, 4:1 h"),
+            ("0101", "0:1 h, 1:0 b, 1:2 h, 3:0 b, 3:2 h"),
         ]),
     ])
     def test_sweep_schedule(self, growing, listing):
         """``growing``: one flag per bond, 1 when it is below its bound.
         i:w: the w-site window from site i (w = 0: the bond left of site i);
-        h: forward half step, b: backward half step, F: forward full step,
-        listed as signed half steps of dt;
-        > / <: the sweep's direction (a pair splits toward it; a back-step
-        releases the environment behind it).  A pair covers every growing
-        bond and one-site windows the rest, so all flags set give the
-        two-site sweep and none the one-site sweep."""
-        halves = {"h": 1, "b": -1, "F": 2}
-        direction = {">": "right", "<": "left"}
+        h: forward half step, b: backward half step, listed as signed half
+        steps of dt.  A pair covers every growing bond and one-site windows
+        the rest, so all flags set give the two-site pass and none the
+        one-site pass.  The pass over the mirrored bonds runs the same
+        windows, mirrored, in reverse: it starts at the turn, the last
+        window of this one."""
+        halves = {"h": 1, "b": -1}
         expected = []
         for op in listing.split(", "):
-            window, c, d = op.split()
+            window, c = op.split()
             i, w = map(int, window.split(":"))
-            expected.append((i, w, halves[c], direction[d]))
-        assert sweep_ops([flag == "1" for flag in growing]) == expected
+            expected.append((i, w, halves[c]))
+        flags = [flag == "1" for flag in growing]
+        assert sweep_ops(flags) == expected
+        n = len(growing) + 1
+        assert sweep_ops(flags[::-1]) == [(n - i - w, w, h) for i, w, h in reversed(expected)]
 
     @staticmethod
     def _hand_counted_step(state, mpo, max_chi, monkeypatch):
         """One step's record, its apply multiply-adds counted by hand and its
         solve count.  The windows are the ones ``sweep_ops`` lists for the
-        bonds below their bounds; a window solves when the run of linked
-        windows through it ends there and its half steps do not sum to zero.
-        A site (a, 2, b) and the bond beside it are linked when the site is
-        square toward that bond (2a <= b toward its right bond, 2b <= a
-        toward its left), and a site going right that is not carries its run
-        to its own return when every site beyond it is square toward its
-        left.  Shapes are read from the bond dims the last solve saw.  Per
-        apply: the GEMM through the left environment, the one through the
-        folded right environments and, on a site or pair, the onsite block's
-        two, at the bonds each solve sees, times the applies it makes."""
+        bonds below their bounds, one pass over the chain and one over its
+        mirror image, which reverses the bond dims and the MPO bond profile;
+        a window solves when the run of linked windows through it ends there
+        and its half steps do not sum to zero.  The turn, the last window of
+        the first pass, is linked to its visit that starts the second.  A
+        site (a, 2, b) and the bond beside it are linked when the site is
+        square toward that bond (2a <= b toward the bond after it, 2b <= a
+        toward the one before), and a site of the first pass that is not
+        carries its run to its own visit in the second when every site
+        beyond it is square toward its left.  Shapes are read from the bond
+        dims the last solve saw.  Per apply: the GEMM through the left
+        environment, the one through the folded right environments and, on
+        a site or pair, the onsite block's two, at the bonds each solve
+        sees, times the applies it makes."""
         h = mpo.bond_profile
         solves = []  # (bond dims during the solve, applies it makes)
 
@@ -272,7 +262,10 @@ class TestMechanics:
         monkeypatch.setattr(evolve, "expm_lanczos", counting_lanczos)
         n = state.n_sites
         bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
-        ops = sweep_ops([b < bound for b, bound in zip(state.bond_dims[1:-1], bounds)])
+        growing = [b < bound for b, bound in zip(state.bond_dims[1:-1], bounds)]
+        ops = sweep_ops(growing)
+        turn = len(ops)
+        ops += sweep_ops(growing[::-1])
         bonds = state.bond_dims
         record = TdvpEngine(state, mpo, max_chi=max_chi).step(1e-9)
 
@@ -280,19 +273,22 @@ class TestMechanics:
             return 2 * bonds[j] <= bonds[j + 1] if side == "right" else 2 * bonds[j + 1] <= bonds[j]
 
         expected, pending, carry, seen = 0, 0, 0, iter(solves)
-        for k, (i, width, halves, direction) in enumerate(ops):
+        for k, (i, width, halves) in enumerate(ops):
+            if k == turn:  # the reflection: site j becomes site n - 1 - j
+                bonds, h = bonds[::-1], h[::-1]
             pending += halves
             if k >= carry:
                 carry = k
                 nxt, nxt_width = ops[k + 1][:2] if k + 1 < len(ops) else (None, None)
-                if (width, nxt_width) == (1, 0):
-                    if square(i, direction):
+                if k + 1 == turn:
+                    carry = k + 1
+                elif (width, nxt_width) == (1, 0):
+                    if square(i, "right"):
                         carry = k + 1
-                    elif direction == "right" and all(square(j, "left") for j in range(i + 1, n)):
+                    elif k < turn and all(square(j, "left") for j in range(i + 1, n)):
                         carry = len(ops) - 1 - k
-                elif (width, nxt_width) == (0, 1):
-                    if square(nxt, "left" if direction == "right" else "right"):
-                        carry = k + 1
+                elif (width, nxt_width) == (0, 1) and square(nxt, "left"):
+                    carry = k + 1
             if k < carry or pending == 0:
                 continue
             pending = 0
@@ -332,6 +328,21 @@ class TestMechanics:
         assert state.bond_dims == [1, 2, 4, 8, 8, 8, 8, 4, 2, 1]
         assert record.apply_madds == expected > 0
         assert record.lanczos_solves == n_solves == 14
+
+    def test_turn_pair_is_split_once(self, setup_3x3, monkeypatch):
+        """From |0...0> every bond grows, so the first 3x3 step is the
+        two-site sweep, with the pair {7, 8} as its turn.  Each pass splits
+        every pair it leaves, with one environment update each; the turn is
+        split only at its second visit, after the reflection: 2 * 8 - 1
+        splits and updates."""
+        lat, params, v = setup_3x3
+        engine = TdvpEngine(product_all_ground(9), build_mpo(lat, params, v), max_chi=8)
+        calls = []
+        for name in ("_split_theta", "update_left_env"):
+            f = getattr(evolve, name)
+            monkeypatch.setattr(evolve, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
+        assert engine.step(1e-9).pair_windows == 8
+        assert calls.count("_split_theta") == calls.count("update_left_env") == 15
 
     @pytest.mark.parametrize("max_chi, one_site", [(4, True), (8, False)])
     def test_environments_released_behind_the_sweep(self, setup_3x3, monkeypatch, max_chi,
@@ -394,6 +405,30 @@ class TestMechanics:
         engine = TdvpEngine(state, mpo, max_chi=8)
         assert engine.energy() == pytest.approx(mpo_expectation(state, mpo), rel=1e-9)
 
+    def test_reflecting_twice_restores_the_engine(self, setup_3x3):
+        """A reflection relabels the chain and a second one undoes it: every
+        tensor comes back bit for bit, in the same list, with the same
+        environment objects in the same slots and the same MPO tables, and
+        the energy does not move.  The engine is checked after a step, so
+        the step has left it in its own orientation."""
+        lat, params, v = setup_3x3
+        state = random_state(9, chi=8, rng=np.random.default_rng(4))
+        engine = TdvpEngine(state, build_mpo(lat, params, v), max_chi=8)
+        engine.step(1e-9)
+        tensors, before = state.tensors, [t.copy() for t in state.tensors]
+        envs = (list(engine.left_envs), list(engine.right_envs))
+        blocks, energy = engine._blocks, engine.energy()
+        engine._reflect()
+        assert state.tensors[0].shape == before[-1].shape[::-1]
+        assert engine.left_envs[0] is envs[1][-1] and engine._blocks is not blocks
+        engine._reflect()
+        assert state.tensors is tensors
+        assert all(np.array_equal(t, b) for t, b in zip(state.tensors, before, strict=True))
+        for held, kept in zip((engine.left_envs, engine.right_envs), envs):
+            assert all(e is f for e, f in zip(held, kept, strict=True))
+        assert engine._blocks is blocks
+        assert engine.energy() == energy
+
 
 def _right_canonical_state(dims, rng):
     """A random MPS with bond dimensions ``dims`` (boundaries included),
@@ -433,12 +468,11 @@ class TestLanczosKernels:
         dropped = _expm_tridiag_e1(alphas, np.zeros_like(betas), self.COEFF)[0]
         assert np.linalg.norm(dropped - want) > 1e-3 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("direction", ["left", "right"])
     @pytest.mark.parametrize("max_chi", [3, 64])
-    def test_svd_fallback_matches_gesdd_split(self, monkeypatch, direction, max_chi):
+    def test_svd_fallback_matches_gesdd_split(self, monkeypatch, max_chi):
         """When numpy's gesdd raises, scipy's gesvd gives the same split."""
         theta = _random_complex(np.random.default_rng(5), (6, 2, 2, 5))
-        gesdd = _split_theta(theta, max_chi, direction)
+        gesdd = _split_theta(theta, max_chi)
         svd, failed = np.linalg.svd, []
 
         def fails_once(*args, **kwargs):
@@ -448,7 +482,7 @@ class TestLanczosKernels:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fails_once)
-        left, right, discarded = _split_theta(theta, max_chi, direction)
+        left, right, discarded = _split_theta(theta, max_chi)
         assert failed
         assert left.shape[2] == gesdd[0].shape[2] == min(max_chi, 10)
         assert discarded == pytest.approx(gesdd[2], rel=1e-12, abs=1e-15)
@@ -582,15 +616,18 @@ def _block_apply(left, right, wop, x):
 
 
 def _assert_matches_dense(left, right, wop, ref_wop, rng):
-    """The block apply and both block environment updates on a random
-    (a, s, b) tensor against their dense references."""
+    """The block apply and the block environment update on a random
+    (a, s, b) tensor against their dense references, the update both ways:
+    a right environment grows as the left one of the mirrored site, the
+    (b, s, a) view under the (w', t, s, w) MPO tensor."""
     x = _random_complex(rng, (left.shape[0], wop.shape[2], right.shape[0]))
     ref = dense_local_apply(left, right, ref_wop, x)
     got = _block_apply(left, right, wop, x)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-    blocks = _split_blocks(wop)
+    blocks, mirrored = _split_blocks(wop), _split_blocks(wop.transpose(3, 1, 2, 0))
     for got, ref in ((update_left_env(left, x, blocks), dense_left_env(left, x, ref_wop)),
-                     (update_right_env(right, x, blocks), dense_right_env(right, x, ref_wop))):
+                     (update_left_env(right, x.transpose(2, 1, 0), mirrored),
+                      dense_right_env(right, x, ref_wop))):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
