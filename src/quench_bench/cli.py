@@ -321,6 +321,8 @@ def estimate_qpu(config_path, register_size, alpha, confidence, shot_rate, qpu_p
 @emits_output
 def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_power_kw, power_log):
     """Fit the timing samples and extrapolate one classical simulation."""
+    if power_log is not None and gpu_power_kw is not None:
+        raise InvalidConfig("--power-log and --gpu-power-kw both set the GPU power; give one")
     config = _config_with_flags(config_path, t_pulse, dt, size)
     n = sites_from_config(config)
     t_pulse_s, dt_s = durations_from_config(config)

@@ -68,14 +68,31 @@ def default_config() -> dict:
     }
 
 
+def read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be opened
+    or decoded raises InvalidConfig naming it as ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_config(path: str | Path | None) -> dict:
-    """Defaults overlaid, by ``apply_overrides``, with the INI file at ``path``."""
+    """Defaults overlaid, by ``apply_overrides``, with the INI file at ``path``.
+
+    A file that ``read_text`` refuses, or that is not INI (a repeated section
+    or key, a key before any section header, a line without ``=``), raises
+    InvalidConfig naming the file.  Values are read verbatim: no setting uses
+    ``%`` interpolation.
+    """
     config = default_config()
     if path is None:
         return config
-    parser = configparser.ConfigParser()
-    if not parser.read(str(path)):
-        raise InvalidConfig(f"config file not found: {path}")
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        parser.read_string(read_text(path, "config file"), source=str(path))
+    except configparser.Error as exc:
+        raise InvalidConfig(f"malformed config file {path}: {exc}") from exc
     values = {}
     for section in parser.sections():
         if section not in SCHEMA:

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .config import read_text
 from .errors import InvalidConfig, UnderdeterminedFit
 from .model import step_count
 from .mps import memory_estimate
@@ -320,59 +321,59 @@ def read_timing_csv(path) -> list[RuntimeSample]:
     """Read the timing CSV (N, chi, dt_ns, seconds_per_step, hardware_tag,
     n_workers); chi = 0 rows are NQS samples.  ``dt_ns`` must be positive and
     finite, and the same in every row: the fits pool all rows as the cost of
-    one step length."""
+    one step length.  A bad row, or a file ``config.read_text`` refuses,
+    raises InvalidConfig naming the file (and the line)."""
     samples = []
     first_dt = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("N,"):
-                continue
-            try:
-                n, chi, dt_ns, sec, tag, workers = line.split(",")
-                if not 0 < float(dt_ns) < math.inf:
-                    raise ValueError(f"dt_ns must be positive and finite, got {dt_ns}")
-                if first_dt is None:
-                    first_dt = dt_ns
-                elif float(dt_ns) != float(first_dt):
-                    raise ValueError(f"dt_ns {dt_ns} differs from the first row's {first_dt}")
-                samples.append(
-                    RuntimeSample(
-                        n=int(n),
-                        chi=int(chi),
-                        seconds_per_step=float(sec),
-                        hardware_tag=tag,
-                        n_workers=int(workers),
-                    )
+    for lineno, line in enumerate(read_text(path, "timing CSV").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.startswith("N,"):
+            continue
+        try:
+            n, chi, dt_ns, sec, tag, workers = line.split(",")
+            if not 0 < float(dt_ns) < math.inf:
+                raise ValueError(f"dt_ns must be positive and finite, got {dt_ns}")
+            if first_dt is None:
+                first_dt = dt_ns
+            elif float(dt_ns) != float(first_dt):
+                raise ValueError(f"dt_ns {dt_ns} differs from the first row's {first_dt}")
+            samples.append(
+                RuntimeSample(
+                    n=int(n),
+                    chi=int(chi),
+                    seconds_per_step=float(sec),
+                    hardware_tag=tag,
+                    n_workers=int(workers),
                 )
-            except ValueError as exc:
-                raise InvalidConfig(f"timing CSV {path}, line {lineno}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise InvalidConfig(f"timing CSV {path}, line {lineno}: {exc}") from None
     return samples
 
 
 def mean_power_from_log(path) -> float:
     """Mean watts from a power-log CSV (timestamp_iso8601, watts).
 
-    A row without a finite, nonnegative watts column, or a log without any
-    sample row, raises InvalidConfig naming the file (and the line).
+    A row without a finite, nonnegative watts column, a log without any
+    sample row, or a file ``config.read_text`` refuses, raises InvalidConfig
+    naming the file (and the line).
     """
     watts = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#") or line.lower().startswith("timestamp"):
-                continue
-            fields = line.split(",")
-            try:
-                value = float(fields[1])
-            except (IndexError, ValueError):
-                value = math.nan
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidConfig(
-                    f"power log {path}, line {lineno}: expected 'timestamp,watts' "
-                    f"with finite nonnegative watts, got {line!r}"
-                )
-            watts.append(value)
+    for lineno, line in enumerate(read_text(path, "power log").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#") or line.lower().startswith("timestamp"):
+            continue
+        fields = line.split(",")
+        try:
+            value = float(fields[1])
+        except (IndexError, ValueError):
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidConfig(
+                f"power log {path}, line {lineno}: expected 'timestamp,watts' "
+                f"with finite nonnegative watts, got {line!r}"
+            )
+        watts.append(value)
     if not watts:
         raise InvalidConfig(f"power log {path} contains no samples")
     return float(np.mean(watts))

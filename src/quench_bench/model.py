@@ -101,16 +101,6 @@ class ObservableMap:
     values: np.ndarray
     time: float = 0.0
 
-    @classmethod
-    def from_site_values(
-        cls, lattice: LatticeSpec, site_values: np.ndarray, time: float = 0.0
-    ) -> "ObservableMap":
-        grid = np.empty((lattice.ly, lattice.lx), dtype=float)
-        rows = lattice.rowcol[:, 0]
-        cols = lattice.rowcol[:, 1]
-        grid[rows, cols] = site_values
-        return cls(values=grid, time=time)
-
 
 @dataclass
 class Trajectory:
@@ -130,6 +120,14 @@ class Trajectory:
     records: list[TdvpStepRecord] = field(default_factory=list)
     final_state: np.ndarray | None = None
     lanczos_converged: bool = True
+
+    def record(self, site_values: np.ndarray, energy: float, time: float) -> None:
+        """Append the per-site values, in snake order, as a lattice map taken
+        at ``time``, and the energy that belongs with it."""
+        grid = np.empty((self.lattice.ly, self.lattice.lx), dtype=float)
+        grid[self.lattice.rowcol[:, 0], self.lattice.rowcol[:, 1]] = site_values
+        self.maps.append(ObservableMap(values=grid, time=time))
+        self.energies.append(energy)
 
 
 def step_count(t_pulse: float, dt: float) -> int:

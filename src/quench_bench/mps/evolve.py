@@ -64,17 +64,17 @@ import numpy as np
 
 from ..errors import InvalidConfig, MemoryBudgetExceeded
 from ..lanczos import expm_lanczos
-from ..model import (
-    LatticeSpec,
-    ObservableMap,
-    QuenchParams,
-    Trajectory,
-    interactions,
-    step_count,
-)
+from ..model import LatticeSpec, QuenchParams, Trajectory, interactions, step_count
 from .memory import KRYLOV_K_MAX, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
-from .state import MpsState, product_all_ground, random_state, site_expectations, trivial_env
+from .state import (
+    MpsState,
+    bond_bounds,
+    product_all_ground,
+    random_state,
+    site_expectations,
+    trivial_env,
+)
 
 _NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
@@ -95,7 +95,6 @@ class TdvpStepRecord:
     max_chi_used: int
     truncation_weight_step: float
     energy: float
-    lanczos_iters_max: int
     live_bytes: int  # peak bytes of state tensors plus held environments in the sweep
     apply_madds: int  # complex multiply-adds of the sweep's effective-Hamiltonian applies
     pair_windows: int  # two-site windows of the sweep, one per bond below its bound
@@ -301,23 +300,20 @@ def _carry_to(a: list[np.ndarray], ops: list, k: int) -> int:
 class TdvpEngine:
     """Evolves one MpsState under one MPO, reusing live environments across steps.
 
-    The state must be canonical with the orthogonality center at site 0; each
-    step returns it in the same form.  ``max_chi`` must be at least 1
-    (InvalidConfig otherwise).
+    The state must be canonical with the orthogonality center at site 0, a
+    precondition the engine does not check; each step returns it in the same
+    form.  ``max_chi`` must be at least 1 (InvalidConfig otherwise).
     """
 
-    #: Krylov-basis cap of each local solve.
+    #: Krylov-basis cap of each local solve; ``memory_estimate`` assumes it.
     k_max = KRYLOV_K_MAX
 
     def __init__(self, state: MpsState, mpo: MpoHamiltonian, max_chi: int):
         if state.n_sites != mpo.n_sites:
             raise InvalidConfig("state and MPO site counts differ")
-        if state.orthogonality_center != 0:
-            raise InvalidConfig("engine expects the orthogonality center at site 0")
         if max_chi < 1:
             raise InvalidConfig(f"TDVP needs max_chi >= 1, got max_chi={max_chi}")
         self.state = state
-        self.mpo = mpo
         self.max_chi = max_chi
         n = state.n_sites
         self._blocks = _window_blocks(mpo.tensors)
@@ -330,7 +326,6 @@ class TdvpEngine:
                 self.left_envs[i], state.tensors[i], self._blocks[1][i]
             )
         self._reflect()
-        self._bond_bounds = [min(max_chi, 2**j, 2 ** (n - j)) for j in range(1, n)]
 
     def energy(self) -> float:
         """<H> from the cached environments at the center (site 0)."""
@@ -365,11 +360,12 @@ class TdvpEngine:
         A run of linked windows (module docstring) is solved once, at its
         last window, by its summed half steps, or not at all if they sum to
         zero."""
-        iters_max = madds = solves = 0
+        madds = solves = 0
         converged = True
         trunc = 0.0
         a, lefts, rights = self.state.tensors, self.left_envs, self.right_envs
-        growing = [b < bound for b, bound in zip(self.state.bond_dims[1:-1], self._bond_bounds)]
+        bounds = bond_bounds(self.state.n_sites, self.max_chi)
+        growing = [b < bound for b, bound in zip(self.state.bond_dims[1:-1], bounds)]
         ops = sweep_ops(growing)
         turn = len(ops)  # the second pass starts at the turn's second visit
         ops += sweep_ops(growing[::-1])
@@ -402,7 +398,6 @@ class TdvpEngine:
                 res = expm_lanczos(apply_h, x.transpose(1, 0, 2).ravel(), -0.5j * dt * pending,
                                    k_max=self.k_max, tol=LANCZOS_TOL)
                 solves += 1
-                iters_max = max(iters_max, res.iterations)
                 madds += apply_h.madds * res.iterations  # one apply per Lanczos iteration
                 converged = converged and res.converged
                 a_dim, s_dim, b_dim = x.shape
@@ -426,13 +421,11 @@ class TdvpEngine:
         self._reflect()
 
         wall = time.perf_counter() - t0
-        self.state.orthogonality_center = 0
         return TdvpStepRecord(
             wall_seconds=wall,
             max_chi_used=self.state.max_bond,
             truncation_weight_step=trunc,
             energy=self.energy(),
-            lanczos_iters_max=iters_max,
             live_bytes=live,
             apply_madds=madds,
             pair_windows=sum(growing),
@@ -476,18 +469,12 @@ def run_quench(
     mpo = build_mpo(lattice, params, v)
     state = product_all_ground(n, max_chi=max_chi)
     engine = TdvpEngine(state, mpo, max_chi=max_chi)
-
-    def measure(t: float) -> ObservableMap:
-        return ObservableMap.from_site_values(
-            lattice, site_expectations(state, _NUMBER_OP), time=t
-        )
-
-    traj = Trajectory(lattice, maps=[measure(0.0)], energies=[engine.energy()])
+    traj = Trajectory(lattice)
+    traj.record(site_expectations(state, _NUMBER_OP), engine.energy(), 0.0)
     for step in range(1, n_steps + 1):
         record = engine.step(dt)
         traj.records.append(record)
-        traj.maps.append(measure(step * dt))
-        traj.energies.append(record.energy)
+        traj.record(site_expectations(state, _NUMBER_OP), record.energy, step * dt)
     traj.lanczos_converged = all(r.lanczos_converged for r in traj.records)
     return traj
 

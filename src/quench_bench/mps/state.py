@@ -1,8 +1,9 @@
 """MPS container, initial states, the trivial environment and site observables.
 
-MPS tensors are indexed (chi_left, phys, chi_right).  The orthogonality
-center is tracked explicitly: tensors left of it are left-isometries,
-tensors right of it are right-isometries.
+MPS tensors are indexed (chi_left, phys, chi_right).  Every state here has
+its orthogonality center at site 0: the tensors right of site 0 are
+right-isometries.  The producers below make that form and ``TdvpEngine``
+keeps it; nothing records it on the state.
 """
 
 from __future__ import annotations
@@ -11,13 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InvalidConfig
-
 
 @dataclass
 class MpsState:
     tensors: list[np.ndarray]
-    orthogonality_center: int = 0
     max_chi: int = 2**30
 
     @property
@@ -34,6 +32,12 @@ class MpsState:
         return max(self.bond_dims)
 
 
+def bond_bounds(n_sites: int, chi: int) -> list[int]:
+    """The bound min(chi, 2^j, 2^(N-j)) of each interior bond j = 1 .. N-1:
+    the cap, or the full dimension of the smaller block the bond splits."""
+    return [min(chi, 2**j, 2 ** (n_sites - j)) for j in range(1, n_sites)]
+
+
 def product_all_ground(n_sites: int, max_chi: int = 2**30) -> MpsState:
     """|00...0> as a bond-dimension-1 MPS."""
     site = np.zeros((1, 2, 1), dtype=complex)
@@ -42,24 +46,17 @@ def product_all_ground(n_sites: int, max_chi: int = 2**30) -> MpsState:
 
 
 def random_state(n_sites: int, chi: int, rng: np.random.Generator) -> MpsState:
-    """Normalized random MPS with every interior bond saturated at min(chi, 2^k).
+    """Normalized random MPS with every interior bond at its ``bond_bounds``.
 
     Used to time TDVP steps at a prescribed bond dimension: the quench itself
     reaches the cap only after entanglement has grown, whereas timing samples
     must reflect the sustained cost at that cap.
     """
-
-    def right_dim(i: int) -> int:
-        return min(chi, 2 ** (i + 1), 2 ** (n_sites - 1 - i))
-
-    tensors = []
-    left = 1
-    for i in range(n_sites):
-        right = right_dim(i)
-        shape = (left, 2, right)
-        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        tensors.append(t)
-        left = right
+    dims = [1, *bond_bounds(n_sites, chi), 1]
+    tensors = [
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for shape in zip(dims, [2] * n_sites, dims[1:])
+    ]
     state = MpsState(tensors=tensors, max_chi=chi)
     # right-canonicalize so the orthogonality center lands on site 0
     for i in range(n_sites - 1, 0, -1):
@@ -69,7 +66,6 @@ def random_state(n_sites: int, chi: int, rng: np.random.Generator) -> MpsState:
         state.tensors[i] = q.conj().T.reshape(-1, d, r)
         state.tensors[i - 1] = np.tensordot(state.tensors[i - 1], rmat.conj().T, axes=(2, 0))
     state.tensors[0] /= np.linalg.norm(state.tensors[0])
-    state.orthogonality_center = 0
     return state
 
 
@@ -90,8 +86,6 @@ def site_expectations(state: MpsState, op: np.ndarray) -> np.ndarray:
     gives each site's reduced density matrix.  The norm squared is the trace
     of site 0's.
     """
-    if state.orthogonality_center != 0:
-        raise InvalidConfig("site_expectations expects the orthogonality center at site 0")
     values = np.empty(state.n_sites, dtype=float)
     left = np.ones((1, 1), dtype=complex)  # (ket, bra)
     for i, a in enumerate(state.tensors):

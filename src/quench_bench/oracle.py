@@ -20,14 +20,7 @@ import numpy as np
 
 from .errors import TooLargeForOracle
 from .lanczos import expm_lanczos
-from .model import (
-    LatticeSpec,
-    ObservableMap,
-    QuenchParams,
-    Trajectory,
-    interactions,
-    step_count,
-)
+from .model import LatticeSpec, QuenchParams, Trajectory, interactions, step_count
 
 #: Largest lattice the dense oracle evolves.
 N_MAX_DENSE = 16
@@ -109,16 +102,9 @@ def evolve_exact(
     v = interactions(lattice, params, cutoff)
     ham = DenseHamiltonian(n, v.v, params.omega, params.delta)
     traj = Trajectory(lattice)
-
-    def record(step: int, psi: np.ndarray) -> None:
-        traj.maps.append(
-            ObservableMap.from_site_values(lattice, occupations(psi), time=step * dt)
-        )
-        traj.energies.append(ham.expectation(psi))
-
     psi = np.zeros(1 << n)  # real, so the first Krylov space is real
     psi[0] = 1.0
-    record(0, psi)
+    traj.record(occupations(psi), ham.expectation(psi), 0.0)
     step = 0
     while step < n_steps:
         solve = expm_lanczos(
@@ -128,7 +114,7 @@ def evolve_exact(
         for j in range(solve.steps):
             psi = solve.state(j)
             step += 1
-            record(step, psi)
+            traj.record(occupations(psi), ham.expectation(psi), step * dt)
         del solve  # build the next space without this one's basis alive
     traj.final_state = psi.astype(complex, copy=False)
     return traj

@@ -191,16 +191,12 @@ def mps_to_vector(state) -> np.ndarray:
 
 
 def check_canonical(state, tol: float = 1e-10) -> bool:
-    """Isometry check left and right of the orthogonality center."""
-    for i, a in enumerate(state.tensors):
-        if i < state.orthogonality_center:
-            m = a.reshape(-1, a.shape[2])
-            if not np.allclose(m.conj().T @ m, np.eye(a.shape[2]), atol=tol):
-                return False
-        elif i > state.orthogonality_center:
-            m = a.reshape(a.shape[0], -1)
-            if not np.allclose(m @ m.conj().T, np.eye(a.shape[0]), atol=tol):
-                return False
+    """Whether every tensor right of site 0, the orthogonality center, is a
+    right-isometry."""
+    for a in state.tensors[1:]:
+        m = a.reshape(a.shape[0], -1)
+        if not np.allclose(m @ m.conj().T, np.eye(a.shape[0]), atol=tol):
+            return False
     return True
 
 

@@ -413,6 +413,20 @@ class TestConfigHandling:
             ["estimate", "crossover", "--samples", "{timing}", "--chi", str(10**103)],
             ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
              "--gpu-power-kw", "1e305"],
+            *(
+                ["rearrange", "--config", config, "--trials", "5"]
+                for config in ("{dup_key}", "{dup_section}", "{no_header}", "{no_equals}",
+                               "{percent}", "{not_utf8}")
+            ),
+            ["fit", "mps", "--samples", "{not_utf8}"],
+            ["fit", "mps", "--samples", "{a_dir}"],
+            *(
+                ["estimate", "classical", "--samples", "{timing}", "--size", "15x15",
+                 "--chi", "1000", "--power-log", log]
+                for log in ("{not_utf8}", "{a_dir}")
+            ),
+            ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000",
+             "--power-log", "{log_100w}", "--gpu-power-kw", "5"],
         ],
     )
     def test_bad_flag_rejected(self, runner, tmp_path, args):
@@ -431,6 +445,8 @@ class TestConfigHandling:
         ):
             logs[name] = tmp_path / f"{name}.csv"
             logs[name].write_text("timestamp_iso8601,watts\n" + rows)
+        logs["log_100w"] = tmp_path / "log_100w.csv"
+        logs["log_100w"].write_text("timestamp_iso8601,watts\n2025-01-01T00:00:00Z,100\n")
         nqs_no_workers = tmp_path / "nqs_no_workers.csv"
         nqs_no_workers.write_text(
             "N,chi,dt_ns,seconds_per_step,hardware_tag,n_workers\n100,0,1.0,2.0,gpu-a100,0\n"
@@ -442,17 +458,38 @@ class TestConfigHandling:
                 ("t_pulse_inf", "[quench]\nt_pulse_ns = inf\n"),
                 ("seed_neg", "[run]\nseed = -1\n"),
                 ("lattice_neg", "[lattice]\nLx = -3\nLy = -3\n"),
+                ("percent", "[register]\nfill_p = 50%\n"),
             )
         }
+        # files that are not INI, not UTF-8 or not files: the error names them
+        unreadable = {
+            name: write_config(tmp_path / f"{name}.ini", text)
+            for name, text in (
+                ("dup_key", "[lattice]\nLx = 3\nLx = 4\n"),
+                ("dup_section", "[lattice]\nLx = 3\n[lattice]\nLy = 3\n"),
+                ("no_header", "Lx = 3\n"),
+                ("no_equals", "[lattice]\nLx 3\n"),
+            )
+        }
+        unreadable["not_utf8"] = tmp_path / "not_utf8.csv"
+        unreadable["not_utf8"].write_bytes(b"timestamp_iso8601,watts\n# \xff\n")
+        unreadable["a_dir"] = tmp_path / "a_dir"
+        unreadable["a_dir"].mkdir()
         args = [
             a.format(out=tmp_path / "x", timing=timing, bad_timing=bad_timing,
                      bad_dt_timing=bad_dt_timing, nqs_no_workers=nqs_no_workers,
-                     **logs, **configs)
+                     **logs, **configs, **unreadable)
             for a in args
         ]
         result = runner.invoke(main, [*args, "--json"])
         assert result.exit_code == 1
-        assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
+        error = loads(result.stderr)["error"]
+        assert error["type"] == "InvalidConfig"
+        for name, path in unreadable.items():
+            if str(path) in args:
+                assert str(path) in error["message"]
+                if name.startswith(("dup", "no_")):
+                    assert "line" in error["message"]
 
     @pytest.mark.parametrize(
         "args, message",

@@ -178,14 +178,17 @@ class TestStepCount:
             model.step_count(t_pulse, dt)
 
 
-class TestObservableMap:
-    def test_from_site_values_layout(self):
+class TestTrajectory:
+    def test_record_layout(self):
         lat = model.build_lattice(3, 2, 5.0)
-        vals = np.arange(6, dtype=float)
-        omap = model.ObservableMap.from_site_values(lat, vals)
+        traj = model.Trajectory(lat)
+        traj.record(np.arange(6, dtype=float), -1.5, 2e-9)
+        (omap,) = traj.maps
         # snake site 3 lives at (row 1, col 2)
         assert omap.values[1, 2] == 3.0
         assert omap.values.shape == (2, 3)
+        assert omap.time == 2e-9
+        assert traj.energies == [-1.5]
 
 
 @pytest.mark.parametrize("text, ns", [("4us", 4000.0), ("1s", 1e9), ("400ns", 400.0)])
