@@ -309,6 +309,18 @@ def estimate_qpu(config_path, register_size, alpha, confidence, shot_rate, qpu_p
     )
 
 
+def _gpu_power(gpu_power_kw: float | None, power_log=None) -> tuple[float, str]:
+    """The GPU power (W) of a classical projection and where it comes from:
+    the mean of ``power_log``, the ``--gpu-power-kw`` flag, or else the
+    assumed rating ``costfit.DEFAULT_GPU_POWER_WATTS``."""
+    if power_log is not None:
+        return costfit.mean_power_from_log(power_log), "power log"
+    if gpu_power_kw is not None:
+        return gpu_power_kw * 1e3, "flag"
+    default = costfit.DEFAULT_GPU_POWER_WATTS
+    return default, f"assumed {default:.0f} W GPU rating"
+
+
 @estimate.command("classical")
 @click.option("--samples", "samples_path", type=click.Path(exists=True), required=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
@@ -326,12 +338,7 @@ def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_po
     config = _config_with_flags(config_path, t_pulse, dt, size)
     n = sites_from_config(config)
     t_pulse_s, dt_s = durations_from_config(config)
-    if power_log is not None:
-        power_watts = costfit.mean_power_from_log(power_log)
-    elif gpu_power_kw is not None:
-        power_watts = gpu_power_kw * 1e3
-    else:
-        power_watts = costfit.DEFAULT_GPU_POWER_WATTS
+    power_watts, power_source = _gpu_power(gpu_power_kw, power_log)
     _, model = _fit_mps_csv(samples_path)
     report = costfit.extrapolate(model, n, chi, t_pulse_s, dt_s, power_watts)
     text = costfit.format_resource_report(report)
@@ -341,7 +348,7 @@ def estimate_classical(samples_path, config_path, size, chi, t_pulse, dt, gpu_po
             f"\nextrapolated: N={n}, chi={chi} lies outside the fitted domain "
             f"N {d['n_min']}-{d['n_max']}, chi {d['chi_min']}-{d['chi_max']}"
         )
-    return {"report": report.as_dict(), "fit": model.as_dict()}, text
+    return {"report": report.as_dict(), "fit": model.as_dict(), "power_source": power_source}, text
 
 
 @estimate.command("crossover")
@@ -372,9 +379,7 @@ def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_p
         )
     config = _config_with_flags(config_path, t_pulse, dt)
     t_pulse_s, dt_s = durations_from_config(config)
-    power_watts = (
-        gpu_power_kw * 1e3 if gpu_power_kw is not None else costfit.DEFAULT_GPU_POWER_WATTS
-    )
+    power_watts, power_source = _gpu_power(gpu_power_kw)
     _, model = _fit_mps_csv(samples_path)
 
     def classical_fn(n):
@@ -387,6 +392,7 @@ def estimate_crossover(samples_path, config_path, chi, n_min, n_max, n_step, t_p
         "at_boundary_time": result.at_boundary_time,
         "at_boundary_energy": result.at_boundary_energy,
         "sweep": {"n_min": n_min, "n_max": n_max, "n_step": n_step, "chi": chi},
+        "power_source": power_source,
     }
 
     def fmt(x):

@@ -1,33 +1,38 @@
 """Krylov-subspace action of the matrix exponential for Hermitian operators.
 
 Computes w = exp(coeff * H) v, or exp(j * coeff * H) v at successive output
-times j from one Krylov space, without materializing H, via the Lanczos
-recursion with full reorthogonalization (done as two BLAS-level products per
-iteration, cheap at the basis sizes used here), in the scheme of Saad, SIAM
-J. Numer. Anal. 29, 209 (1992) and Hochbruck & Lubich, SIAM J. Numer. Anal.
-34, 1911 (1997).  An output time stops on their a-posteriori residual
-estimate, which needs no apply beyond the basis it judges.  The small
-exponential exp(coeff T) e_1 of the tridiagonal projection T comes from
-numpy's ``eigh`` (LAPACK syevd) on T with its lower triangle filled, so the
-module needs numpy only; it is skipped at iterations where a Taylor bound
-shows the estimate cannot yet pass.  Used for the dense statevector
-propagator as well as for the local effective Hamiltonians inside TDVP.
+times j from one Krylov space, for a purely imaginary ``coeff`` (a unitary
+propagator), without materializing H, via the Lanczos recursion with full
+reorthogonalization (done as two BLAS-level products per iteration, cheap at
+the basis sizes used here), in the scheme of Saad, SIAM J. Numer. Anal. 29,
+209 (1992) and Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911 (1997).  An
+output time stops on the defect-integral bound of Hochbruck & Lubich and of
+Jawecki, Auzinger & Koch, BIT 60, 157 (2020), a true error bound for a
+unitary propagator that needs no apply beyond the basis it judges.  The small
+exponential exp(coeff T) e_1 of the tridiagonal projection T and the bound's
+integrand come from one numpy ``eigh`` (LAPACK syevd) of T with its lower
+triangle filled, the integral from a Gauss-Legendre rule on each step
+interval, so the module needs numpy only; both are skipped at iterations
+where a Taylor bound shows the test cannot yet pass.  Used for the dense
+statevector propagator as well as for the local effective Hamiltonians
+inside TDVP.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import math
 
 import numpy as np
 
 from .errors import InvalidConfig
 
-#: Allowance for the rounding error of a computed coefficient row (entries of
-#: size at most 1), far above it at the basis sizes used here: an iteration
-#: skips the exponential only when its bound clears the test by this much.
+#: Allowance for the rounding error of the computed bound's integrand (the
+#: last entry of a coefficient row, of size at most 1), far above it at the
+#: basis sizes used here: an iteration skips the exponential only when its
+#: Taylor bound clears the test by this much.
 _ROW_ROUNDING = 2.0**-40
 
 
@@ -37,7 +42,8 @@ class LanczosResult:
 
     ``state(j)`` forms the state after step j + 1 from its coefficient row,
     so a caller can take the states one at a time without holding them all;
-    ``vector`` is the state after the last resolved step.
+    ``vector`` is the state after the last resolved step.  ``error_bound``
+    bounds ||vector - exp(steps coeff H) v|| / ||v|| in exact arithmetic.
     """
 
     iterations: int
@@ -45,6 +51,7 @@ class LanczosResult:
     coefficients: np.ndarray  # (resolved steps, iterations): rows exp(j coeff T) e_1
     basis: np.ndarray  # (iterations, dim), orthonormal rows
     norm: float
+    error_bound: float
 
     @property
     def steps(self) -> int:
@@ -67,28 +74,34 @@ def expm_lanczos(
     steps: int = 1,
 ) -> LanczosResult:
     """Approximate exp(j * coeff * H) v for j = 1 ... m, Hermitian H given
-    through ``matvec``.
+    through ``matvec`` and ``coeff`` purely imaginary.
 
     Builds an orthonormal Krylov basis V_k and the real tridiagonal projection
     T_k, then returns ||v|| * V_k exp(j coeff T_k) e_1, with exp(j coeff T_k)
-    e_1 from the eigendecomposition of T_k by numpy's ``eigh``.  Step j is
-    resolved once the residual estimate j |coeff| beta_k |e_k^T exp(j coeff
-    T_k) e_1|, with beta_k the norm of the next Krylov vector before its
-    normalisation, is at most ``tol`` (Saad 1992; Hochbruck & Lubich 1997);
-    m <= ``steps`` is the longest prefix of steps that one basis of at most
-    ``k_max`` vectors resolves (the time-stepping of Sidje, ACM TOMS 24, 130
-    (1998)).  Each iteration evaluates only the steps up to twice the prefix
-    resolved at the one before, and at least twice the basis size, and only
-    when a lower bound on the estimate of step 1 does not already exceed
-    ``tol``: the leading Taylor term |coeff|^(k-1) beta_1 ... beta_(k-1) /
-    (k-1)! of |e_k^T exp(coeff (T_k - sigma)) e_1| minus a bound rho^k e^rho
-    / k! on the rest, with rho = |coeff| ||T_k - sigma|| from Gershgorin's
-    discs.  A skipped iteration is one whose test would certainly fail, so
-    the skipping never changes where a solve stops.  Iteration stops when
-    all ``steps`` are resolved, on a happy breakdown (the Krylov space is
-    invariant, so every step is exact) or at ``k_max``.  A basis that spans
-    the whole space also gives every step exactly, so it reports converged.
-    With ``steps=1`` this is the plain single-step solve.
+    e_1 from the eigendecomposition of T_k by numpy's ``eigh``.  Its error is
+    the integral over u from 0 to j of a unitary propagation of the defect
+    coeff beta_k v_(k+1) e_k^T exp(u coeff T_k) e_1, with beta_k the norm of
+    the next Krylov vector v_(k+1) before its normalisation, so step j is
+    resolved once the bound |coeff| beta_k int_0^j |e_k^T exp(u coeff T_k)
+    e_1| du is at most ``tol`` (Hochbruck & Lubich 1997; Jawecki, Auzinger &
+    Koch 2020).  The integral is a Gauss-Legendre sum on each unit interval,
+    with the ceil(k/2) nodes that integrate the integrand's leading Taylor
+    term u^(k-1) exactly.  m <= ``steps`` is the longest prefix of steps
+    that one basis of at most ``k_max`` vectors resolves (the time-stepping
+    of Sidje, ACM TOMS 24, 130 (1998)).  Each iteration evaluates only the
+    steps up to twice the prefix resolved at the one before, and at least
+    twice the basis size, and only when a lower bound on the bound of step 1
+    does not already exceed ``tol``: the leading Taylor term |coeff|^(k-1)
+    beta_1 ... beta_(k-1) / (k-1)! of |e_k^T exp(u coeff (T_k - sigma))
+    e_1| at u = 1 minus a bound rho^k e^rho / k! on the rest, with rho =
+    |coeff| ||T_k - sigma|| from Gershgorin's discs, both divided by k: the
+    Gauss sum of that lower bound times u^(k-1) is at least this.  A skipped
+    iteration is one whose test would certainly fail, so the skipping never
+    changes where a solve stops.  Iteration stops when all ``steps`` are
+    resolved, on a happy breakdown (the Krylov space is invariant, so every
+    step is exact) or at ``k_max``.  A basis that spans the whole space also
+    gives every step exactly, so it reports converged.  With ``steps=1``
+    this is the plain single-step solve.
 
     The basis takes the dtype of ``v`` and H v: real for a real start vector
     under a real operator, which halves its bytes.
@@ -96,9 +109,10 @@ def expm_lanczos(
     Args:
         matvec: action of the Hermitian operator on a flat vector.
         v: start vector (not necessarily normalized).
-        coeff: scalar multiplying H in the exponent, e.g. -1j*dt.
+        coeff: purely imaginary scalar multiplying H in the exponent, e.g.
+            -1j*dt (InvalidConfig for one with a real part).
         k_max: Krylov-basis cap, at least 1 (InvalidConfig otherwise).
-        tol: tolerance on the residual estimate, relative to ||v||.
+        tol: tolerance on the error bound, relative to ||v||.
         steps: number of output times j * coeff wanted, at least 1
             (InvalidConfig otherwise).
 
@@ -111,10 +125,13 @@ def expm_lanczos(
         raise InvalidConfig(f"Lanczos needs k_max >= 1, got {k_max}")
     if steps < 1:
         raise InvalidConfig(f"Lanczos needs steps >= 1, got {steps}")
+    if complex(coeff).real != 0.0:
+        raise InvalidConfig(f"Lanczos needs a purely imaginary coeff, got {coeff}")
     norm_v = float(np.linalg.norm(v))
     if norm_v == 0.0:
         return LanczosResult(iterations=0, converged=True, coefficients=np.ones((steps, 0)),
-                             basis=np.empty((0, v.size), dtype=v.dtype), norm=0.0)
+                             basis=np.empty((0, v.size), dtype=v.dtype), norm=0.0,
+                             error_bound=0.0)
 
     dim = v.size
     k_max = min(k_max, dim)
@@ -134,11 +151,12 @@ def expm_lanczos(
 
     def result(m: int, converged: bool) -> LanczosResult:
         """The first m steps from the basis and the current projection."""
-        rows = y
-        if rows is None or len(rows) < m:
-            rows = _expm_tridiag_e1(alphas[: k + 1], betas[:k], coeff, max(m, wanted))
-        return LanczosResult(iterations=k + 1, converged=converged, coefficients=rows[:m],
-                             basis=basis[: k + 1], norm=norm_v)
+        y, integrals = rows, defects
+        if y is None or len(y) < m:
+            y, integrals = _expm_tridiag(alphas[: k + 1], betas[:k], coeff, max(m, wanted))
+        return LanczosResult(iterations=k + 1, converged=converged, coefficients=y[:m],
+                             basis=basis[: k + 1], norm=norm_v,
+                             error_bound=abs_c * beta * integrals[m - 1])
 
     for k in range(k_max):
         if k > 0:
@@ -154,7 +172,7 @@ def expm_lanczos(
         # basis size), so the prefix can double per iteration while the
         # steps far past the basis's reach cost no exponentials
         wanted = min(steps, 2 * (resolved + k + 1))
-        y = None
+        rows = defects = None
         if beta <= tol * max(1.0, abs(alpha)):
             # happy breakdown: Krylov space is invariant, every step exact
             return result(steps, True)
@@ -163,14 +181,11 @@ def expm_lanczos(
         rho = 0.5 * abs_c * (span_hi - span_lo)
         tail = 0.0 if rho == 0.0 else math.exp(
             min((k + 1) * math.log(rho) + rho - math.lgamma(k + 2), 700.0))
-        shift = math.exp(min(coeff.real * 0.5 * (span_lo + span_hi), 700.0))  # |e^(coeff sigma)|
         resolved = 0
         # evaluate the rows unless step 1 certainly fails its test
-        if abs_c * beta * (shift * (lead - tail) - _ROW_ROUNDING) <= tol:
-            y = _expm_tridiag_e1(alphas[: k + 1], betas[:k], coeff, wanted)
-            while resolved < wanted and (
-                (resolved + 1) * abs_c * beta * abs(y[resolved, -1]) <= tol
-            ):
+        if abs_c * beta * ((lead - tail) / (k + 1) - _ROW_ROUNDING) <= tol:
+            rows, defects = _expm_tridiag(alphas[: k + 1], betas[:k], coeff, wanted)
+            while resolved < wanted and abs_c * beta * defects[resolved] <= tol:
                 resolved += 1
             if resolved == steps:
                 return result(steps, True)
@@ -212,24 +227,46 @@ def _combine(y: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expm_tridiag_e1(
+@functools.cache
+def _gauss_rule(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] of the ceil(k/2)-point Gauss-Legendre
+    rule, exact for polynomials of degree k - 1 and below."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss((k + 1) // 2)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _expm_tridiag(
     alphas: np.ndarray, betas: np.ndarray, coeff: complex, steps: int = 1
-) -> np.ndarray:
-    """Rows exp(j * coeff * T) e_1, j = 1 ... ``steps``, for the real
-    symmetric tridiagonal T.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows exp(j * coeff * T) e_1 and the integrals int_0^j |e_k^T exp(u *
+    coeff * T) e_1| du, j = 1 ... ``steps``, for the k x k real symmetric
+    tridiagonal T and an imaginary ``coeff``.
 
     T has ``alphas`` on its diagonal and ``betas`` off it.  numpy's ``eigh``
     reads only the lower triangle of its dense input, so the betas go on the
-    subdiagonal; the upper triangle stays zero.
+    subdiagonal; the upper triangle stays zero.  With T = Q diag(lambda) Q^T
+    the integrand is |sum_i Q[k-1, i] Q[0, i] exp(u coeff lambda_i)|; on the
+    interval from j - 1 to j the factor exp((j - 1) coeff lambda_i) is the
+    phase of step j - 1 (1 for j = 1), and the rest is taken at the nodes
+    of ``_gauss_rule``.
     """
     k = len(alphas)
-    if k == 1:
-        return np.exp(coeff * np.arange(1, steps + 1) * alphas[0])[:, None]
+    if k == 1:  # the integrand is |exp(u coeff alpha)| = 1
+        times = np.arange(1, steps + 1)
+        return np.exp(coeff * times * alphas[0])[:, None], times.astype(float)
     t = np.zeros((k, k))
     t.flat[:: k + 1] = alphas
     t.flat[k :: k + 1] = betas
     eigvals, eigvecs = np.linalg.eigh(t)
-    if steps == 1:  # one matrix-vector product, as every TDVP solve makes
-        return (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
-    times = coeff * np.arange(1, steps + 1)
-    return (np.exp(np.multiply.outer(times, eigvals)) * eigvecs[0]) @ eigvecs.T
+    nodes, weights = _gauss_rule(k)
+    ends = eigvecs[-1] * eigvecs[0]
+    at_nodes = np.exp(np.multiply.outer(coeff * nodes, eigvals))
+    if steps == 1:  # one matrix-vector product each, as every TDVP solve makes
+        rows = (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
+        return rows, (np.abs(at_nodes @ ends) @ weights)[None]
+    phases = np.exp(np.multiply.outer(coeff * np.arange(1, steps + 1), eigvals))
+    rows = (phases * eigvecs[0]) @ eigvecs.T
+    starts = np.vstack([ends, phases[:-1] * ends])
+    return rows, np.cumsum(np.abs(starts @ at_nodes.T) @ weights)

@@ -68,8 +68,8 @@ class QuenchParams:
     """Physical parameters of the constant-Hamiltonian quench.
 
     Invariants (enforced by ``derive_quench``):
-      * spacing R = (c6 * h_x / (2 omega))**(1/6)
-      * energy scale J = c6 / (4 R^6) = omega / (2 h_x)
+      * spacing R = (c6 * h_x / (2 omega))**(1/6), so the energy scale
+        J = c6 / (4 R^6) equals omega / (2 h_x)
       * delta = 0.5 * sum_j V(central, j) over the full (uncut) lattice
     """
 
@@ -78,7 +78,6 @@ class QuenchParams:
     c6: float  # rad um^6 / s
     h_x: float  # dimensionless transverse-field ratio
     spacing: float  # um
-    j_scale: float  # rad/s
     t_pulse: float  # s
     dt: float  # s
 
@@ -108,8 +107,7 @@ class Trajectory:
 
     ``maps[i]`` (taken at ``maps[i].time``) and ``energies[i]`` belong
     together; index 0 is the initial state.  ``records`` holds the per-step
-    TDVP records (empty for the exact backend); ``final_state`` holds the
-    exact backend's final 2^N amplitudes (None for TDVP).
+    TDVP records (empty for the exact backend).
     ``lanczos_converged`` is false when any Lanczos solve of the run stopped
     at its basis cap instead of meeting its tolerance.
     """
@@ -118,7 +116,6 @@ class Trajectory:
     maps: list[ObservableMap] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     records: list[TdvpStepRecord] = field(default_factory=list)
-    final_state: np.ndarray | None = None
     lanczos_converged: bool = True
 
     def record(self, site_values: np.ndarray, energy: float, time: float) -> None:
@@ -197,7 +194,7 @@ def derive_quench(
     t_pulse: float,
     dt: float,
 ) -> QuenchParams:
-    """Derive the dependent quench parameters (R, J, delta) from (omega, h_x, c6).
+    """Derive the dependent quench parameters (R, delta) from (omega, h_x, c6).
 
     The detuning delta is half the total interaction energy of the central
     site with every other site of the full lattice (no cutoff).
@@ -210,7 +207,6 @@ def derive_quench(
             f"lattice spacing {lattice.spacing} um does not match the quench "
             f"condition R = (c6 h_x / 2 omega)^(1/6) = {spacing} um"
         )
-    j_scale = c6 / (4.0 * spacing**6)
     center = lattice.central_site()
     dist = np.linalg.norm(lattice.positions - lattice.positions[center], axis=1)
     dist[center] = np.inf
@@ -221,7 +217,6 @@ def derive_quench(
         c6=c6,
         h_x=h_x,
         spacing=spacing,
-        j_scale=j_scale,
         t_pulse=t_pulse,
         dt=dt,
     )

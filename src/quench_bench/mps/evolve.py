@@ -50,6 +50,21 @@ still run.  A complete MPS (every bond at 2^min(j, N-j)) thus steps with one
 solve, exp(-i H dt) on the whole space, which is the exactness of the
 projector-splitting integrator (Lubich & Oseledets, BIT 54, 171 (2014)).
 
+Each solve is a Lanczos exponential (``expm_lanczos``) that stops on its
+error bound, and it does only the contractions the canonical form leaves.
+Every left environment is built from left isometries, so its channel of the
+MPO automaton's "ready" state (the identity on every site left of it) is the
+identity matrix, and every right environment's "done" channel likewise; the
+reflection swaps the two states, so each frame finds them by following the
+identity through its own MPO (``_window_blocks``).  The apply
+(``_LocalApply``) contracts neither, so the onsite block acts as an s x s
+mix of the vector.  A site or pair window also pays the smaller of its two
+MPO bonds: the apply folds the right one into the right environment once per
+solve and pays the left one in every GEMM, so a window whose right bond is
+the smaller is solved as the window of the mirrored chain, from the tables
+the reflection already keeps, with every axis of its tensor reversed (for a
+pair the merged physical index reverses too).
+
 Wall time per step is measured on a monotonic clock around the sweep only;
 observable and energy measurements happen outside the timed section.
 """
@@ -59,6 +74,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,11 +98,17 @@ _NUMBER_OP = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 #: singular value are discarded even when the chi cap is not binding.
 SVD_RTOL = 1e-12
 
-#: Lanczos stopping tolerance of every local solve.
+#: Tolerance of every local solve: ``expm_lanczos`` stops once its error
+#: bound, relative to the norm of the window tensor, is at most this.
 LANCZOS_TOL = 1e-12
 
 #: Shared zero-size placeholder for a released environment slot.
 _RELEASED = np.empty((0, 0, 0), dtype=complex)
+
+#: By the rank of a window tensor, (a, d, b) or (a, d, d, b): the axes that
+#: put its physical indices first, the layout of the apply's vectors, and
+#: the axes that undo it.
+_LAYOUT = {3: ((1, 0, 2), (1, 0, 2)), 4: ((1, 2, 0, 3), (2, 0, 1, 3))}
 
 
 @dataclass
@@ -109,34 +131,84 @@ def _merge_mpo_pair(w1, w2):
     return pair.reshape(hl, d1 * d2, e1 * e2, hr)
 
 
-def _split_blocks(wop: np.ndarray) -> tuple[np.ndarray, list]:
+class _Blocks(NamedTuple):
+    """A window's real (w, t, s, w') MPO tensor split into operator blocks,
+    with the channels of its two bonds that carry the identity."""
+
+    diag: np.ndarray  # (t, w, w'): W[w, t, t, w'] of the blocks diagonal in t, 0 elsewhere
+    full: list  # (w, w', block) of the other nonzero blocks: the onsite term, if any
+    ready: int | None  # left channel whose (left-canonical) environment is the identity
+    done: int | None  # right channel whose (right-canonical) environment is the identity
+    rows: np.ndarray  # the left channels an apply contracts: all but ``ready``, the
+    # one that only passes the identity into ``done`` first if there is one
+    passing: int  # 1 if ``rows`` starts with that channel, else 0
+    folds: np.ndarray  # the rows of ``diag`` an apply folds: ``ready`` (if any), then
+    # the rest of ``rows``
+    terms: list  # ``full`` as the apply reads it: (position in ``rows`` or None for
+    # ``ready``, right channel or None for ``done``, block)
+
+
+def _split_blocks(wop: np.ndarray, ready: int | None = None, done: int | None = None,
+                  passing: int | None = None) -> _Blocks:
     """Split a real (w, t, s, w') MPO tensor into its (w, w') operator blocks.
 
-    Returns ``diag``, the (t, w, w') array of W[w, t, t, w'] over every block
-    that is diagonal in the physical index (the automaton's identity
-    pass-throughs, ``n`` openings and closings, and ``V I`` source-to-
-    destination switches) and zero elsewhere,
-    and the list of (w, w', block) for the other nonzero blocks: only the
-    onsite ready -> done term, or none when Omega = 0.
+    ``diag`` holds every block that is diagonal in the physical index (the
+    automaton's identity pass-throughs, ``n`` openings and closings, and
+    ``V I`` source-to-destination switches), and ``full`` the others: only
+    the onsite ready -> done term, or none when Omega = 0.  ``ready`` and
+    ``done`` name the identity channels of the window's environments, or
+    None for environments that have none, and ``passing`` the left channel
+    whose whole row is the identity into ``done``, the left bond's own
+    "done" state, or None.
     """
-    d = wop.shape[1]
+    w, d = wop.shape[:2]
     off_diagonal = np.any(wop * (1.0 - np.eye(d))[:, :, None] != 0.0, axis=(1, 2))
     diag = np.einsum("wttx->twx", wop) * ~off_diagonal
     full = [
         (int(i), int(j), wop[i, :, :, j].astype(complex))
         for i, j in zip(*np.nonzero(off_diagonal))
     ]
-    return diag, full
+    passing = [] if passing in (None, ready) else [passing]
+    others = [c for c in range(w) if c != ready and c not in passing]
+    rows = passing + others
+    terms = [(None if i == ready else rows.index(i), None if j == done else j, m)
+             for i, j, m in full]
+    folds = ([] if ready is None else [ready]) + others
+    return _Blocks(diag, full, ready, done, np.array(rows, dtype=np.intp), len(passing),
+                   np.array(folds, dtype=np.intp), terms)
 
 
-def _window_blocks(tensors: list[np.ndarray]) -> list[list]:
-    """``[w][i]``: the (diag, full) split of the MPO of the w-site window from
-    site i of the chain with MPO ``tensors``; a bond matrix is a
-    one-dimensional "site" under the identity MPO block."""
+def _passes_identity(wop: np.ndarray, channel: int | None) -> int | None:
+    """The first right channel c of the (w, t, s, w') tensor with W[:, :, :, c]
+    the identity from left ``channel`` and zero from every other, or None."""
+    if channel is None:
+        return None
+    through = np.zeros(wop.shape[:3])
+    through[channel] = np.eye(wop.shape[1])
+    hits = np.flatnonzero(np.all(wop == through[..., None], axis=(0, 1, 2)))
+    return int(hits[0]) if hits.size else None
+
+
+def _window_blocks(tensors: list[np.ndarray]) -> list[list[_Blocks]]:
+    """``[w][i]``: the blocks of the MPO of the w-site window from site i of
+    the chain with MPO ``tensors``; a bond matrix is a one-dimensional
+    "site" under the identity MPO block.  A window's identity channels are
+    the automaton's "ready" state at its left bond, the identity on every
+    site left of it, and its "done" state at its right bond, the identity on
+    every site right of it, followed from the chain's two ends; the left
+    bond's "done" state is the channel that only passes the identity into
+    the right one's."""
+    ready, done = [0], [0]
+    for wop, back in zip(tensors, tensors[::-1]):
+        ready.append(_passes_identity(wop, ready[-1]))
+        done.append(_passes_identity(back.transpose(3, 1, 2, 0), done[-1]))
+    done.reverse()
     return [
-        [_split_blocks(np.eye(w.shape[0])[:, None, None, :]) for w in tensors],
-        [_split_blocks(w) for w in tensors],
-        [_split_blocks(_merge_mpo_pair(*pair)) for pair in zip(tensors, tensors[1:])],
+        [_split_blocks(np.eye(w.shape[0])[:, None, None, :], ready[i], done[i], done[i])
+         for i, w in enumerate(tensors)],
+        [_split_blocks(w, ready[i], done[i + 1], done[i]) for i, w in enumerate(tensors)],
+        [_split_blocks(_merge_mpo_pair(*pair), ready[i], done[i + 2], done[i])
+         for i, pair in enumerate(zip(tensors, tensors[1:]))],
     ]
 
 
@@ -144,61 +216,91 @@ class _LocalApply:
     """Effective local Hamiltonian applied block by block over the real MPO.
 
     Works for one site or a merged pair.  Vectors are laid out (s, a, b):
-    (possibly merged) physical index slowest, then the left and right bonds.
-    Once per local solve the left environment is permuted to an (a'*w, a)
-    matrix and every diagonal MPO block is folded into a per-``t`` right
-    matrix R_t[w*b, b'] = sum_w' W[w, t, t, w'] R[b, w', b'].  One
-    application is then one GEMM through the left environment into a reused
-    (s, a', w, b) buffer, one batched GEMM through R_t, and two small GEMMs
-    for each non-diagonal block (only the onsite term).  ``madds`` counts the
-    complex multiply-adds of these GEMMs in one application.
+    (possibly merged) physical index slowest, then the left and right bonds;
+    an application returns the (s, a', b') array.  The canonical form makes
+    two environment channels the identity: the left environment's ``ready``
+    channel and the right environment's ``done`` channel.  So H x is
+
+        x R_ready + z_passing + sum_w z_w R_w + sum_full m (z_i R_j),
+
+    with z_w = L_w^T x the left environment's channel w applied to x, R_w
+    the right environment folded with the diagonal MPO blocks of row w, and
+    z_i = x for i = ready and R_j = I for j = done; ``passing`` is the left
+    channel whose only block is the identity into ``done``, whose fold is
+    therefore the identity, and w runs over the other channels.  Either
+    identity channel may be absent (random environments have none), and its
+    term then joins the sum.  Once per local solve the left environment is
+    permuted to an (a'*w, a) matrix over the channels it contracts and every
+    diagonal block is folded into a per-``t`` right matrix R_t[w*b, b'] =
+    sum_w' W[w, t, t, w'] R[b, w', b'].  One application is then one GEMM
+    through the left environment into a reused (s, a', w, b) buffer, one
+    batched GEMM through R_t and one through R_ready, an add of
+    z_passing, and for the onsite block an s x s mix of x.  ``madds`` counts
+    the complex multiply-adds of these GEMMs in one application.
     """
 
-    __slots__ = ("dims", "left", "right_t", "full", "z")
+    __slots__ = ("dims", "left", "z", "z_rest", "z_passing", "right_t", "right_ready", "full")
 
-    def __init__(self, left, right, blocks):
-        diag, full = blocks
-        a, w, a_bra = left.shape
+    def __init__(self, left, right, blocks: _Blocks):
+        a, _, a_bra = left.shape
         b, wr, b_bra = right.shape
-        s = diag.shape[0]
-        self.dims = (s, a, b, a_bra, w, b_bra)
-        self.left = left.transpose(2, 1, 0).reshape(a_bra * w, a)
+        diag = blocks.diag[:, blocks.folds]
+        s, n_folds, _ = diag.shape
+        n_rows, n_passing = len(blocks.rows), blocks.passing
+        n_ready = n_folds - n_rows + n_passing
+        self.dims = (s, a, b, a_bra, b_bra, n_rows, n_folds - n_ready)
+        self.left = left.transpose(2, 1, 0)[:, blocks.rows].reshape(a_bra * n_rows, a)
+        self.z = np.empty((s, a_bra * n_rows, b), dtype=complex)
+        z = self.z.reshape(s, a_bra, n_rows, b)
+        self.z_rest = self.z.reshape(s, a_bra, n_rows * b)[:, :, n_passing * b :]
+        self.z_passing = (z[:, :, 0],) if n_passing else ()
         # real coefficients: contract the real and imaginary parts of R in
         # one real GEMM, then read the (t, w, b, 2 b') result back as complex
         right_ri = right.view(np.float64).reshape(b, wr, 2 * b_bra).transpose(1, 0, 2)
-        right_t = diag.reshape(s * w, wr) @ right_ri.reshape(wr, 2 * b * b_bra)
-        self.right_t = right_t.view(complex).reshape(s, w * b, b_bra)
-        self.full = [(i, right[:, j, :], m) for i, j, m in full]
-        self.z = np.empty((s, a_bra * w, b), dtype=complex)
+        folded = diag.reshape(s * n_folds, wr) @ right_ri.reshape(wr, 2 * b * b_bra)
+        folded = folded.view(complex).reshape(s, n_folds, b, b_bra)
+        self.right_ready = (folded[:, 0],) if n_ready else ()
+        self.right_t = folded[:, n_ready:].reshape(s, (n_folds - n_ready) * b, b_bra)
+        self.full = [(None if i is None else z[:, :, i], None if j is None else right[:, j, :], m)
+                     for i, j, m in blocks.terms]
 
     @property
     def madds(self) -> int:
-        s, a, b, a_bra, w, b_bra = self.dims
-        per_full_block = s * a_bra * b * b_bra + s * s * a_bra * b_bra
-        return s * a_bra * w * b * (a + b_bra) + len(self.full) * per_full_block
+        s, a, b, a_bra, b_bra, n_rows, n_rest = self.dims
+        per_full = sum(s * a_bra * b * b_bra * (r is not None) + s * s * a_bra * b_bra
+                       for _, r, _ in self.full)
+        return (s * a_bra * n_rows * a * b + s * a_bra * n_rest * b * b_bra
+                + len(self.right_ready) * s * a * b * b_bra + per_full)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        s, a, b, a_bra, w, b_bra = self.dims
+        s, a, b = self.dims[:3]
+        x = x.reshape(s, a, b)
         # the output buffer keeps the batched product on the BLAS path
-        z = np.matmul(self.left, x.reshape(s, a, b), out=self.z)
-        out = z.reshape(s, a_bra, w * b) @ self.right_t
-        z = z.reshape(s, a_bra, w, b)
-        for i, right_j, m in self.full:
-            zr = z[:, :, i, :].reshape(s * a_bra, b) @ right_j
-            out += (m @ zr.reshape(s, a_bra * b_bra)).reshape(s, a_bra, b_bra)
-        return out.ravel()
+        np.matmul(self.left, x, out=self.z)
+        out = self.z_rest @ self.right_t
+        for right in self.right_ready:
+            out += x @ right
+        for z in self.z_passing:
+            out += z
+        for z, right, m in self.full:
+            z = x if z is None else z
+            if right is not None:
+                z = z.reshape(-1, b) @ right
+            out += (m @ z.reshape(s, -1)).reshape(out.shape)
+        return out
 
 
 def update_left_env(left: np.ndarray, a: np.ndarray, blocks) -> np.ndarray:
     """Grow the (ket, mpo, bra) environment by one site from the left.
 
-    ``blocks`` is the site's (diag, full) split from ``_split_blocks``.  One
+    ``blocks`` is the site's split from ``_split_blocks``.  Every channel is
+    computed, the identity ones included, so they can be checked.  One
     GEMM takes the environment through the ket into an (s, w, a', b) array,
     one real GEMM over its float64 view applies the diagonal blocks for each
     physical index, one small GEMM per non-diagonal block adds the onsite
     term, and one GEMM with conj(a) closes the bra side.
     """
-    diag, full = blocks
+    diag, full = blocks.diag, blocks.full
     a_dim, w, a_bra = left.shape
     s, b = a.shape[1:]
     wr = diag.shape[2]
@@ -356,10 +458,11 @@ class TdvpEngine:
         below its bound min(max_chi, 2^j, 2^(N-j)) and one-site windows
         elsewhere.  Each window's tensor is the merged pair, the site, or the
         bond matrix that a QR splits off the centre site just before its
-        solve, solved between ``left_envs[i]`` and ``right_envs[i + w - 1]``.
-        A run of linked windows (module docstring) is solved once, at its
-        last window, by its summed half steps, or not at all if they sum to
-        zero."""
+        solve, solved between ``left_envs[i]`` and ``right_envs[i + w - 1]``,
+        or on the mirrored chain between the same two when that pays the
+        smaller MPO bond.  A run of linked windows (module docstring) is
+        solved once, at its last window, by its summed half steps, or not at
+        all if they sum to zero."""
         madds = solves = 0
         converged = True
         trunc = 0.0
@@ -378,7 +481,7 @@ class TdvpEngine:
             if w == 2:
                 al, ar = a[i], a[i + 1]
                 theta = al.reshape(-1, al.shape[2]) @ ar.reshape(ar.shape[0], -1)
-                x = theta.reshape(al.shape[0], -1, ar.shape[2])
+                x = theta.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
             elif w == 1:
                 x = a[i]
             else:  # the bond keeps the split's own rank, which may sit below the bond
@@ -393,15 +496,22 @@ class TdvpEngine:
                 carry = _carry_to(a, ops, k)
             if k < carry or pending == 0:
                 y = x
-            else:  # exp(-i H_eff pending dt/2) x for an (a, s, b) tensor, in (s, a, b) layout
-                apply_h = _LocalApply(lefts[i], rights[i + w - 1], self._blocks[w][i])
-                res = expm_lanczos(apply_h, x.transpose(1, 0, 2).ravel(), -0.5j * dt * pending,
+            else:  # exp(-i H_eff pending dt/2) x, in the frame that pays the smaller MPO bond
+                left, right, blocks = lefts[i], rights[i + w - 1], self._blocks[w][i]
+                mirror = blocks.diag.shape[2] < blocks.diag.shape[1]
+                if mirror:  # the window of the mirrored chain, whose pair index reverses
+                    x, left, right = x.T, right, left
+                    blocks = self._mirrored_blocks[w][len(a) - i - w]
+                apply_h = _LocalApply(left, right, blocks)
+                to, back = _LAYOUT[x.ndim]
+                v = x.transpose(to)
+                res = expm_lanczos(apply_h, v.ravel(), -0.5j * dt * pending,
                                    k_max=self.k_max, tol=LANCZOS_TOL)
                 solves += 1
                 madds += apply_h.madds * res.iterations  # one apply per Lanczos iteration
                 converged = converged and res.converged
-                a_dim, s_dim, b_dim = x.shape
-                y = np.ascontiguousarray(res.vector.reshape(s_dim, a_dim, b_dim).transpose(1, 0, 2))
+                y = res.vector.reshape(v.shape).transpose(back)
+                y = np.ascontiguousarray(y.T if mirror else y)
                 del res  # it holds the Krylov basis: free that before the split and the next solve
                 pending = 0
             if w == 1:  # the bond back-step that follows, if any, splits the site
@@ -410,8 +520,7 @@ class TdvpEngine:
                 t = a[i]
                 a[i] = (y[:, 0, :] @ t.reshape(t.shape[0], -1)).reshape(-1, *t.shape[1:])
             elif k + 1 != turn:  # split the pair, unless the turn comes again after the reflection
-                theta = y.reshape(al.shape[0], al.shape[1], ar.shape[1], ar.shape[2])
-                a[i], a[i + 1], disc = _split_theta(theta, self.max_chi)
+                a[i], a[i + 1], disc = _split_theta(y, self.max_chi)
                 trunc += disc
                 lefts[i + 1] = update_left_env(lefts[i], a[i], self._blocks[1][i])
                 rights[i] = _RELEASED  # stale across the split

@@ -116,5 +116,4 @@ def evolve_exact(
             step += 1
             traj.record(occupations(psi), ham.expectation(psi), step * dt)
         del solve  # build the next space without this one's basis alive
-    traj.final_state = psi.astype(complex, copy=False)
     return traj

@@ -5,9 +5,9 @@ package's computational paths: dense Hamiltonians via Kronecker products,
 the dense drive as one flipped copy of the state per site, fixed-step RK4
 integration, a dense propagator applied step by step, TDVP environments by
 ``tensordot`` over dense MPO tensors, a Lanczos loop that takes the
-exponential of its projection at every iteration, a minimal-distance move
-assignment, direct binomial tail summation, and a defect-free Monte Carlo
-that plans every load.
+exponential of its projection and its error bound at every iteration, a
+minimal-distance move assignment, direct binomial tail summation, and a
+defect-free Monte Carlo that plans every load.
 """
 
 from __future__ import annotations
@@ -111,28 +111,40 @@ def dense_right_env(right, a, wop) -> np.ndarray:
 
 def tridiagonal_exp_rows(alphas, betas, coeff, steps):
     """Rows exp(j coeff T) e_1, j = 1 ... steps, of the symmetric tridiagonal
-    T from ``np.linalg.eigh`` of its lower triangle."""
+    T from ``np.linalg.eigh`` of its lower triangle, and the integrals
+    int_0^j |e_k^T exp(u coeff T) e_1| du by the ceil(k/2)-point
+    Gauss-Legendre rule on each unit interval."""
     k = len(alphas)
     if k == 1:
-        return np.exp(coeff * np.arange(1, steps + 1) * alphas[0])[:, None]
+        times = np.arange(1, steps + 1)
+        return np.exp(coeff * times * alphas[0])[:, None], times.astype(float)
     t = np.zeros((k, k))
     t.flat[:: k + 1] = alphas
     t.flat[k :: k + 1] = betas
     eigvals, eigvecs = np.linalg.eigh(t, UPLO="L")
+    nodes, weights = np.polynomial.legendre.leggauss((k + 1) // 2)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    ends = eigvecs[-1] * eigvecs[0]
+    at_nodes = np.exp(np.multiply.outer(coeff * nodes, eigvals))
     if steps == 1:
-        return (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
-    times = coeff * np.arange(1, steps + 1)
-    return (np.exp(np.multiply.outer(times, eigvals)) * eigvecs[0]) @ eigvecs.T
+        rows = (eigvecs @ (np.exp(coeff * eigvals) * eigvecs[0]))[None]
+        return rows, (np.abs(at_nodes @ ends) @ weights)[None]
+    phases = np.exp(np.multiply.outer(coeff * np.arange(1, steps + 1), eigvals))
+    rows = (phases * eigvecs[0]) @ eigvecs.T
+    starts = np.vstack([ends, phases[:-1] * ends])
+    return rows, np.cumsum(np.abs(starts @ at_nodes.T) @ weights)
 
 
-def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1):
-    """The Lanczos recursion and residual test of ``expm_lanczos``, with the
-    exponential of the projection taken at every iteration and each Krylov
-    row divided by ``np.divide``.
+def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1, endpoint=False):
+    """The Lanczos recursion and error-bound test of ``expm_lanczos``, with
+    the exponential of the projection taken at every iteration and each
+    Krylov row divided by ``np.divide``.
 
     Makes the solver's floating-point operations in the same order, so the
-    two agree bit for bit unless skipping an exponential moves a stop.
-    Returns (iterations, converged, coefficient rows, basis).
+    two agree bit for bit unless skipping an exponential moves a stop.  With
+    ``endpoint`` it stops on the earlier test instead, step j resolved once
+    j |coeff| beta_k |e_k^T exp(j coeff T_k) e_1| <= tol.  Returns
+    (iterations, converged, coefficient rows, basis, error bound).
     """
     norm_v = float(np.linalg.norm(v))
     dim = v.size
@@ -145,6 +157,12 @@ def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1):
         basis[0] = start
     alphas, betas = np.empty(k_max), np.empty(k_max)
     resolved = 0
+
+    def passes(j, rows, integrals):
+        if endpoint:
+            return (j + 1) * abs(coeff) * beta * abs(rows[j, -1]) <= tol
+        return abs(coeff) * beta * integrals[j] <= tol
+
     for k in range(k_max):
         if k > 0:
             w = np.ravel(matvec(basis[k]))
@@ -154,23 +172,21 @@ def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1):
         beta = sqrt(np.vdot(w, w).real)
         wanted = min(steps, 2 * (resolved + k + 1))
         if beta <= tol * max(1.0, abs(alphas[k])):
-            rows = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, steps)
-            return k + 1, True, rows, basis[: k + 1]
-        rows = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, wanted)
+            rows, integrals = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, steps)
+            return k + 1, True, rows, basis[: k + 1], abs(coeff) * beta * integrals[-1]
+        rows, integrals = tridiagonal_exp_rows(alphas[: k + 1], betas[:k], coeff, wanted)
         resolved = 0
-        while resolved < wanted and (
-            (resolved + 1) * abs(coeff) * beta * abs(rows[resolved, -1]) <= tol
-        ):
+        while resolved < wanted and passes(resolved, rows, integrals):
             resolved += 1
         if resolved == steps:
-            return k + 1, True, rows, basis[: k + 1]
+            return k + 1, True, rows, basis[: k + 1], abs(coeff) * beta * integrals[-1]
         betas[k] = beta
         if k + 1 < k_max:
             np.divide(w, beta, out=basis[k + 1])
     m, converged = (steps, True) if k_max == dim else (max(resolved, 1), resolved > 0)
     if len(rows) < m:
-        rows = tridiagonal_exp_rows(alphas, betas[: k_max - 1], coeff, m)
-    return k_max, converged, rows[:m], basis
+        rows, integrals = tridiagonal_exp_rows(alphas, betas[: k_max - 1], coeff, m)
+    return k_max, converged, rows[:m], basis, abs(coeff) * beta * integrals[m - 1]
 
 
 def mps_norm(state) -> float:

@@ -778,6 +778,25 @@ class TestFitAndClassical:
         assert result.exit_code == 1
         assert loads(result.stderr)["error"]["type"] == "InvalidConfig"
 
+    @pytest.mark.parametrize("flags, source, watts", [
+        ([], "assumed 400 W GPU rating", 400.0),
+        (["--gpu-power-kw", "0.25"], "flag", 250.0),
+        (["--power-log", "{log}"], "power log", 100.0),
+    ])
+    def test_power_source_named(self, runner, tmp_path, flags, source, watts):
+        """Both projections name where their GPU power comes from; the
+        crossover takes no power log."""
+        samples = write_synthetic_timing(tmp_path / "timing.csv")
+        log = tmp_path / "log.csv"
+        log.write_text("timestamp_iso8601,watts\n2025-01-01T00:00:00Z,100\n")
+        flags = [f.format(log=log) for f in flags]
+        base = ["--samples", samples, "--chi", "1000", *flags, "--json"]
+        payload = loads(invoke(runner, ["estimate", "classical", "--size", "15x15", *base]).output)
+        assert (payload["power_source"], payload["report"]["power_watts"]) == (source, watts)
+        if "--power-log" not in flags:
+            result = invoke(runner, ["estimate", "crossover", "--n-max", "100", *base])
+            assert loads(result.output)["power_source"] == source
+
     def test_zero_gpu_power_is_used(self, runner, tmp_path):
         samples = write_synthetic_timing(tmp_path / "timing.csv")
         result = invoke(
@@ -834,7 +853,7 @@ PAYLOAD_KEYS = {
     }),
     "estimate classical": (
         ["estimate", "classical", "--samples", "{timing}", "--size", "15x15", "--chi", "1000"], {
-            "": {"report", "fit"},
+            "": {"report", "fit", "power_source"},
             "report": {"method", "N", "chi", "t_pulse_s", "n_steps", "seconds_per_step",
                        "total_seconds", "memory_bytes", "energy_kwh", "power_watts",
                        "extrapolated"},
@@ -843,7 +862,8 @@ PAYLOAD_KEYS = {
     "estimate crossover": (
         ["estimate", "crossover", "--samples", "{timing}", "--chi", "1000", "--n-min", "25",
          "--n-max", "100"], {
-            "": {"N_time", "N_energy", "at_boundary_time", "at_boundary_energy", "sweep"},
+            "": {"N_time", "N_energy", "at_boundary_time", "at_boundary_energy", "sweep",
+                 "power_source"},
             "sweep": {"n_min", "n_max", "n_step", "chi"},
         }),
     "rearrange": (["rearrange", "--register-size", "6", "--trials", "20"], {

@@ -59,13 +59,14 @@ class TestBuildLattice:
 class TestDeriveQuench:
     def test_paper_point(self):
         lat, params, _ = paper_setup(3, 3)
-        assert params.j_scale == pytest.approx(PAPER_OMEGA / (2 * PAPER_HX), rel=1e-12)
-        assert params.j_scale == pytest.approx(TWO_PI * 0.4e6, rel=1e-12)
-        assert 400e-9 * params.j_scale == pytest.approx(1.0, rel=0.01)
+        j_scale = params.c6 / (4.0 * params.spacing**6)
+        assert j_scale == pytest.approx(PAPER_OMEGA / (2 * PAPER_HX), rel=1e-12)
+        assert j_scale == pytest.approx(TWO_PI * 0.4e6, rel=1e-12)
+        assert 400e-9 * j_scale == pytest.approx(1.0, rel=0.01)
 
     def test_pulse_duration_in_units_of_j(self):
         _, params, _ = paper_setup(3, 3)
-        assert 4e-6 * params.j_scale == pytest.approx(10.0, rel=0.01)
+        assert 4e-6 * params.omega / (2.0 * params.h_x) == pytest.approx(10.0, rel=0.01)
 
     def test_spacing_identity(self):
         # R = (c6 h_x / (2 omega))^(1/6) collapses to 1 um when c6 h_x = 2 omega
@@ -79,7 +80,8 @@ class TestDeriveQuench:
         assert params.c6 / params.spacing**6 == pytest.approx(
             2.0 * params.omega / params.h_x, rel=1e-12
         )
-        assert 4.0 * params.j_scale * params.spacing**6 == pytest.approx(params.c6, rel=1e-12)
+        j_scale = params.omega / (2.0 * params.h_x)
+        assert 4.0 * j_scale * params.spacing**6 == pytest.approx(params.c6, rel=1e-12)
 
     def test_delta_is_half_central_interaction_sum(self):
         lat, params, _ = paper_setup(3, 3)

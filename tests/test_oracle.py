@@ -21,6 +21,22 @@ from conftest import PAPER_HX, PAPER_OMEGA, paper_setup
 RK4_2X2_100NS_N = 0.320596934530
 
 
+def _final_state(lattice, params):
+    """The 2^N amplitudes at the end of the pulse, from |00...0> by the
+    oracle's propagator, one Krylov space after the other as
+    ``oracle.evolve_exact`` makes them."""
+    v = model.interactions(lattice, params)
+    ham = oracle.DenseHamiltonian(lattice.n_sites, v.v, params.omega, params.delta)
+    psi = np.zeros(1 << lattice.n_sites)
+    psi[0] = 1.0
+    done, n_steps = 0, model.step_count(params.t_pulse, params.dt)
+    while done < n_steps:
+        solve = expm_lanczos(ham.apply, psi, -1j * params.dt, k_max=40, tol=1e-12,
+                             steps=n_steps - done)
+        psi, done = solve.vector, done + solve.steps
+    return psi
+
+
 class TestInitialState:
     def test_t_zero_snapshot(self):
         lat, params, _ = paper_setup(2, 2, t_pulse=0.0)
@@ -31,8 +47,9 @@ class TestInitialState:
 
     def test_omega_zero_is_stationary(self):
         lat, params, _ = paper_setup(2, 2, t_pulse=50e-9)
-        traj = oracle.evolve_exact(lat, replace(params, omega=0.0))
-        assert np.abs(traj.final_state[0] - 1.0) < 1e-12
+        params = replace(params, omega=0.0)
+        traj = oracle.evolve_exact(lat, params)
+        assert np.abs(_final_state(lat, params)[0] - 1.0) < 1e-12
         assert np.abs(traj.maps[-1].values).max() < 1e-12
 
 
@@ -95,10 +112,12 @@ def _assert_same_as_ungated(matvec, v, coeff, **kwargs):
     """Solve with ``expm_lanczos`` and with ``reference.ungated_lanczos``;
     assert the same iterations, convergence and bits, and return the solve."""
     solve = expm_lanczos(matvec, v, coeff, **kwargs)
-    iterations, converged, rows, basis = reference.ungated_lanczos(matvec, v, coeff, **kwargs)
+    iterations, converged, rows, basis, bound = reference.ungated_lanczos(matvec, v, coeff,
+                                                                          **kwargs)
     assert (solve.iterations, solve.converged) == (iterations, converged)
     assert np.array_equal(solve.coefficients, rows)
     assert np.array_equal(solve.basis, basis)
+    assert solve.error_bound == bound
     return solve
 
 
@@ -107,10 +126,10 @@ class TestKrylovTimeStepping:
 
     DT = 1e-9
 
-    def _check_states(self, h, v, solve, first_step=1):
+    def _check_states(self, h, v, solve, first_step=1, tol=1e-12):
         for j in range(solve.steps):
             want = expm(-1j * (first_step + j) * self.DT * h) @ v
-            assert np.linalg.norm(solve.state(j) - want) <= 1e-12 * np.linalg.norm(v), j
+            assert np.linalg.norm(solve.state(j) - want) <= tol * np.linalg.norm(v), j
 
     @pytest.mark.parametrize("real_start", [False, True])
     def test_complex_hermitian(self, real_start):
@@ -135,13 +154,16 @@ class TestKrylovTimeStepping:
         rng = np.random.default_rng(13)
         h = _hermitian(rng, 64, 2e8)
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        psi, done, resolved = v, 0, []
+        psi, done, resolved, bound = v, 0, [], 0.0
         while done < 30:
-            # 12 vectors resolve 4 steps of this H, so the 30 steps take 8 spaces
+            # 12 vectors resolve 4 steps of this H, so the 30 steps take 8 spaces; the
+            # propagator is unitary, so the error of each state is at most the bounds of
+            # the spaces up to its own summed, plus rounding
             solve = expm_lanczos(lambda x: h @ x, psi, -1j * self.DT, k_max=12, tol=1e-12,
                                  steps=30 - done)
             assert solve.converged and 1 <= solve.steps <= 30 - done
-            self._check_states(h, v, solve, first_step=done + 1)
+            bound += solve.error_bound
+            self._check_states(h, v, solve, first_step=done + 1, tol=bound + 1e-14)
             psi, done = solve.vector, done + solve.steps
             resolved.append(solve.steps)
         assert done == 30 and len(resolved) > 1 and max(resolved) > 1
@@ -183,6 +205,28 @@ class TestKrylovTimeStepping:
         assert solve.converged and solve.steps == 1
         want = expm(-1j * self.DT * h) @ v
         assert np.linalg.norm(solve.vector - want) <= 1e-12 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("steps", [1, 12])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("dim", [4, 64, 512])
+    @pytest.mark.parametrize("step_norm", [1e-3, 0.04, 0.5, 2.0])
+    def test_error_bound_holds_and_stops_no_later(self, step_norm, dim, real, steps):
+        """The reported bound is at least the error of every resolved step
+        against scipy's expm, plus the rounding floor of the two vectors (a
+        few 1e-15 here), and the solve stops no later, and resolves no fewer
+        steps, than under the end-point test j |coeff| beta_k |e_k^T
+        exp(j coeff T_k) e_1| <= tol it replaces."""
+        h, v = self._operator(dim, step_norm, real)
+        solve = expm_lanczos(lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12,
+                             steps=steps)
+        step, want = expm(-1j * self.DT * h), v
+        for j in range(solve.steps):
+            want = step @ want
+            error = np.linalg.norm(solve.state(j) - want)
+            assert error <= (solve.error_bound + 1e-14) * np.linalg.norm(v), j
+        iterations, _, rows, _, _ = reference.ungated_lanczos(
+            lambda x: h @ x, v, -1j * self.DT, k_max=40, tol=1e-12, steps=steps, endpoint=True)
+        assert solve.iterations <= iterations and solve.steps >= len(rows)
 
     @pytest.mark.parametrize("steps", [1, 12])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -232,6 +276,12 @@ class TestKrylovTimeStepping:
         with pytest.raises(InvalidConfig, match="steps"):
             expm_lanczos(lambda x: x, np.ones(4), -1j, k_max=4, tol=1e-12, steps=0)
 
+    @pytest.mark.parametrize("coeff", [-1e-9, 1e-9 - 1e-9j])
+    def test_coeff_with_a_real_part_rejected(self, coeff):
+        """The error bound holds for a unitary propagator only."""
+        with pytest.raises(InvalidConfig, match="imaginary"):
+            expm_lanczos(lambda x: x, np.ones(4), coeff, k_max=4, tol=1e-12)
+
 
 class TestKernels:
     @given(
@@ -262,7 +312,7 @@ class TestConservation:
     def test_norm_and_energy(self, setup_3x3, oracle_3x3_400ns):
         lat, params, _ = setup_3x3
         traj = oracle_3x3_400ns
-        assert abs(np.linalg.norm(traj.final_state) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(_final_state(lat, params)) - 1.0) < 1e-10
         drift = energy_drift(traj.energies, energy_scale(lat, params))
         assert drift < 1e-8
 

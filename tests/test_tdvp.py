@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from quench_bench import oracle
 from quench_bench.convergence import energy_drift, energy_scale
 from quench_bench.errors import InvalidConfig, MemoryBudgetExceeded
-from quench_bench.lanczos import _expm_tridiag_e1, expm_lanczos
+from quench_bench.lanczos import _expm_tridiag, expm_lanczos
 from quench_bench.mps import (
     TdvpEngine,
     build_mpo,
@@ -244,10 +244,15 @@ class TestMechanics:
         toward the one before), and a site of the first pass that is not
         carries its run to its own visit in the second when every site
         beyond it is square toward its left.  Shapes are read from the bond
-        dims the last solve saw.  Per apply: the GEMM through the left
-        environment, the one through the folded right environments and, on
-        a site or pair, the onsite block's two, at the bonds each solve
-        sees, times the applies it makes."""
+        dims the last solve saw.  A site or pair pays the smaller of its two
+        MPO bonds, w, by being solved on the mirrored chain when the right
+        one is smaller, which swaps its MPS bonds a and b.  Per apply, at
+        the bonds each solve sees and times the applies it makes: the GEMM
+        through the left environment over its w - 1 channels that are not
+        the identity, the GEMMs through the folded right environments over
+        the w - 1 channels whose fold is not the identity (all w at a chain
+        end, where no channel passes the identity on) and, on a site or
+        pair, the onsite block's s x s mix of the vector."""
         h = mpo.bond_profile
         solves = []  # (bond dims during the solve, applies it makes)
 
@@ -291,9 +296,13 @@ class TestMechanics:
                 continue
             pending = 0
             bonds, n_applies = next(seen)
-            s, a, b, w = 2**width, bonds[i], bonds[i + width], h[i]
-            onsite = s * a * b * b + s * s * a * b if width else 0
-            expected += n_applies * (s * a * w * a * b + s * a * w * b * b + onsite)
+            s, a, b = 2**width, bonds[i], bonds[i + width]
+            if width and h[i + width] < h[i]:  # solved on the mirrored chain
+                a, b, w, passing = b, a, h[i + width], int(i + width < n)
+            else:
+                w, passing = h[i], int(i > 0)
+            onsite = s * s * a * b if width else 0
+            expected += n_applies * (s * a * b * ((w - 1) * a + (w - passing) * b) + onsite)
         assert next(seen, None) is None
         return record, expected, len(solves)
 
@@ -455,15 +464,15 @@ class TestLanczosKernels:
             alphas, betas = _seeded_tridiagonal(k)
             t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
             want = expm(self.COEFF * t)[:, 0]
-            got = _expm_tridiag_e1(alphas, betas, self.COEFF)[0]
+            got = _expm_tridiag(alphas, betas, self.COEFF)[0][0]
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), k
 
     def test_tridiagonal_exponential_uses_the_off_diagonal(self):
         """A solve that lost the betas (say, by filling the triangle eigh does
         not read) is off by far more than the tolerance above."""
         alphas, betas = _seeded_tridiagonal(7)
-        want = _expm_tridiag_e1(alphas, betas, self.COEFF)[0]
-        dropped = _expm_tridiag_e1(alphas, np.zeros_like(betas), self.COEFF)[0]
+        want = _expm_tridiag(alphas, betas, self.COEFF)[0][0]
+        dropped = _expm_tridiag(alphas, np.zeros_like(betas), self.COEFF)[0][0]
         assert np.linalg.norm(dropped - want) > 1e-3 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("max_chi", [3, 64])
@@ -606,9 +615,11 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _block_apply(left, right, wop, x):
-    """The engine's apply on an (a, s, b) tensor, through its (s, a, b) layout."""
-    apply_h = _LocalApply(left, right, _split_blocks(wop))
+def _block_apply(left, right, wop, x, blocks=None):
+    """The engine's apply on an (a, s, b) tensor, through its (s, a, b) layout,
+    with the blocks of ``wop`` and no identity channels unless ``blocks``
+    are given."""
+    apply_h = _LocalApply(left, right, _split_blocks(wop) if blocks is None else blocks)
     out = apply_h(x.transpose(1, 0, 2).ravel())
     return out.reshape(x.shape[1], left.shape[2], right.shape[2]).transpose(1, 0, 2)
 
@@ -696,6 +707,71 @@ class TestBlockApply:
         left = _random_complex(rng, (chi_l, w, chi_l))
         right = _random_complex(rng, (chi_r, wr, chi_r))
         _assert_matches_dense(left, right, wop, wop, rng)
+
+
+    @pytest.mark.parametrize("side, chi", [(3, 4), (4, 8)])
+    def test_identity_channels_match_dense_reference(self, side, chi):
+        """Environments built from a canonical random MPS, the left ones from
+        a left-canonical form and the right ones from a right-canonical form
+        of the same bond dims: the ``ready`` channel of every left one and
+        the ``done`` channel of every right one is I, and the apply that
+        skips them matches the dense reference at every bond, site and pair
+        window, in the chain's own frame and in the mirrored one."""
+        lat, params, v = paper_setup(side, side)
+        mpo = build_mpo(lat, params, v)
+        n, w = lat.n_sites, mpo.tensors
+        rng = np.random.default_rng(side)
+        left_canonical = [t.transpose(2, 1, 0) for t in random_state(n, chi, rng).tensors[::-1]]
+        right_canonical = random_state(n, chi, rng).tensors
+        lefts, rights = [np.ones((1, 1, 1), dtype=complex)], [np.ones((1, 1, 1), dtype=complex)]
+        for a, b, wl, wr in zip(left_canonical, right_canonical[::-1], w, w[::-1]):
+            lefts.append(dense_left_env(lefts[-1], a, wl))
+            rights.append(dense_right_env(rights[-1], b, wr))
+        rights.reverse()  # rights[j]: sites j ... N-1, the environment right of bond j
+        tables = (evolve._window_blocks(w),
+                  evolve._window_blocks([t.transpose(3, 1, 2, 0) for t in w[::-1]]))
+        windows = [(0, i) for i in range(1, n)] + [(1, i) for i in range(n)]
+        for width, i in windows + [(2, i) for i in range(n - 1)]:
+            left, right = lefts[i], rights[i + width]
+            wop = (np.eye(w[i].shape[0])[:, None, None, :] if width == 0 else
+                   w[i] if width == 1 else merge_mpo_pair(w[i], w[i + 1]))
+            x = _random_complex(rng, (left.shape[0], wop.shape[2], right.shape[0]))
+            ref = dense_local_apply(left, right, wop, x)
+            blocks, mirrored = tables[0][width][i], tables[1][width][n - i - width]
+            for env, channel in ((left, blocks.ready), (right, blocks.done)):
+                assert np.abs(env[:, channel, :] - np.eye(env.shape[0])).max() <= 1e-12
+            assert (mirrored.ready, mirrored.done) == (blocks.done, blocks.ready)
+            got = _block_apply(left, right, wop, x, blocks)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            # the mirrored window: every axis reversed, so a pair's index reverses too
+            split = (x.shape[0], *([2] * width or [1]), x.shape[2])
+            mirror_x = x.reshape(split).T.reshape(right.shape[0], -1, left.shape[0])
+            got = _block_apply(right, left, None, mirror_x, mirrored)
+            want = ref.reshape(split).T.reshape(got.shape)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("side, max_chi, n_steps", [(3, 4, 3), (4, 8, 5)])
+    def test_identity_channels_stay_identity(self, side, max_chi, n_steps, monkeypatch):
+        """Through steps of the 3x3 and 4x4 quenches that mix pair and
+        one-site windows, in both passes and so in both frames, every
+        environment the engine holds at each solve has its identity channel
+        equal to I."""
+        lat, params, v = paper_setup(side, side)
+        n = lat.n_sites
+        engine = TdvpEngine(product_all_ground(n), build_mpo(lat, params, v), max_chi=max_chi)
+        deviations = []
+
+        def checked(*args, **kwargs):
+            held = [(env, blocks.ready) for env, blocks in zip(engine.left_envs, engine._blocks[1])]
+            held += [(env, blocks.done) for env, blocks in zip(engine.right_envs, engine._blocks[1])]
+            deviations.extend(np.abs(env[:, c, :] - np.eye(env.shape[0])).max()
+                              for env, c in held if env.size)
+            return expm_lanczos(*args, **kwargs)
+
+        monkeypatch.setattr(evolve, "expm_lanczos", checked)
+        pairs = [engine.step(params.dt).pair_windows for _ in range(n_steps)]
+        assert any(0 < p < n - 1 for p in pairs)
+        assert len(deviations) > 10 * n and max(deviations) <= 1e-12
 
 
 def _truncated_4x4():
