@@ -136,9 +136,10 @@ def tridiagonal_exp_rows(alphas, betas, coeff, steps):
 
 
 def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1, endpoint=False):
-    """The Lanczos recursion and error-bound test of ``expm_lanczos``, with
-    the exponential of the projection taken at every iteration and each
-    Krylov row divided by ``np.divide``.
+    """The Lanczos recursion and error-bound test of ``expm_lanczos`` (step
+    j resolved once its bound is at most j tol / steps), with the
+    exponential of the projection taken at every iteration and each Krylov
+    row divided by ``np.divide``.
 
     Makes the solver's floating-point operations in the same order, so the
     two agree bit for bit unless skipping an exponential moves a stop.  With
@@ -161,7 +162,7 @@ def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1, endpoint=False):
     def passes(j, rows, integrals):
         if endpoint:
             return (j + 1) * abs(coeff) * beta * abs(rows[j, -1]) <= tol
-        return abs(coeff) * beta * integrals[j] <= tol
+        return abs(coeff) * beta * integrals[j] <= tol * (j + 1) / steps
 
     for k in range(k_max):
         if k > 0:
