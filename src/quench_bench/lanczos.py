@@ -88,11 +88,12 @@ def expm_lanczos(
     is estimated by a Gauss-Legendre sum on each unit interval, with the
     ceil(k/2) nodes that integrate the integrand's leading Taylor term
     u^(k-1) exactly; the estimate has held as a bound against scipy's
-    ``expm`` for |coeff| ||H|| from 1e-3 to 2 and up to 12 steps.  The
-    solve spends ``tol`` over its steps in proportion to time: step j is
-    resolved once its bound is at most j tol / ``steps``.  So a caller that
-    chains spaces toward n steps in all, and passes each space the share
-    tol (steps left) / n, keeps every step of the chain within ``tol``.
+    ``expm`` for |coeff| ||H|| from 1e-3 to 2 and up to 12 steps.  A step
+    is resolved once its bound is at most tol / ``steps``, one step's share
+    of ``tol``; with one step this is the plain bound <= tol.  A caller that
+    chains spaces, asking each for the steps left with the same ``tol``,
+    gets states whose bounds add up to at most tol times the sum of 1 /
+    (steps left) over the spaces so far.
     m <= ``steps`` is the longest prefix of steps that one basis of at most
     ``k_max`` vectors resolves (the time-stepping of Sidje, ACM TOMS 24, 130
     (1998)).  Each iteration evaluates only the steps up to twice the prefix
@@ -119,8 +120,8 @@ def expm_lanczos(
         coeff: purely imaginary scalar multiplying H in the exponent, e.g.
             -1j*dt (InvalidConfig for one with a real part).
         k_max: Krylov-basis cap, at least 1 (InvalidConfig otherwise).
-        tol: tolerance on the error bound of the last of ``steps``,
-            relative to ||v||.
+        tol: tolerance on the error bound, relative to ||v||, shared
+            evenly by the ``steps``.
         steps: number of output times j * coeff wanted, at least 1
             (InvalidConfig otherwise).
 
@@ -194,7 +195,7 @@ def expm_lanczos(
         if abs_c * beta * ((lead - tail) / (k + 1) - _ROW_ROUNDING) <= tol / steps:
             rows, defects = _expm_tridiag(alphas[: k + 1], betas[:k], coeff, wanted)
             while (resolved < wanted
-                   and abs_c * beta * defects[resolved] <= tol * (resolved + 1) / steps):
+                   and abs_c * beta * defects[resolved] <= tol / steps):
                 resolved += 1
             if resolved == steps:
                 return result(steps, True)

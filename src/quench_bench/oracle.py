@@ -80,12 +80,11 @@ def evolve_exact(
     steps of ``params.dt``, with the couplings of ``model.interactions`` at
     ``cutoff`` (um), which are built only once the size check has passed.
 
-    One Lanczos space (at most 40 vectors) gives exp(-i H j dt) psi for
-    every step j it resolves; the next space starts from the last of them.
-    Each space gets the share of the tolerance 1e-12 that its steps carry,
-    so the error bound of step j is at most 1e-12 j / (number of steps).  The per-site occupation map and <H> (a
-    Hamiltonian apply on the state, not the Krylov projection) are recorded
-    after every step, forming one state at a time.  The trajectory's
+    One Lanczos space (at most 40 vectors, tolerance 1e-12 shared by the
+    steps left) gives exp(-i H j dt) psi for every step j it resolves; the
+    next space starts from the last of them.  The per-site occupation map
+    and <H> (a Hamiltonian apply on the state, not the Krylov projection)
+    are recorded after every step, forming one state at a time.  The trajectory's
     ``lanczos_converged`` is false when a space of 40 vectors did not
     resolve even its first step.
 
@@ -108,10 +107,9 @@ def evolve_exact(
     traj.record(occupations(psi), ham.expectation(psi), 0.0)
     step = 0
     while step < n_steps:
-        # the share of the tolerance that the steps left carry keeps every
-        # step of the chain within 1e-12
-        solve = expm_lanczos(ham.apply, psi, -1j * dt, k_max=40,
-                             tol=1e-12 * (n_steps - step) / n_steps, steps=n_steps - step)
+        solve = expm_lanczos(
+            ham.apply, psi, -1j * dt, k_max=40, tol=1e-12, steps=n_steps - step
+        )
         traj.lanczos_converged &= solve.converged
         for j in range(solve.steps):
             psi = solve.state(j)

@@ -136,8 +136,8 @@ def tridiagonal_exp_rows(alphas, betas, coeff, steps):
 
 
 def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1, endpoint=False):
-    """The Lanczos recursion and error-bound test of ``expm_lanczos`` (step
-    j resolved once its bound is at most j tol / steps), with the
+    """The Lanczos recursion and error-bound test of ``expm_lanczos`` (a
+    step resolved once its bound is at most tol / steps), with the
     exponential of the projection taken at every iteration and each Krylov
     row divided by ``np.divide``.
 
@@ -162,7 +162,7 @@ def ungated_lanczos(matvec, v, coeff, k_max, tol, steps=1, endpoint=False):
     def passes(j, rows, integrals):
         if endpoint:
             return (j + 1) * abs(coeff) * beta * abs(rows[j, -1]) <= tol
-        return abs(coeff) * beta * integrals[j] <= tol * (j + 1) / steps
+        return abs(coeff) * beta * integrals[j] <= tol / steps
 
     for k in range(k_max):
         if k > 0:
