@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force and shares no code with the
 package's computational paths: dense Hamiltonians via Kronecker products,
-the dense drive as one flipped copy of the state per site, fixed-step RK4
-integration, a dense propagator applied step by step, TDVP environments by
+the dense diagonal from an occupation table, the dense drive as one flipped
+copy of the state per site, fixed-step RK4 integration, a dense propagator
+applied step by step, TDVP environments by
 ``tensordot`` over dense MPO tensors, a Lanczos loop that takes the
 exponential of its projection and its error bound at every iteration, a
 minimal-distance move assignment, direct binomial tail summation, and a
@@ -42,6 +43,23 @@ def dense_hamiltonian(params, v: np.ndarray) -> np.ndarray:
             if v[i, j] != 0.0:
                 h += v[i, j] * (embed(NUMBER_OP, i, n) @ embed(NUMBER_OP, j, n))
     return h
+
+
+def dense_diagonal(v: np.ndarray, delta: float) -> np.ndarray:
+    """The 2^N energies 0.5 n V n - Delta |n| from an occupation table of the
+    whole matrix V, built in chunks of 2^14 states."""
+    n = v.shape[0]
+    dim = 1 << n
+    diag = np.zeros(dim)
+    chunk = 1 << min(n, 14)
+    bits = np.arange(n)
+    for start in range(0, dim, chunk):
+        idx = np.arange(start, min(start + chunk, dim), dtype=np.int64)
+        occ = ((idx[:, None] >> bits[None, :]) & 1).astype(float)
+        diag[start : start + len(idx)] = 0.5 * np.einsum(
+            "ki,ij,kj->k", occ, v, occ
+        ) - delta * occ.sum(axis=1)
+    return diag
 
 
 def flip_apply(diagonal: np.ndarray, omega: float, psi: np.ndarray) -> np.ndarray:

@@ -305,6 +305,62 @@ class TestKernels:
         )
 
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_diagonal_by_doubling(self, n):
+        """The doubled build against the occupation-table reference, on a
+        random symmetric V with couplings over six decades, as 1/r^6 spans."""
+        rng = np.random.default_rng(n)
+        v = np.triu(rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n)), 1)
+        v = v + v.T
+        delta = rng.uniform(0.5, 2.0) * np.abs(v).sum(axis=1).max(initial=1.0)
+        ham = oracle.DenseHamiltonian(n, v, 1.0, delta)
+        ref = reference.dense_diagonal(v, delta)
+        assert np.abs(ham.diagonal - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @given(
+        n=st.integers(1, 9),
+        omega=st.floats(-1e3, 1e3),
+        delta=st.floats(-1e3, 1e3),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_expectation_without_apply(self, n, omega, delta, real, seed):
+        """<H> from the pair sums against vdot(psi, H psi) of the dense H,
+        relative to ||H||_inf ||psi||^2, for real and complex psi."""
+        rng = np.random.default_rng(seed)
+        v = np.triu(rng.standard_normal((n, n)), 1)
+        v = v + v.T
+        psi = rng.standard_normal(1 << n)
+        if not real:
+            psi = psi + 1j * rng.standard_normal(1 << n)
+        got = oracle.DenseHamiltonian(n, v, omega, delta).expectation(psi)
+
+        h = reference.dense_hamiltonian(SimpleNamespace(omega=omega, delta=delta), v)
+        scale = np.abs(h).sum(axis=1).max() * np.vdot(psi, psi).real
+        assert abs(got - np.vdot(psi, h @ psi).real) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("case, match", [
+        ("wide", "shape"), ("small", "shape"), ("asymmetric", "not symmetric"),
+        ("self-coupling", "nonzero diagonal"),
+    ])
+    def test_refuses_couplings_the_build_cannot_read(self, case, match):
+        """The doubled build reads only V's lower triangle, so a V that is
+        not a symmetric N x N matrix with a zero diagonal is refused."""
+        v = np.triu(np.random.default_rng(0).standard_normal((3, 3)), 1)
+        v = v + v.T
+        if case == "wide":
+            v = np.hstack([v, np.zeros((3, 1))])
+        elif case == "small":
+            v = v[:2, :2]
+        elif case == "asymmetric":
+            v[0, 2] += 1e-9
+        else:
+            v[1, 1] = 1.0
+        with pytest.raises(InvalidConfig, match=match):
+            oracle.DenseHamiltonian(3, v, 1.0, 0.5)
+
+
 class TestConservation:
     def test_norm_and_energy(self, setup_3x3, oracle_3x3_400ns):
         lat, params, _ = setup_3x3

@@ -741,6 +741,13 @@ class TestBlockApply:
             for env, channel in ((left, blocks.ready), (right, blocks.done)):
                 assert np.abs(env[:, channel, :] - np.eye(env.shape[0])).max() <= 1e-12
             assert (mirrored.ready, mirrored.done) == (blocks.done, blocks.ready)
+            # only a bond window's fold is a selection, and it selects what the GEMM gives
+            assert (blocks.picks is not None) == (width == 0)
+            if width == 0:
+                picked = _LocalApply(left, right, blocks)
+                gemm = _LocalApply(left, right, blocks._replace(picks=None))
+                assert np.array_equal(picked.right_t, gemm.right_t)
+                assert all(map(np.array_equal, picked.right_ready, gemm.right_ready))
             got = _block_apply(left, right, wop, x, blocks)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             # the mirrored window: every axis reversed, so a pair's index reverses too
