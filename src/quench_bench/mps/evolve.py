@@ -615,8 +615,29 @@ def benchmark_steps(
     (N, chi) rather than the cheap early-time steps of the quench.
     ``warmup`` leading steps are dropped from the returned records.
     """
-    mpo = build_mpo(lattice, params, interactions(lattice, params))
-    state = random_state(lattice.n_sites, chi, np.random.default_rng(7))
-    engine = TdvpEngine(state, mpo, max_chi=chi)
-    records = [engine.step(params.dt) for _ in range(warmup + n_steps)]
-    return records[warmup:]
+    return benchmark_grid({None: (lattice, params, chi)}, n_steps, warmup=warmup)[None]
+
+
+def benchmark_grid(points: dict, n_rounds: int, *, warmup: int) -> dict:
+    """Time TDVP steps at several saturated points in interleaved rounds.
+
+    ``points`` maps a key to ``(lattice, params, chi)``; each point steps by
+    its ``params.dt`` from the random MPS of ``benchmark_steps`` and takes
+    ``warmup`` uncounted steps.  Each of the ``n_rounds`` rounds then takes
+    one step of every point in turn, so a host transient shorter than a
+    round slows at most one of a point's steps, and their minimum moves only
+    if every round is slowed.  The engines stay alive across rounds.
+    Returns the counted step records by key.
+    """
+    engines = {}
+    for key, (lattice, params, chi) in points.items():
+        mpo = build_mpo(lattice, params, interactions(lattice, params))
+        state = random_state(lattice.n_sites, chi, np.random.default_rng(7))
+        engines[key] = TdvpEngine(state, mpo, max_chi=chi), params.dt
+        for _ in range(warmup):
+            engines[key][0].step(params.dt)
+    records = {key: [] for key in points}
+    for _ in range(n_rounds):
+        for key, (engine, dt) in engines.items():
+            records[key].append(engine.step(dt))
+    return records

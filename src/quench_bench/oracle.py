@@ -84,7 +84,8 @@ class DenseHamiltonian:
                        for part in (floats[i::c] for i in range(c)))
         drive = sum(_pair_sum(*floats.reshape(-1, 2, c << k).transpose(1, 0, 2))
                     for k in range(self.n_sites))
-        return float(diagonal + self.omega * drive)
+        # the coupling apply uses, Omega/2, so a subnormal Omega rounds alike
+        return float(diagonal + (0.5 * self.omega) * (2.0 * drive))
 
 
 def _pair_sum(a: np.ndarray, b: np.ndarray) -> float:

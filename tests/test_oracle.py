@@ -327,7 +327,9 @@ class TestKernels:
     @settings(max_examples=60, deadline=None)
     def test_expectation_without_apply(self, n, omega, delta, real, seed):
         """<H> from the pair sums against vdot(psi, H psi) of the dense H,
-        relative to ||H||_inf ||psi||^2, for real and complex psi."""
+        relative to ||H||_inf ||psi||^2, for real and complex psi.  Products
+        that underflow round to the subnormal spacing, not relatively, so
+        the bound adds that spacing for each rounding on either side."""
         rng = np.random.default_rng(seed)
         v = np.triu(rng.standard_normal((n, n)), 1)
         v = v + v.T
@@ -338,7 +340,8 @@ class TestKernels:
 
         h = reference.dense_hamiltonian(SimpleNamespace(omega=omega, delta=delta), v)
         scale = np.abs(h).sum(axis=1).max() * np.vdot(psi, psi).real
-        assert abs(got - np.vdot(psi, h @ psi).real) <= 1e-12 * scale
+        underflow = 4 * (n + 2) * psi.size * np.finfo(float).smallest_subnormal
+        assert abs(got - np.vdot(psi, h @ psi).real) <= 1e-12 * scale + underflow
 
     @pytest.mark.parametrize("case, match", [
         ("wide", "shape"), ("small", "shape"), ("asymmetric", "not symmetric"),
