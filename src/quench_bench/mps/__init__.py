@@ -3,7 +3,7 @@
 from .memory import MemoryBreakdown, memory_estimate
 from .mpo import MpoHamiltonian, build_mpo
 from .state import MpsState, site_expectations
-from .evolve import TdvpEngine, TdvpStepRecord, benchmark_grid, benchmark_steps, run_quench
+from .evolve import TdvpEngine, TdvpStepRecord, benchmark_steps, run_quench
 
 __all__ = [
     "MemoryBreakdown",
@@ -11,7 +11,6 @@ __all__ = [
     "MpsState",
     "TdvpEngine",
     "TdvpStepRecord",
-    "benchmark_grid",
     "benchmark_steps",
     "build_mpo",
     "memory_estimate",

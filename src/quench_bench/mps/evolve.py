@@ -146,8 +146,6 @@ class _Blocks(NamedTuple):
     # the rest of ``rows``
     terms: list  # ``full`` as the apply reads it: (position in ``rows`` or None for
     # ``ready``, right channel or None for ``done``, block)
-    picks: np.ndarray | None  # when every folded row of ``diag`` is a unit vector
-    # (a bond window's identity block), the right channel each one reads, else None
 
 
 def _split_blocks(wop: np.ndarray, ready: int | None = None, done: int | None = None,
@@ -176,12 +174,8 @@ def _split_blocks(wop: np.ndarray, ready: int | None = None, done: int | None = 
     terms = [(None if i == ready else rows.index(i), None if j == done else j, m)
              for i, j, m in full]
     folds = ([] if ready is None else [ready]) + others
-    fold_rows = diag[:, folds].reshape(-1, diag.shape[2])
-    picks = np.argmax(fold_rows, axis=1)
-    if not np.array_equal(fold_rows, np.eye(diag.shape[2])[picks]):
-        picks = None
     return _Blocks(diag, full, ready, done, np.array(rows, dtype=np.intp), len(passing),
-                   np.array(folds, dtype=np.intp), terms, picks)
+                   np.array(folds, dtype=np.intp), terms)
 
 
 def _passes_identity(wop: np.ndarray, channel: int | None) -> int | None:
@@ -238,13 +232,11 @@ class _LocalApply:
     term then joins the sum.  Once per local solve the left environment is
     permuted to an (a'*w, a) matrix over the channels it contracts and every
     diagonal block is folded into a per-``t`` right matrix R_t[w*b, b'] =
-    sum_w' W[w, t, t, w'] R[b, w', b'] (a bond window's identity block only
-    selects channels of R, so its fold is a copy of them).  One application
-    is then one GEMM through the left environment into a reused
-    (s, a', w, b) buffer, one batched GEMM through R_t and one through
-    R_ready, an add of z_passing, and for the onsite block an s x s mix of
-    x.  ``madds`` counts the complex multiply-adds of these GEMMs in one
-    application.
+    sum_w' W[w, t, t, w'] R[b, w', b'].  One application is then one GEMM
+    through the left environment into a reused (s, a', w, b) buffer, one
+    batched GEMM through R_t and one through R_ready, an add of
+    z_passing, and for the onsite block an s x s mix of x.  ``madds`` counts
+    the complex multiply-adds of these GEMMs in one application.
     """
 
     __slots__ = ("dims", "left", "z", "z_rest", "z_passing", "right_t", "right_ready", "full")
@@ -262,15 +254,11 @@ class _LocalApply:
         z = self.z.reshape(s, a_bra, n_rows, b)
         self.z_rest = self.z.reshape(s, a_bra, n_rows * b)[:, :, n_passing * b :]
         self.z_passing = (z[:, :, 0],) if n_passing else ()
-        if blocks.picks is not None:  # the fold only selects channels of R
-            folded = right.transpose(1, 0, 2).take(blocks.picks, axis=0)
-        else:
-            # real coefficients: contract the real and imaginary parts of R in
-            # one real GEMM, then read the (t, w, b, 2 b') result back as complex
-            right_ri = right.view(np.float64).reshape(b, wr, 2 * b_bra).transpose(1, 0, 2)
-            folded = diag.reshape(s * n_folds, wr) @ right_ri.reshape(wr, 2 * b * b_bra)
-            folded = folded.view(complex)
-        folded = folded.reshape(s, n_folds, b, b_bra)
+        # real coefficients: contract the real and imaginary parts of R in
+        # one real GEMM, then read the (t, w, b, 2 b') result back as complex
+        right_ri = right.view(np.float64).reshape(b, wr, 2 * b_bra).transpose(1, 0, 2)
+        folded = diag.reshape(s * n_folds, wr) @ right_ri.reshape(wr, 2 * b * b_bra)
+        folded = folded.view(complex).reshape(s, n_folds, b, b_bra)
         self.right_ready = (folded[:, 0],) if n_ready else ()
         self.right_t = folded[:, n_ready:].reshape(s, (n_folds - n_ready) * b, b_bra)
         self.full = [(None if i is None else z[:, :, i], None if j is None else right[:, j, :], m)
@@ -615,29 +603,8 @@ def benchmark_steps(
     (N, chi) rather than the cheap early-time steps of the quench.
     ``warmup`` leading steps are dropped from the returned records.
     """
-    return benchmark_grid({None: (lattice, params, chi)}, n_steps, warmup=warmup)[None]
-
-
-def benchmark_grid(points: dict, n_rounds: int, *, warmup: int) -> dict:
-    """Time TDVP steps at several saturated points in interleaved rounds.
-
-    ``points`` maps a key to ``(lattice, params, chi)``; each point steps by
-    its ``params.dt`` from the random MPS of ``benchmark_steps`` and takes
-    ``warmup`` uncounted steps.  Each of the ``n_rounds`` rounds then takes
-    one step of every point in turn, so a host transient shorter than a
-    round slows at most one of a point's steps, and their minimum moves only
-    if every round is slowed.  The engines stay alive across rounds.
-    Returns the counted step records by key.
-    """
-    engines = {}
-    for key, (lattice, params, chi) in points.items():
-        mpo = build_mpo(lattice, params, interactions(lattice, params))
-        state = random_state(lattice.n_sites, chi, np.random.default_rng(7))
-        engines[key] = TdvpEngine(state, mpo, max_chi=chi), params.dt
-        for _ in range(warmup):
-            engines[key][0].step(params.dt)
-    records = {key: [] for key in points}
-    for _ in range(n_rounds):
-        for key, (engine, dt) in engines.items():
-            records[key].append(engine.step(dt))
-    return records
+    mpo = build_mpo(lattice, params, interactions(lattice, params))
+    state = random_state(lattice.n_sites, chi, np.random.default_rng(7))
+    engine = TdvpEngine(state, mpo, max_chi=chi)
+    records = [engine.step(params.dt) for _ in range(warmup + n_steps)]
+    return records[warmup:]

@@ -1,11 +1,10 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from quench_bench import model, oracle
 from quench_bench.costfit import step_sample
-from quench_bench.mps import benchmark_grid, run_quench
+from quench_bench.mps import benchmark_steps, run_quench
 from quench_bench.units import mhz_to_angular
 
 PAPER_OMEGA = mhz_to_angular(2.0)
@@ -76,26 +75,26 @@ def tdvp_3x3_100ns(setup_3x3):
 def saturated_steps():
     """Step records of random MPS saturated at the cap, keyed by (N, chi cap)
     over N in {9, 16, 25, 36} and chi caps 8..64: one warm-up step dropped,
-    five counted in interleaved rounds."""
-    points = {}
+    four counted."""
+    steps = {}
     for side in (3, 4, 5, 6):
         lattice, params, _ = paper_setup(side, side)
         for chi in (8, 16, 32, 64):
-            points[lattice.n_sites, chi] = lattice, params, chi
-    return benchmark_grid(points, 5, warmup=1)
+            steps[lattice.n_sites, chi] = benchmark_steps(
+                lattice, params, chi, n_steps=4, warmup=1
+            )
+    return steps
 
 
 @pytest.fixture(scope="session")
 def timing_samples(saturated_steps):
-    """Fastest of five interleaved seconds-per-step over N in {9, 16, 25, 36},
-    chi caps 8..64: a host transient can only slow a step, and one that
-    covers three of a point's rounds moves their median.
+    """Measured seconds-per-step over N in {9, 16, 25, 36}, chi caps 8..64.
 
     Bond dimensions are recorded as actually used (a 9-site MPS cannot hold
     uniform chi = 64), and duplicate (N, chi) rows are dropped.
     """
     samples = {}
     for (n, _), records in saturated_steps.items():
-        sample = step_sample(n, records, statistic=np.min)
+        sample = step_sample(n, records)
         samples.setdefault((sample.n, sample.chi), sample)
     return list(samples.values())

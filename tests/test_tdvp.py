@@ -1,7 +1,5 @@
 import dataclasses
-import itertools
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +14,6 @@ from quench_bench.lanczos import _expm_tridiag, expm_lanczos
 from quench_bench.mps import (
     TdvpEngine,
     build_mpo,
-    benchmark_grid,
     benchmark_steps,
     run_quench,
     site_expectations,
@@ -744,13 +741,6 @@ class TestBlockApply:
             for env, channel in ((left, blocks.ready), (right, blocks.done)):
                 assert np.abs(env[:, channel, :] - np.eye(env.shape[0])).max() <= 1e-12
             assert (mirrored.ready, mirrored.done) == (blocks.done, blocks.ready)
-            # only a bond window's fold is a selection, and it selects what the GEMM gives
-            assert (blocks.picks is not None) == (width == 0)
-            if width == 0:
-                picked = _LocalApply(left, right, blocks)
-                gemm = _LocalApply(left, right, blocks._replace(picks=None))
-                assert np.array_equal(picked.right_t, gemm.right_t)
-                assert all(map(np.array_equal, picked.right_ready, gemm.right_ready))
             got = _block_apply(left, right, wop, x, blocks)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             # the mirrored window: every axis reversed, so a pair's index reverses too
@@ -866,32 +856,6 @@ class TestBenchmark:
             np.mean([r.wall_seconds for r in records])
         )
         assert samples[0].n_workers == 1
-
-    def test_interleaved_rounds_outlast_a_transient(self, setup_3x3, monkeypatch):
-        """A clock that makes ten consecutive steps 7x slow moves the fastest
-        step of one point of the block protocol by 7x, and of no point in
-        interleaved rounds: a round of twelve points spreads the ten over
-        distinct points."""
-        lat, params, _ = setup_3x3
-        points = {key: (lat, params, 4) for key in range(12)}
-
-        def slow_clock():  # step s (calls 2s and 2s+1) lasts 7 s for s in 24..33, else 1 s
-            calls, now = itertools.count(), [0.0]
-
-            def perf_counter():
-                step, end = divmod(next(calls), 2)
-                now[0] += end * (7.0 if 24 <= step < 34 else 1.0)
-                return now[0]
-
-            return SimpleNamespace(perf_counter=perf_counter)
-
-        monkeypatch.setattr(evolve, "time", slow_clock())
-        block = [min(r.wall_seconds for r in benchmark_steps(*p, 5, warmup=1))
-                 for p in points.values()]
-        monkeypatch.setattr(evolve, "time", slow_clock())
-        grid = benchmark_grid(points, 5, warmup=1)
-        assert max(block) == 7.0
-        assert max(min(r.wall_seconds for r in rs) for rs in grid.values()) == 1.0
 
     def test_bond_cap_on_small_lattice(self, setup_3x3):
         lat, params, _ = setup_3x3
